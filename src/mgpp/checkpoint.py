@@ -69,17 +69,20 @@ def load_checkpoint(path) -> ParamStore:
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format_version "
                                   f"{version!r}")
-        store = ParamStore()
+        entries, masks = [], []
         for entry in manifest["tensors"]:
             shape = tuple(entry["shape"])
             size = math.prod(shape)
             raw = _read_exact(fh, size * 8, f"tensor {entry['name']}")
-            value = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            value = np.frombuffer(raw, dtype="<f8").reshape(shape)
             raw = _read_exact(fh, math.ceil(size / 8), f"mask {entry['name']}")
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                                  count=size)
-            p = store.add(entry["name"], value, bool(entry["prunable"]))
-            p.mask = bits.astype(bool).reshape(shape)
+            entries.append((entry["name"], value, bool(entry["prunable"])))
+            masks.append(bits.reshape(shape))
         if fh.read(1):
             raise CheckpointError("trailing bytes after last tensor")
+    store = ParamStore(entries)
+    for (_, p), bits in zip(store.items(), masks):
+        p.mask[...] = bits
     return store

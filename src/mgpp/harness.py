@@ -46,9 +46,7 @@ def export_histogram(ckpt_path, bins: int) -> list[tuple[float, int]]:
     if bins < 1:
         raise ValueError("bins must be >= 1")
     store = load_checkpoint(ckpt_path)
-    values = np.concatenate(
-        [store[name].value.ravel() for name in store.prunable_names()]
-        or [np.zeros(0)])
+    values = store.flat[:store.num_prunable()]
     nonzero = values[values != 0.0]
     if nonzero.size:
         counts, edges = np.histogram(nonzero, bins=bins)
@@ -71,8 +69,8 @@ def export_threshold_trajectory(metrics_path) -> list[tuple[int, float]]:
 def compare_runs(metrics_paths) -> list[dict]:
     """Aggregate final test accuracy per method across seeds.
 
-    All files must come from the same task spec; mixing tasks is refused
-    because the numbers would not be comparable.
+    All files must come from the same task spec, and no (method, seed)
+    pair may appear twice; either would make the numbers meaningless.
     """
     if not metrics_paths:
         raise ValueError("compare needs at least one metrics file")
@@ -80,11 +78,18 @@ def compare_runs(metrics_paths) -> list[dict]:
     for path in metrics_paths:
         finals.append(final_record(load_records(path), source=str(path)))
     fingerprint = finals[0].get("task")
+    seen: dict[tuple, str] = {}
     for path, rec in zip(metrics_paths, finals):
         if rec.get("task") != fingerprint:
             raise ValueError(
                 f"{path}: task spec differs from {metrics_paths[0]}; "
                 "refusing to aggregate across different tasks")
+        key = (rec["method"], rec["seed"])
+        if key in seen:
+            raise ValueError(
+                f"{path} and {seen[key]} are both method {key[0]} seed "
+                f"{key[1]}; refusing to count one run twice")
+        seen[key] = path
 
     by_method: dict[str, list[dict]] = {}
     for rec in finals:

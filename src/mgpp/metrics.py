@@ -4,7 +4,8 @@ One JSON object per line. Every record carries step/loss/sparsity/eta; prune
 events add threshold/zeroed/kept; epoch boundaries add epoch/dev_accuracy;
 the single closing record carries final=true with test accuracy, realized
 sparsity, method, seed, and the task fingerprint. Wall-clock time is kept out
-of this stream on purpose so reruns are byte-comparable.
+of this stream on purpose so reruns are byte-comparable. Lines are strict
+JSON: a non-finite float raises instead of being written as a bare NaN.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class RunMetrics:
 
     def _write(self, record: dict) -> None:
         if self._fh is not None:
-            self._fh.write(json.dumps(record, default=_json_default) + "\n")
+            self._fh.write(json.dumps(record, default=_json_default,
+                                     allow_nan=False) + "\n")
             self._fh.flush()
 
     def close(self) -> None:

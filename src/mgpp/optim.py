@@ -1,5 +1,8 @@
 """Adaptive moment optimizer with decoupled weight decay, plus linear LR decay.
 
+Parameters, gradient and both moment accumulators are flat vectors in the
+layout of ``ParamStore.flat``, so a step is a few whole-model vector ops.
+
 The decay term never routes through the moment accumulators: parameters are
 scaled by (1 - lr*weight_decay) before the bias-corrected adaptive update, so
 a zero-gradient step with decay w and rate r multiplies each parameter by
@@ -8,15 +11,13 @@ exactly (1 - r*w) and leaves the accumulators untouched.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import ParamStore
 
 
 class OptimState:
-    """Per-parameter first/second-moment accumulators and hyperparameters."""
+    """Flat first/second-moment accumulators and hyperparameters."""
 
     def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps_opt: float = 1e-8,
@@ -27,39 +28,35 @@ class OptimState:
         self.eps_opt = float(eps_opt)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in store.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in store.items()}
+        self.m = np.zeros_like(store.flat)
+        self.v = np.zeros_like(store.flat)
 
 
-def optim_step(params: ParamStore, grads: dict[str, np.ndarray],
-               state: OptimState, lr: float | None = None) -> None:
-    """One decoupled-weight-decay adaptive update over every entry of ``grads``.
+def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
+               lr: float | None = None) -> None:
+    """One decoupled-weight-decay adaptive update of ``store.flat``.
 
     ``lr`` overrides the state's base rate for this step (the linear decay
     policy passes the current rate each call). Pruned coordinates are updated
     like any other; the prune engine re-zeroes them afterwards.
     """
+    if grads.shape != store.flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} != {store.flat.shape}")
     rate = state.lr if lr is None else float(lr)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, g in grads.items():
-        p = params[name]
-        if g.shape != p.value.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} != parameter shape {p.value.shape} for {name!r}")
-        if state.weight_decay != 0.0:
-            p.value *= 1.0 - rate * state.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        mhat = m / bc1
-        vhat = v / bc2
-        p.value -= rate * mhat / (np.sqrt(vhat) + state.eps_opt)
+    if state.weight_decay != 0.0:
+        store.flat *= 1.0 - rate * state.weight_decay
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    mhat = m / bc1
+    vhat = v / bc2
+    store.flat -= rate * mhat / (np.sqrt(vhat) + state.eps_opt)
 
 
 def linear_lr(t: int, T: int, lr_init: float, lr_floor: float) -> float:

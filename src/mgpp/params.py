@@ -1,32 +1,34 @@
-"""Named parameter store with per-tensor prunability flags and binary masks."""
+"""Named parameters stored in one flat float64 buffer, with one flat mask.
+
+``ParamStore.flat`` holds every coordinate: the prunable tensors first, in
+store order and row-major within each, then all the others. ``mask`` is a
+bool vector of the same length (True = keep). Each ``Param.value`` and
+``Param.mask`` is a reshaped view into these two vectors, so ``flat[:P]``,
+with P = ``num_prunable()``, is the global coordinate order used for
+magnitude ranking, and the prior, the optimizer and the masks each act on
+the whole model in one vector operation.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class Param:
-    value: np.ndarray          # float64, C-contiguous
+    value: np.ndarray   # float64 view into ParamStore.flat
     prunable: bool
-    mask: np.ndarray = field(default=None)  # bool, True = keep
-
-    def __post_init__(self):
-        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        if self.mask is None:
-            self.mask = np.ones(self.value.shape, dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != self.value.shape:
-            raise ValueError(
-                f"mask shape {self.mask.shape} != value shape {self.value.shape}")
+    mask: np.ndarray    # bool view into ParamStore.mask, True = keep
 
 
 class ParamStore:
-    """Ordered map name -> Param. Iteration order is insertion order, which
-    fixes the deterministic coordinate order used for scores and checkpoints.
+    """Ordered map name -> Param, built once from its full parameter list.
+
+    Iteration order is the order of ``entries``, which fixes the checkpoint
+    layout; the buffer order (prunable first) is separate from it.
 
     Invariants maintained by the pruning engine:
       * masked coordinates hold exactly 0 after every prune event and after
@@ -34,24 +36,33 @@ class ParamStore:
       * non-prunable tensors keep all-ones masks forever.
     """
 
-    def __init__(self):
-        self._params: dict[str, Param] = {}
+    def __init__(self, entries):
+        """``entries``: iterable of (name, value, prunable)."""
+        entries = [(name, np.asarray(value, dtype=np.float64), bool(prunable))
+                   for name, value, prunable in entries]
+        ordered = [e for e in entries if e[2]] + [e for e in entries if not e[2]]
+        ends = dict(zip([name for name, _, _ in ordered],
+                        accumulate(value.size for _, value, _ in ordered)))
+        if len(ends) != len(entries):
+            raise ValueError("duplicate parameter name")
+        self._layout = [(name, slice(ends[name] - value.size, ends[name]),
+                         value.shape) for name, value, _ in entries]
+        self._n_prunable = sum(value.size for _, value, pr in entries if pr)
+        self.flat = np.zeros(sum(value.size for _, value, _ in entries))
+        self.mask = np.ones(self.flat.size, dtype=bool)
+        values, masks = self.views(self.flat), self.views(self.mask)
+        self._params = {name: Param(values[name], prunable, masks[name])
+                        for name, _, prunable in entries}
+        for name, value, _ in entries:
+            values[name][...] = value
 
-    def add(self, name: str, value, prunable: bool = False) -> Param:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        p = Param(np.array(value, dtype=np.float64), prunable)
-        self._params[name] = p
-        return p
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views, in store order, of a vector laid out like
+        ``flat``."""
+        return {name: buf[span].reshape(shape) for name, span, shape in self._layout}
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -63,31 +74,18 @@ class ParamStore:
         return [n for n, p in self._params.items() if p.prunable]
 
     def num_prunable(self) -> int:
-        return sum(p.value.size for p in self._params.values() if p.prunable)
+        return self._n_prunable
 
     def apply_masks(self) -> None:
         """Zero every masked coordinate in place."""
-        for p in self._params.values():
-            if p.prunable:
-                p.value[~p.mask] = 0.0
+        P = self._n_prunable
+        self.flat[:P][~self.mask[:P]] = 0.0
 
     def sparsity(self) -> float:
         """Fraction of prunable coordinates currently masked out."""
-        total = 0
-        zeroed = 0
-        for p in self._params.values():
-            if p.prunable:
-                total += p.mask.size
-                zeroed += int(p.mask.size - p.mask.sum())
-        return zeroed / total if total else 0.0
+        P = self._n_prunable
+        return self.zeroed_count() / P if P else 0.0
 
     def zeroed_count(self) -> int:
-        return sum(int(p.mask.size - p.mask.sum())
-                   for p in self._params.values() if p.prunable)
-
-    def clone(self) -> "ParamStore":
-        out = ParamStore()
-        for name, p in self._params.items():
-            q = out.add(name, p.value.copy(), p.prunable)
-            q.mask = p.mask.copy()
-        return out
+        P = self._n_prunable
+        return P - int(np.count_nonzero(self.mask[:P]))

@@ -46,10 +46,8 @@ class PruneEvent:
 
 
 def magnitude_scores(store: ParamStore) -> np.ndarray:
-    """|theta_j| over all prunable coordinates, concatenated in store order
-    (name order, then row-major within each tensor)."""
-    parts = [np.abs(store[name].value).ravel() for name in store.prunable_names()]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """|theta_j| over the prunable coordinates, in global coordinate order."""
+    return np.abs(store.flat[:store.num_prunable()])
 
 
 def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent:
@@ -65,39 +63,42 @@ def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent
     total = scores.size
     n_zero = math.floor(v * total)
     order = np.argsort(scores, kind="stable")
-    keep_flat = np.ones(total, dtype=bool)
-    keep_flat[order[:n_zero]] = False
+    store.mask[:total] = True
+    store.mask[order[:n_zero]] = False
     threshold = float(scores[order[n_zero]]) if n_zero < total else 0.0
-
-    offset = 0
-    for name in store.prunable_names():
-        p = store[name]
-        p.mask = keep_flat[offset:offset + p.value.size].reshape(p.value.shape)
-        p.value[~p.mask] = 0.0
-        offset += p.value.size
+    store.apply_masks()
     return PruneEvent(step=step, sparsity=v, zeroed=n_zero,
                       kept=total - n_zero, threshold=threshold)
 
 
 def _loss_and_grads(batch, store: ParamStore,
-                    model_cfg: TransformerConfig) -> tuple[float, dict[str, np.ndarray]]:
+                    model_cfg: TransformerConfig) -> tuple[float, np.ndarray]:
     tokens, labels = batch
     graph = Graph()
     bound = bind_params(graph, store)
     logits = forward_logits(graph, bound, tokens, model_cfg)
     loss = T.cross_entropy_loss(logits, labels)
     grads = backward_pass(graph, loss)
-    return float(loss.data), {name: grads[t.id] for name, t in bound.items()}
+    flat = np.zeros_like(store.flat)
+    for name, view in store.views(flat).items():
+        view[...] = grads[bound[name].id]
+    return float(loss.data), flat
 
 
-def _add_prior_grads(grads: dict[str, np.ndarray], store: ParamStore,
-                     mgp: MgpConfig, eta: float, n_train: int) -> None:
-    """grads <- grads - (eta/n) * grad(log pi), prunable tensors only."""
+def _add_prior_grads(grads: np.ndarray, store: ParamStore,
+                     mgp: MgpConfig | None, eta: float, n_train: int) -> None:
+    """grads <- grads - (eta/n) * grad(log pi), prunable coordinates only."""
     if eta == 0.0:
         return
-    scale = eta / n_train
-    for name in store.prunable_names():
-        grads[name] -= scale * mgp_grad(store[name].value, mgp)
+    P = store.num_prunable()
+    grads[:P] -= (eta / n_train) * mgp_grad(store.flat[:P], mgp)
+
+
+def _update(store, opt, step: int, loss: float, grads, lr: float) -> None:
+    """Optimizer update, refused for a non-finite loss or gradient."""
+    if not (math.isfinite(loss) and np.isfinite(grads).all()):
+        raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
+    optim_step(store, grads, opt, lr=lr)
 
 
 def mgpp_step(batch, store: ParamStore, opt: OptimState, *, step: int,
@@ -108,12 +109,11 @@ def mgpp_step(batch, store: ParamStore, opt: OptimState, *, step: int,
     update, then either a fresh global prune or re-application of the
     standing mask. Returns (metrics record, event or None)."""
     v_t, eta = sparsity_and_eta_at(step, cubic)
-    loss, grads = _loss_and_grads(batch, store, model_cfg)
     if mgp is None:
         eta = 0.0
-    else:
-        _add_prior_grads(grads, store, mgp, eta, n_train)
-    optim_step(store, grads, opt, lr=lr)
+    loss, grads = _loss_and_grads(batch, store, model_cfg)
+    _add_prior_grads(grads, store, mgp, eta, n_train)
+    _update(store, opt, step, loss, grads, lr)
 
     event = None
     if prune_now:
@@ -225,7 +225,8 @@ def run_prior_annealing(cfg, metrics: RunMetrics | None = None):
         mgp_t = MgpConfig(cfg.lam, sigma0_sq, cfg.sigma1_sq)
         loss, grads = _loss_and_grads(batch, store, cfg.model)
         _add_prior_grads(grads, store, mgp_t, eta, n_train)
-        optim_step(store, grads, opt, lr=linear_lr(step, pa.T, cfg.lr, cfg.lr_floor))
+        _update(store, opt, step, loss, grads,
+                linear_lr(step, pa.T, cfg.lr, cfg.lr_floor))
         record = {"step": step, "loss": loss, "sparsity": store.sparsity(),
                   "eta": eta, "sigma0_sq": sigma0_sq, "tau": tau}
         last_epoch = epoch
@@ -235,14 +236,12 @@ def run_prior_annealing(cfg, metrics: RunMetrics | None = None):
             # keep strictly above the threshold, then freeze the masks.
             threshold = pa_threshold(
                 MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
-            for name in store.prunable_names():
-                p = store[name]
-                p.mask = np.abs(p.value) > threshold
-                p.value[~p.mask] = 0.0
-            event = PruneEvent(step=step, sparsity=store.sparsity(),
-                               zeroed=store.zeroed_count(),
-                               kept=store.num_prunable() - store.zeroed_count(),
-                               threshold=threshold)
+            P = store.num_prunable()
+            store.mask[:P] = magnitude_scores(store) > threshold
+            store.apply_masks()
+            zeroed = store.zeroed_count()
+            event = PruneEvent(step=step, sparsity=store.sparsity(), zeroed=zeroed,
+                               kept=P - zeroed, threshold=threshold)
             metrics.note_event(event)
             record.update(sparsity=event.sparsity, threshold=event.threshold,
                           zeroed=event.zeroed, kept=event.kept)
@@ -262,8 +261,8 @@ def run_prior_annealing(cfg, metrics: RunMetrics | None = None):
                 train, cfg.batch_size, cfg.seed, pa.T + 1, pa.T + t_refine,
                 last_epoch):
             loss, grads = _loss_and_grads(batch, store, cfg.model)
-            optim_step(store, grads, opt,
-                       lr=linear_lr(step - pa.T, t_refine, cfg.lr, cfg.lr_floor))
+            _update(store, opt, step, loss, grads,
+                    linear_lr(step - pa.T, t_refine, cfg.lr, cfg.lr_floor))
             store.apply_masks()
             record = {"step": step, "loss": loss, "sparsity": sparsity,
                       "eta": 0.0}

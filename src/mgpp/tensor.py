@@ -49,14 +49,13 @@ class Tensor:
 
 
 class OpNode:
-    """One recorded operation: op name, input/output ids, backward closure."""
+    """One recorded operation: op name, output id, backward closure."""
 
-    __slots__ = ("op", "input_ids", "output_id", "backward")
+    __slots__ = ("op", "output_id", "backward")
 
-    def __init__(self, op: str, input_ids: tuple, output_id: int,
+    def __init__(self, op: str, output_id: int,
                  backward: Callable[[np.ndarray], None] | None):
         self.op = op
-        self.input_ids = input_ids
         self.output_id = output_id
         self.backward = backward
 
@@ -91,7 +90,7 @@ class Graph:
         needs = any(t.needs_grad for t in inputs)
         out = self._output(out_data, needs)
         backward = make_backward(out) if needs else None
-        self.nodes.append(OpNode(op, tuple(t.id for t in inputs), out.id, backward))
+        self.nodes.append(OpNode(op, out.id, backward))
         return out
 
     def _accumulate(self, tensor: Tensor, delta: np.ndarray) -> None:
@@ -352,22 +351,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return g._record("reshape", (a,), out_data, make_backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of identical length into a 2-D tensor, one per row."""
-    if not tensors:
-        raise ValueError("stack_rows requires at least one tensor")
-    g = _graph_of(*tensors)
-    out_data = np.stack([t.data for t in tensors])
-
-    def make_backward(out):
-        def backward(gout):
-            for i, t in enumerate(tensors):
-                g._accumulate(t, gout[i])
-        return backward
-
-    return g._record("stack_rows", tuple(tensors), out_data, make_backward)
-
-
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label].
 
@@ -405,10 +388,13 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss for every tensor needing them.
+    """Reverse-mode gradients of a scalar loss for every leaf tensor needing
+    them.
 
-    Returns ``graph.gradients``, a map tensor id -> gradient array. The
-    gradient of the loss with respect to itself is 1.
+    Returns ``graph.gradients``, a map tensor id -> gradient array. An op
+    output's gradient is dropped as soon as its node has propagated it, so
+    the map ends up holding leaf gradients only and a spent tape does not
+    keep a second copy of every activation alive.
     """
     if loss.graph is not graph:
         raise ValueError("loss does not belong to this graph")
@@ -417,7 +403,7 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
     graph.gradients.clear()
     graph.gradients[loss.id] = np.ones((), dtype=np.float64)
     for node in reversed(graph.nodes):
-        gout = graph.gradients.get(node.output_id)
+        gout = graph.gradients.pop(node.output_id, None)
         if gout is None or node.backward is None:
             continue
         node.backward(gout)
@@ -444,16 +430,3 @@ def finite_diff_grad(f, point, h) -> np.ndarray:
         flat[j] = orig
         out[j] = (fp - fm) / (2.0 * hs[j])
     return out.reshape(x.shape)
-
-
-def log_sum_exp(values: np.ndarray, axis=-1) -> np.ndarray:
-    """Max-subtracted log-sum-exp along an axis (plain ndarray helper)."""
-    m = np.max(values, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(values - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
-
-
-def softmax_rows(values: np.ndarray) -> np.ndarray:
-    """Plain ndarray softmax along the last axis with max subtraction."""
-    e = np.exp(values - values.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

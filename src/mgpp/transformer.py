@@ -92,7 +92,7 @@ def init_params(cfg: TransformerConfig, seed) -> ParamStore:
     """Weight matrices ~ N(0, (1/sqrt(d))^2); gamma = 1, beta = 0. Seeded."""
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(cfg.d)
-    store = ParamStore()
+    entries = []
     for name, shape, prunable in param_layout(cfg):
         if name.endswith(".gamma"):
             value = np.ones(shape)
@@ -100,8 +100,8 @@ def init_params(cfg: TransformerConfig, seed) -> ParamStore:
             value = np.zeros(shape)
         else:
             value = rng.standard_normal(shape) * std
-        store.add(name, value, prunable)
-    return store
+        entries.append((name, value, prunable))
+    return ParamStore(entries)
 
 
 def bind_params(graph: Graph, store: ParamStore,

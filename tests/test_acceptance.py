@@ -113,6 +113,7 @@ def test_01_objective_gradient_fidelity():
         loss_val, grads = _loss_and_grads((tokens, labels), store, model)
         assert math.isfinite(loss_val)
         _add_prior_grads(grads, store, mgp, eta=eta, n_train=n_train)
+        grads = store.views(grads)
 
         checks = [(name, flat) for name, flat, _ in planted]
         names = store.names()

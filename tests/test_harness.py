@@ -163,12 +163,14 @@ def test_config_text_round_trips(tmp_path):
 
 def sample_store():
     rng = np.random.default_rng(3)
-    store = ParamStore()
-    store.add("embed.table", rng.normal(size=(5, 4)), prunable=False)
-    w = store.add("block0.ffn.w1", rng.normal(size=(4, 6)), prunable=True)
-    w.mask = rng.random((4, 6)) > 0.5
+    embed, w1 = rng.normal(size=(5, 4)), rng.normal(size=(4, 6))
+    keep = rng.random((4, 6)) > 0.5
+    store = ParamStore([("embed.table", embed, False),
+                        ("block0.ffn.w1", w1, True),
+                        ("head.w", rng.normal(size=(4, 3)), False)])
+    w = store["block0.ffn.w1"]
+    w.mask[...] = keep
     w.value[~w.mask] = 0.0
-    store.add("head.w", rng.normal(size=(4, 3)), prunable=False)
     return store
 
 
@@ -294,9 +296,8 @@ def test_histogram_counts_nonzero_weights(micro_run, tmp_path):
 
 
 def test_histogram_of_fully_pruned_store(tmp_path):
-    store = ParamStore()
-    p = store.add("w", np.zeros(7), prunable=True)
-    p.mask[:] = False
+    store = ParamStore([("w", np.zeros(7), True)])
+    store["w"].mask[:] = False
     save_checkpoint(store, tmp_path / "empty.bin")
     rows = export_histogram(tmp_path / "empty.bin", bins=5)
     assert [count for _, count in rows] == [0] * 5
@@ -358,6 +359,16 @@ def test_compare_refuses_mixed_tasks(tmp_path):
     ]
     with pytest.raises(ValueError, match="refusing"):
         compare_runs(paths)
+
+
+def test_compare_refuses_duplicate_method_seed(tmp_path):
+    a = _fake_metrics(tmp_path / "a.jsonl", method="mgpp", seed=0, acc=0.9)
+    b = _fake_metrics(tmp_path / "b.jsonl", method="mgpp", seed=0, acc=0.7)
+    for paths in ([a, a], [a, b]):
+        with pytest.raises(ValueError, match="refusing") as exc:
+            compare_runs(paths)
+        assert str(paths[0]) in str(exc.value)
+        assert str(paths[1]) in str(exc.value)
 
 
 def test_compare_needs_final_record(tmp_path):
@@ -431,6 +442,22 @@ def test_cli_run_and_diagnostics(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].startswith("method,n_runs,seeds")
     assert rows[1].startswith("mgpp,1,7,")
+
+
+def test_cli_diverged_run_fails_loudly(tmp_path, capsys):
+    cfg_path = micro_config_file(tmp_path, "optim.lr = 1e300\n")
+    out = tmp_path / "diverged"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert "diverged at step" in capsys.readouterr().err
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    for line in lines:
+        record = json.loads(line, parse_constant=reject)
+        assert math.isfinite(record["loss"])
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_cli_rejects_bad_config_file(tmp_path, capsys):

@@ -9,10 +9,7 @@ from mgpp.params import ParamStore
 
 
 def make_store(values):
-    store = ParamStore()
-    for name, val in values.items():
-        store.add(name, val, prunable=True)
-    return store
+    return ParamStore([(name, val, True) for name, val in values.items()])
 
 
 def test_first_step_closed_form():
@@ -21,7 +18,7 @@ def test_first_step_closed_form():
     store = make_store({"w": np.array([1.0, -2.0, 3.0])})
     state = OptimState(store, lr=0.1, beta1=0.9, beta2=0.999, eps_opt=0.0)
     g = np.array([0.5, -0.25, 4.0])
-    optim_step(store, {"w": g}, state)
+    optim_step(store, g, state)
     np.testing.assert_allclose(
         store["w"].value, [1.0 - 0.1, -2.0 + 0.1, 3.0 - 0.1], rtol=1e-15)
 
@@ -29,7 +26,7 @@ def test_first_step_closed_form():
 def test_first_step_with_eps():
     store = make_store({"w": np.array([0.0])})
     state = OptimState(store, lr=0.001, eps_opt=1e-8)
-    optim_step(store, {"w": np.array([2.0])}, state)
+    optim_step(store, np.array([2.0]), state)
     # mhat=2, vhat=4 -> update = -lr*2/(2+1e-8)
     expect = -0.001 * 2.0 / (2.0 + 1e-8)
     np.testing.assert_allclose(store["w"].value, [expect], rtol=1e-15)
@@ -45,7 +42,7 @@ def test_multi_step_matches_reference_loop():
     state = OptimState(store, lr=lr, beta1=b1, beta2=b2, eps_opt=eps,
                        weight_decay=wd)
     for g in grads:
-        optim_step(store, {"w": g}, state)
+        optim_step(store, g.ravel(), state)
 
     # independent transcription of decoupled AdamW
     theta = theta0.copy()
@@ -68,32 +65,25 @@ def test_weight_decay_is_decoupled():
     store = make_store({"w": np.array([2.0])})
     state = OptimState(store, lr=0.1, weight_decay=0.5, eps_opt=1e-8)
     for _ in range(3):
-        optim_step(store, {"w": np.array([0.0])}, state)
+        optim_step(store, np.array([0.0]), state)
     np.testing.assert_allclose(store["w"].value, [2.0 * (1 - 0.05) ** 3],
                                rtol=1e-15)
-    assert np.all(state.m["w"] == 0.0)
-    assert np.all(state.v["w"] == 0.0)
+    assert np.all(state.m == 0.0)
+    assert np.all(state.v == 0.0)
 
 
 def test_per_step_lr_override():
     store = make_store({"w": np.array([1.0])})
     state = OptimState(store, lr=0.1, eps_opt=0.0)
-    optim_step(store, {"w": np.array([1.0])}, state, lr=0.005)
+    optim_step(store, np.array([1.0]), state, lr=0.005)
     np.testing.assert_allclose(store["w"].value, [1.0 - 0.005], rtol=1e-15)
-
-
-def test_partial_grads_leave_other_params_untouched():
-    store = make_store({"a": np.array([1.0]), "b": np.array([5.0])})
-    state = OptimState(store, lr=0.1)
-    optim_step(store, {"a": np.array([1.0])}, state)
-    assert store["b"].value[0] == 5.0
 
 
 def test_gradient_shape_mismatch_rejected():
     store = make_store({"w": np.ones((2, 2))})
     state = OptimState(store, lr=0.1)
     with pytest.raises(ValueError):
-        optim_step(store, {"w": np.ones(3)}, state)
+        optim_step(store, np.ones(3), state)
 
 
 def test_linear_lr_endpoints_and_midpoint():

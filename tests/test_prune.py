@@ -31,9 +31,7 @@ def micro_pairs(**kw):
 
 
 def flat_store(values):
-    store = ParamStore()
-    store.add("w", np.asarray(values, dtype=float), prunable=True)
-    return store
+    return ParamStore([("w", np.asarray(values, dtype=float), True)])
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +49,9 @@ def test_scores_all_zero():
 
 
 def test_scores_stable_order_across_tensors_and_calls():
-    store = ParamStore()
-    store.add("a", np.array([[1.0, -2.0], [3.0, -4.0]]), prunable=True)
-    store.add("skip", np.array([9.0]), prunable=False)
-    store.add("b", np.array([5.0]), prunable=True)
+    store = ParamStore([("a", np.array([[1.0, -2.0], [3.0, -4.0]]), True),
+                        ("skip", np.array([9.0]), False),
+                        ("b", np.array([5.0]), True)])
     expect = [1.0, 2.0, 3.0, 4.0, 5.0]  # name order, then row-major
     np.testing.assert_array_equal(magnitude_scores(store), expect)
     np.testing.assert_array_equal(magnitude_scores(store), expect)
@@ -98,9 +95,8 @@ def test_tie_break_prunes_earlier_coordinate():
 
 
 def test_global_ranking_spans_tensors():
-    store = ParamStore()
-    store.add("small", np.array([0.01, 0.02]), prunable=True)
-    store.add("big", np.array([1.0, 2.0]), prunable=True)
+    store = ParamStore([("small", np.array([0.01, 0.02]), True),
+                        ("big", np.array([1.0, 2.0]), True)])
     apply_global_prune(store, 0.5)
     np.testing.assert_array_equal(store["small"].value, [0.0, 0.0])
     np.testing.assert_array_equal(store["big"].value, [1.0, 2.0])
@@ -128,9 +124,8 @@ def test_masks_recomputed_allow_revival():
 
 
 def test_non_prunable_tensors_never_touched():
-    store = ParamStore()
-    store.add("w", np.array([0.001]), prunable=True)
-    store.add("gamma", np.array([0.0001]), prunable=False)
+    store = ParamStore([("w", np.array([0.001]), True),
+                        ("gamma", np.array([0.0001]), False)])
     apply_global_prune(store, 1.0)
     assert store["gamma"].value[0] == 0.0001
     assert store["gamma"].mask.all()
@@ -143,38 +138,38 @@ def test_non_prunable_tensors_never_touched():
 def test_prior_grad_zero_at_pruned_coordinate():
     cfg = MgpConfig(1e-7, 1e-10, 0.1)
     store = flat_store([0.0, 0.5])
-    grads = {"w": np.zeros(2)}
+    grads = np.zeros(2)
     _add_prior_grads(grads, store, cfg, eta=1.0, n_train=100)
-    assert grads["w"][0] == 0.0
-    assert grads["w"][1] != 0.0
+    assert grads[0] == 0.0
+    assert grads[1] != 0.0
 
 
 def test_prior_contribution_slab_magnitude():
     # slab regime: -(1/n) d/dtheta log pi at theta=0.1 is (1/n) * theta/sigma1^2
     cfg = MgpConfig(1e-7, 1e-10, 0.1)
     store = flat_store([0.1])
-    grads = {"w": np.zeros(1)}
+    grads = np.zeros(1)
     n = 393000
     _add_prior_grads(grads, store, cfg, eta=1.0, n_train=n)
-    assert abs(grads["w"][0] - (1.0 / n) * 1.0) < 1e-12 / n
+    assert abs(grads[0] - (1.0 / n) * 1.0) < 1e-12 / n
 
 
 def test_prior_scales_with_eta():
     cfg = MgpConfig(1e-7, 1e-10, 0.1)
     store = flat_store([0.3])
     half, full = np.zeros(1), np.zeros(1)
-    _add_prior_grads({"w": half}, store, cfg, eta=0.5, n_train=10)
-    _add_prior_grads({"w": full}, store, cfg, eta=1.0, n_train=10)
+    _add_prior_grads(half, store, cfg, eta=0.5, n_train=10)
+    _add_prior_grads(full, store, cfg, eta=1.0, n_train=10)
     np.testing.assert_allclose(half * 2, full, rtol=1e-15)
 
 
 def test_prior_applies_only_to_prunable():
     cfg = MgpConfig(1e-7, 1e-10, 0.1)
-    store = ParamStore()
-    store.add("w", np.array([0.3]), prunable=True)
-    store.add("gamma", np.array([0.3]), prunable=False)
-    grads = {"w": np.zeros(1), "gamma": np.zeros(1)}
-    _add_prior_grads(grads, store, cfg, eta=1.0, n_train=10)
+    store = ParamStore([("w", np.array([0.3]), True),
+                        ("gamma", np.array([0.3]), False)])
+    flat = np.zeros(2)
+    _add_prior_grads(flat, store, cfg, eta=1.0, n_train=10)
+    grads = store.views(flat)
     assert grads["w"][0] != 0.0
     assert grads["gamma"][0] == 0.0
 

@@ -236,6 +236,7 @@ def test_gradient_accumulates_over_fanout():
     out = T.add(theta, theta)  # d(2x)/dx = 2
     grads = backward_pass(g, T.reshape(out, ()))
     np.testing.assert_array_equal(grads[theta.id], [[2.0]])
+    assert list(grads) == [theta.id]     # op-output gradients are dropped
 
 
 def test_tensors_from_different_graphs_rejected():
