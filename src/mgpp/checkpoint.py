@@ -56,6 +56,13 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
+def _valid_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("prunable"), bool)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(v, int) and v >= 0 for v in entry["shape"]))
+
+
 def load_checkpoint(path) -> ParamStore:
     with open(path, "rb") as fh:
         if _read_exact(fh, len(MAGIC), "magic") != MAGIC:
@@ -65,12 +72,19 @@ def load_checkpoint(path) -> ParamStore:
             manifest = json.loads(_read_exact(fh, blob_len, "manifest"))
         except json.JSONDecodeError as exc:
             raise CheckpointError("corrupt checkpoint manifest") from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointError("corrupt checkpoint manifest: not an object")
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format_version "
                                   f"{version!r}")
+        tensors = manifest.get("tensors")
+        if not isinstance(tensors, list) or not all(map(_valid_entry, tensors)):
+            raise CheckpointError("corrupt checkpoint manifest: 'tensors' must "
+                                  "list entries with a str name, a shape of "
+                                  "non-negative ints and a bool prunable")
         entries, masks = [], []
-        for entry in manifest["tensors"]:
+        for entry in tensors:
             shape = tuple(entry["shape"])
             size = math.prod(shape)
             raw = _read_exact(fh, size * 8, f"tensor {entry['name']}")
@@ -78,7 +92,7 @@ def load_checkpoint(path) -> ParamStore:
             raw = _read_exact(fh, math.ceil(size / 8), f"mask {entry['name']}")
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                                  count=size)
-            entries.append((entry["name"], value, bool(entry["prunable"])))
+            entries.append((entry["name"], value, entry["prunable"]))
             masks.append(bits.reshape(shape))
         if fh.read(1):
             raise CheckpointError("trailing bytes after last tensor")

@@ -63,7 +63,6 @@ _KEYS = {
     "mgp.sigma1_sq": (float, 0.05),
     "pa.sigma0_init_sq": (float, 1.4e-4),
     "pa.sigma0_end_sq": (float, 3e-5),
-    "pa.tau0": (float, 1.0),
     "pa.refine_epochs": (int, 1),
 }
 
@@ -118,7 +117,6 @@ class ExperimentConfig:
     sigma1_sq: float
     pa_sigma0_init_sq: float
     pa_sigma0_end_sq: float
-    pa_tau0: float
     refine_epochs: int
     seed: int
     out_dir: str | None
@@ -136,8 +134,7 @@ class ExperimentConfig:
     def pa_schedule(self) -> PaScheduleConfig:
         return PaScheduleConfig(sigma0_init_sq=self.pa_sigma0_init_sq,
                                 sigma0_end_sq=self.pa_sigma0_end_sq,
-                                tau0=self.pa_tau0, t_i=self.t_i, t_f=self.t_f,
-                                T=self.total_steps)
+                                t_i=self.t_i, t_f=self.t_f, T=self.total_steps)
 
     def mgp_config(self) -> MgpConfig:
         return MgpConfig(self.lam, self.sigma0_sq, self.sigma1_sq)
@@ -225,7 +222,7 @@ def build_config(values: dict) -> ExperimentConfig:
         sigma1_sq=merged["mgp.sigma1_sq"],
         pa_sigma0_init_sq=merged["pa.sigma0_init_sq"],
         pa_sigma0_end_sq=merged["pa.sigma0_end_sq"],
-        pa_tau0=merged["pa.tau0"], refine_epochs=merged["pa.refine_epochs"],
+        refine_epochs=merged["pa.refine_epochs"],
         seed=merged["seed"], out_dir=merged["out"])
 
     # Fail now, not mid-run: materialize every sub-config this method uses.
@@ -283,9 +280,16 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         ("mgp.sigma1_sq", cfg.sigma1_sq),
         ("pa.sigma0_init_sq", cfg.pa_sigma0_init_sq),
         ("pa.sigma0_end_sq", cfg.pa_sigma0_end_sq),
-        ("pa.tau0", cfg.pa_tau0), ("pa.refine_epochs", cfg.refine_epochs),
+        ("pa.refine_epochs", cfg.refine_epochs),
     ]
     lines = [f"{key} = {value!r}" if isinstance(value, float)
              else f"{key} = {value}"
              for key, value in pairs if value is not None]
     return "\n".join(lines) + "\n"
+
+
+def comparable_config(cfg: ExperimentConfig) -> dict:
+    """The resolved config as typed values, without seed and out: what two
+    runs of one method must share for their results to be averaged."""
+    values = parse_config_text(config_to_text(cfg))
+    return {k: v for k, v in values.items() if k not in ("seed", "out")}

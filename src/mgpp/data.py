@@ -19,7 +19,6 @@ disjoint), and fully reproducible from the SyntheticTaskSpec fields alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -158,24 +157,3 @@ def batch_iterator(split: Split, batch_size: int, epoch_seed):
     for lo in range(0, len(split), batch_size):
         idx = perm[lo:lo + batch_size]
         yield split.tokens[idx], split.labels[idx]
-
-
-def dump_split(split: Split, path) -> None:
-    """One example per line: space-separated token ids, a tab, the label."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label in zip(split.tokens, split.labels):
-            fh.write(" ".join(str(t) for t in row) + f"\t{label}\n")
-
-
-def load_split(path) -> Split:
-    tokens, labels = [], []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            ids, label = line.split("\t")
-            tokens.append([int(t) for t in ids.split()])
-            labels.append(int(label))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: malformed record") from exc
-    return Split(np.asarray(tokens), np.asarray(labels))

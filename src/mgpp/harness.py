@@ -69,8 +69,10 @@ def export_threshold_trajectory(metrics_path) -> list[tuple[int, float]]:
 def compare_runs(metrics_paths) -> list[dict]:
     """Aggregate final test accuracy per method across seeds.
 
-    All files must come from the same task spec, and no (method, seed)
-    pair may appear twice; either would make the numbers meaningless.
+    All files must come from the same task spec, runs of one method must
+    share their resolved config (all but seed and out), and no (method,
+    seed) pair may appear twice; any of these would make the numbers
+    meaningless.
     """
     if not metrics_paths:
         raise ValueError("compare needs at least one metrics file")
@@ -79,11 +81,19 @@ def compare_runs(metrics_paths) -> list[dict]:
         finals.append(final_record(load_records(path), source=str(path)))
     fingerprint = finals[0].get("task")
     seen: dict[tuple, str] = {}
+    configs: dict[str, tuple] = {}
     for path, rec in zip(metrics_paths, finals):
         if rec.get("task") != fingerprint:
             raise ValueError(
                 f"{path}: task spec differs from {metrics_paths[0]}; "
                 "refusing to aggregate across different tasks")
+        config = rec.get("config") or {}
+        first_path, first = configs.setdefault(rec["method"], (path, config))
+        differs = [k for k in {**first, **config} if first.get(k) != config.get(k)]
+        if differs:
+            raise ValueError(
+                f"{path} and {first_path} are both method {rec['method']} but "
+                f"differ in {differs[0]}; refusing to aggregate different configs")
         key = (rec["method"], rec["seed"])
         if key in seen:
             raise ValueError(
@@ -113,11 +123,11 @@ def dump_schedule(cfg: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     """Tabulate the run's schedule for every step 0..T.
 
     Cubic methods give (step, sparsity, eta); prior annealing gives
-    (step, sigma0_sq, eta, tau).
+    (step, sigma0_sq, eta).
     """
     if cfg.method == "pa":
         sched = cfg.pa_schedule()
-        header = ["step", "sigma0_sq", "eta", "tau"]
+        header = ["step", "sigma0_sq", "eta"]
         rows = [(t, *pa_schedule_at(t, sched)) for t in range(sched.T + 1)]
     else:
         sched = cfg.cubic_schedule()

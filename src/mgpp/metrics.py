@@ -3,9 +3,10 @@
 One JSON object per line. Every record carries step/loss/sparsity/eta; prune
 events add threshold/zeroed/kept; epoch boundaries add epoch/dev_accuracy;
 the single closing record carries final=true with test accuracy, realized
-sparsity, method, seed, and the task fingerprint. Wall-clock time is kept out
-of this stream on purpose so reruns are byte-comparable. Lines are strict
-JSON: a non-finite float raises instead of being written as a bare NaN.
+sparsity, method, seed, the task fingerprint, and the resolved config
+without seed and out. Wall-clock time is kept out of this stream on purpose
+so reruns are byte-comparable. Lines are strict JSON: a non-finite float
+raises instead of being written as a bare NaN.
 """
 
 from __future__ import annotations

@@ -69,10 +69,7 @@ def g_fn(theta: float, cfg: MgpConfig) -> float:
     Returns 0 exactly when the exponent would overflow float64 (the limit
     value); even in theta and non-increasing in |theta|.
     """
-    u = cfg.c2 * float(theta) ** 2 + cfg.c1
-    if u > _EXP_OVERFLOW:
-        return 0.0
-    return 1.0 / (math.exp(u) + 1.0)
+    return float(_g_array(np.array([float(theta)]), cfg)[0])
 
 
 def _g_array(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:

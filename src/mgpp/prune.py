@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import comparable_config
 from .data import Split, batch_iterator, generate_dataset
 from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
@@ -158,6 +159,7 @@ def _finalize(metrics: RunMetrics, store: ParamStore, cfg, test: Split,
         "method": cfg.method,
         "seed": cfg.seed,
         "task": cfg.task.fingerprint(),
+        "config": comparable_config(cfg),
     })
 
 
@@ -221,14 +223,14 @@ def run_prior_annealing(cfg, metrics: RunMetrics | None = None):
     last_epoch = 0
     for step, epoch, batch, epoch_end in _step_stream(
             train, cfg.batch_size, cfg.seed, 1, pa.T, 0):
-        sigma0_sq, eta, tau = pa_schedule_at(step, pa)
+        sigma0_sq, eta = pa_schedule_at(step, pa)
         mgp_t = MgpConfig(cfg.lam, sigma0_sq, cfg.sigma1_sq)
         loss, grads = _loss_and_grads(batch, store, cfg.model)
         _add_prior_grads(grads, store, mgp_t, eta, n_train)
         _update(store, opt, step, loss, grads,
                 linear_lr(step, pa.T, cfg.lr, cfg.lr_floor))
         record = {"step": step, "loss": loss, "sparsity": store.sparsity(),
-                  "eta": eta, "sigma0_sq": sigma0_sq, "tau": tau}
+                  "eta": eta, "sigma0_sq": sigma0_sq}
         last_epoch = epoch
 
         if step == pa.T:

@@ -32,11 +32,10 @@ class CubicScheduleConfig:
 
 @dataclass(frozen=True)
 class PaScheduleConfig:
-    """Linear annealing of the spike deviation sigma0 plus the temperature ramp."""
+    """Linear annealing of the spike deviation sigma0."""
 
     sigma0_init_sq: float
     sigma0_end_sq: float
-    tau0: float
     t_i: int
     t_f: int
     T: int
@@ -46,8 +45,6 @@ class PaScheduleConfig:
             raise ValueError(
                 f"need sigma0_init_sq >= sigma0_end_sq > 0, got "
                 f"{self.sigma0_init_sq}, {self.sigma0_end_sq}")
-        if self.tau0 <= 0.0:
-            raise ValueError(f"tau0 must be positive, got {self.tau0}")
         if not (0 <= self.t_i < self.t_f <= self.T):
             raise ValueError(
                 f"need 0 <= t_i < t_f <= T, got t_i={self.t_i}, t_f={self.t_f}, T={self.T}")
@@ -78,29 +75,25 @@ def sparsity_and_eta_at(t: int, cfg: CubicScheduleConfig) -> tuple[float, float]
     return sparsity_at(t, cfg), eta
 
 
-def pa_schedule_at(t: int, cfg: PaScheduleConfig) -> tuple[float, float, float]:
-    """(sigma0_sq, eta, tau) for the prior-annealing run at step t.
+def pa_schedule_at(t: int, cfg: PaScheduleConfig) -> tuple[float, float]:
+    """(sigma0_sq, eta) for the prior-annealing run at step t.
 
     The spike deviation interpolates linearly between its endpoints:
     sigma0 = sigma0_end + (sigma0_init - sigma0_end) * (1 - (t-t_i)/(t_f-t_i))
     on (t_i, t_f); the returned variance is its square. At t <= t_i and
     t >= t_f the configured endpoint variances are returned verbatim.
-    eta warms up as t/t_i then holds at 1; tau holds at tau0 through t_f and
-    decays as tau0/(t - t_f) afterwards.
+    eta warms up as t/t_i then holds at 1.
     """
     _check_step(t, cfg.T)
-    if t < cfg.t_i:
-        return cfg.sigma0_init_sq, t / cfg.t_i, cfg.tau0
-    if t <= cfg.t_f:
-        if t == cfg.t_i:
-            return cfg.sigma0_init_sq, 1.0, cfg.tau0
-        if t == cfg.t_f:
-            return cfg.sigma0_end_sq, 1.0, cfg.tau0
-        dev_init = cfg.sigma0_init_sq ** 0.5
-        dev_end = cfg.sigma0_end_sq ** 0.5
-        dev = dev_end + (dev_init - dev_end) * (1.0 - (t - cfg.t_i) / (cfg.t_f - cfg.t_i))
-        return dev * dev, 1.0, cfg.tau0
-    return cfg.sigma0_end_sq, 1.0, cfg.tau0 / (t - cfg.t_f)
+    eta = t / cfg.t_i if t < cfg.t_i else 1.0
+    if t <= cfg.t_i:
+        return cfg.sigma0_init_sq, eta
+    if t >= cfg.t_f:
+        return cfg.sigma0_end_sq, eta
+    dev_init = cfg.sigma0_init_sq ** 0.5
+    dev_end = cfg.sigma0_end_sq ** 0.5
+    dev = dev_end + (dev_init - dev_end) * (1.0 - (t - cfg.t_i) / (cfg.t_f - cfg.t_i))
+    return dev * dev, eta
 
 
 def prune_steps(cfg: CubicScheduleConfig) -> list[int]:

@@ -13,7 +13,6 @@ Numerical stabilizers used throughout:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,20 +171,6 @@ def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
     return g._record("bmm_nt", (a, b), out_data, make_backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    g = _graph_of(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
-    out_data = a.data.T.copy()
-
-    def make_backward(out):
-        def backward(gout):
-            g._accumulate(a, gout.T)
-        return backward
-
-    return g._record("transpose", (a,), out_data, make_backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     g = _graph_of(a, b)
     if a.data.shape != b.data.shape:
@@ -307,22 +292,6 @@ def embedding(table: Tensor, ids) -> Tensor:
     return g._record("embedding", (table,), out_data, make_backward)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the first axis of a 2-D tensor: [n x d] -> [d]."""
-    g = _graph_of(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"mean_rows expects a 2-D tensor, got shape {a.data.shape}")
-    n = a.data.shape[0]
-    out_data = a.data.mean(axis=0)
-
-    def make_backward(out):
-        def backward(gout):
-            g._accumulate(a, np.broadcast_to(gout / n, a.data.shape))
-        return backward
-
-    return g._record("mean_rows", (a,), out_data, make_backward)
-
-
 def mean_axis1(a: Tensor) -> Tensor:
     """Mean over the middle axis of a 3-D tensor: [B x n x d] -> [B x d]."""
     g = _graph_of(a)
@@ -384,7 +353,7 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reverse pass and the finite-difference oracle
+# reverse pass
 # ---------------------------------------------------------------------------
 
 def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
@@ -408,25 +377,3 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
             continue
         node.backward(gout)
     return graph.gradients
-
-
-def finite_diff_grad(f, point, h) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    ``f`` maps an ndarray (same shape as ``point``) to a scalar. ``point``
-    may be a Tensor or ndarray. ``h`` is the step size — a scalar, or an
-    array broadcastable to ``point``'s shape for per-coordinate steps.
-    """
-    x = np.array(point.data if isinstance(point, Tensor) else point, dtype=np.float64)
-    hs = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape).ravel()
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + hs[j]
-        fp = float(f(x))
-        flat[j] = orig - hs[j]
-        fm = float(f(x))
-        flat[j] = orig
-        out[j] = (fp - fm) / (2.0 * hs[j])
-    return out.reshape(x.shape)

@@ -15,11 +15,10 @@ The classifier mean-pools the final block output over positions and applies
 one bias-free linear map; it is excluded from pruning, as are the embedding
 table and all LayerNorm parameters.
 
-Two forward implementations are provided. The per-sequence functions
-(attention_head / block_forward / model_forward) operate on 2-D tensors and
-mirror the formulas one-to-one; forward_logits runs a whole batch at once on
-the same tape primitives (batched matmuls) and is what training and
-evaluation use. They agree to BLAS-reduction rounding (~1e-15), not bitwise.
+One forward path, forward_logits, serves training and evaluation alike: it
+runs a whole batch of sequences on one tape, with the B*n token rows stacked
+into one [B*n x d] matrix for the projections and batched matmuls for the
+per-sequence attention scores.
 """
 
 from __future__ import annotations
@@ -49,23 +48,6 @@ class TransformerConfig:
         for name in ("d", "k", "m_ff", "H", "L", "n_max", "vocab", "n_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TransformerConfig.{name} must be >= 1")
-
-
-@dataclass
-class BlockParams:
-    """Tensors of one block, bound to a graph. wq/wk/wv are d x k per head,
-    wc is k x d per head; gamma/beta are never pruned."""
-
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
-    wc: list[Tensor]
-    w1: Tensor
-    w2: Tensor
-    gamma1: Tensor
-    beta1: Tensor
-    gamma2: Tensor
-    beta2: Tensor
 
 
 def param_layout(cfg: TransformerConfig) -> list[tuple[str, tuple, bool]]:
@@ -111,96 +93,37 @@ def bind_params(graph: Graph, store: ParamStore,
             for name, p in store.items()}
 
 
-def _block_params(bound: dict[str, Tensor], b: int, H: int) -> BlockParams:
-    pick = lambda key: bound[f"block{b}.{key}"]
-    return BlockParams(
-        wq=[pick(f"attn.head{h}.wq") for h in range(H)],
-        wk=[pick(f"attn.head{h}.wk") for h in range(H)],
-        wv=[pick(f"attn.head{h}.wv") for h in range(H)],
-        wc=[pick(f"attn.head{h}.wc") for h in range(H)],
-        w1=pick("ffn.w1"), w2=pick("ffn.w2"),
-        gamma1=pick("ln1.gamma"), beta1=pick("ln1.beta"),
-        gamma2=pick("ln2.gamma"), beta2=pick("ln2.beta"),
-    )
+def _attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                    n: int) -> tuple[Tensor, Tensor]:
+    """One attention head over a batch of length-n sequences, x [B*n x d].
 
-
-# ---------------------------------------------------------------------------
-# per-sequence path (2-D tensors, one token sequence)
-# ---------------------------------------------------------------------------
-
-def attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> tuple[Tensor, Tensor]:
-    """One attention head on a single sequence x [n x d].
-
-    Returns (values [n x k], weights [n x n]) with
-    weights[i, j] = softmax_j(<Q_i, K_j> / sqrt(k)) and
-    values[i] = sum_j weights[i, j] * V_j.
+    Returns (values [B*n x k], weights [B x n x n]) with, within sequence s,
+    weights[s, i, j] = softmax_j(<Q_i, K_j> / sqrt(k)) and
+    values[s*n + i] = sum_j weights[s, i, j] * V_j.
     """
-    k_dim = wq.data.shape[1]
-    q = T.matmul(x, wq)
-    k = T.matmul(x, wk)
-    v = T.matmul(x, wv)
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(k_dim))
-    weights = T.row_softmax(scores)
-    values = T.matmul(weights, v)
+    bsz, k_dim = x.data.shape[0] // n, wq.data.shape[1]
+    q = T.reshape(T.matmul(x, wq), (bsz, n, k_dim))
+    k = T.reshape(T.matmul(x, wk), (bsz, n, k_dim))
+    v = T.reshape(T.matmul(x, wv), (bsz, n, k_dim))
+    weights = T.row_softmax(T.scale(T.bmm_nt(q, k), 1.0 / math.sqrt(k_dim)))
+    values = T.reshape(T.bmm(weights, v), (bsz * n, k_dim))
     return values, weights
 
 
-def block_forward(x: Tensor, p: BlockParams) -> Tensor:
-    """Full block on a single sequence x [n x d] -> [n x d]."""
+def _batched_block(x: Tensor, bound: dict[str, Tensor], b: int, H: int,
+                   n: int) -> Tensor:
+    """Block b, read from the bound tensors by name, on x [B*n x d]."""
+    p = lambda key: bound[f"block{b}.{key}"]
     u = None
-    for h in range(len(p.wq)):
-        values, _ = attention_head(x, p.wq[h], p.wk[h], p.wv[h])
-        proj = T.matmul(values, p.wc[h])
+    for h in range(H):
+        head = f"attn.head{h}"
+        values, _ = _attention_head(x, p(f"{head}.wq"), p(f"{head}.wk"),
+                                    p(f"{head}.wv"), n)
+        proj = T.matmul(values, p(f"{head}.wc"))
         u = proj if u is None else T.add(u, proj)
-    ut = T.layer_norm(T.add(x, u), p.gamma1, p.beta1)
-    zt = T.matmul(T.relu(T.matmul(ut, p.w1)), p.w2)
-    return T.layer_norm(T.add(ut, zt), p.gamma2, p.beta2)
-
-
-def _check_tokens(tokens: np.ndarray, cfg: TransformerConfig) -> None:
-    if tokens.shape[-1] > cfg.n_max:
-        raise ValueError(
-            f"sequence length {tokens.shape[-1]} exceeds n_max={cfg.n_max}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
-        raise ValueError(f"token id out of range [0, {cfg.vocab})")
-
-
-def model_forward(tokens, params: ParamStore, cfg: TransformerConfig) -> Tensor:
-    """Logits [n_classes] for one token sequence: embedding, L blocks,
-    mean-pool over positions, bias-free linear head."""
-    ids = np.asarray(tokens)
-    if ids.ndim != 1:
-        raise ValueError(f"model_forward expects one sequence, got shape {ids.shape}")
-    _check_tokens(ids, cfg)
-    graph = Graph()
-    bound = bind_params(graph, params, requires_grad=False)
-    x = T.embedding(bound["embed.table"], ids)
-    for b in range(cfg.L):
-        x = block_forward(x, _block_params(bound, b, cfg.H))
-    pooled = T.reshape(T.mean_rows(x), (1, cfg.d))
-    logits = T.matmul(pooled, bound["head.w"])
-    return T.reshape(logits, (cfg.n_classes,))
-
-
-# ---------------------------------------------------------------------------
-# batched path (whole minibatch on one tape)
-# ---------------------------------------------------------------------------
-
-def _batched_block(flat: Tensor, p: BlockParams, bsz: int, n: int,
-                   d: int) -> Tensor:
-    k_dim = p.wq[0].data.shape[1]
-    u = None
-    for h in range(len(p.wq)):
-        q = T.reshape(T.matmul(flat, p.wq[h]), (bsz, n, k_dim))
-        k = T.reshape(T.matmul(flat, p.wk[h]), (bsz, n, k_dim))
-        v = T.reshape(T.matmul(flat, p.wv[h]), (bsz, n, k_dim))
-        weights = T.row_softmax(T.scale(T.bmm_nt(q, k), 1.0 / math.sqrt(k_dim)))
-        values = T.reshape(T.bmm(weights, v), (bsz * n, k_dim))
-        proj = T.matmul(values, p.wc[h])
-        u = proj if u is None else T.add(u, proj)
-    ut = T.layer_norm(T.add(flat, u), p.gamma1, p.beta1)
-    zt = T.matmul(T.relu(T.matmul(ut, p.w1)), p.w2)
-    return T.layer_norm(T.add(ut, zt), p.gamma2, p.beta2)
+    ut = T.layer_norm(T.add(x, u), p("ln1.gamma"), p("ln1.beta"))
+    zt = T.matmul(T.relu(T.matmul(ut, p("ffn.w1"))), p("ffn.w2"))
+    return T.layer_norm(T.add(ut, zt), p("ln2.gamma"), p("ln2.beta"))
 
 
 def forward_logits(graph: Graph, bound: dict[str, Tensor], tokens,
@@ -209,11 +132,12 @@ def forward_logits(graph: Graph, bound: dict[str, Tensor], tokens,
     ids = np.asarray(tokens)
     if ids.ndim != 2:
         raise ValueError(f"forward_logits expects [B x n] tokens, got shape {ids.shape}")
-    _check_tokens(ids, cfg)
     bsz, n = ids.shape
+    if n > cfg.n_max:
+        raise ValueError(f"sequence length {n} exceeds n_max={cfg.n_max}")
     x = T.reshape(T.embedding(bound["embed.table"], ids), (bsz * n, cfg.d))
     for b in range(cfg.L):
-        x = _batched_block(x, _block_params(bound, b, cfg.H), bsz, n, cfg.d)
+        x = _batched_block(x, bound, b, cfg.H, n)
     pooled = T.mean_axis1(T.reshape(x, (bsz, n, cfg.d)))
     return T.matmul(pooled, bound["head.w"])
 

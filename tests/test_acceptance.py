@@ -19,15 +19,14 @@ from mgpp.checkpoint import load_checkpoint
 from mgpp.config import build_config, load_config
 from mgpp.harness import run_experiment
 from mgpp.metrics import load_records
-from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, mgp_grad, neg_log_prior, pa_threshold
 from mgpp.prune import (_add_prior_grads, _loss_and_grads, run_gmp,
                         run_l2_variant, run_mgpp, run_prior_annealing)
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.tensor import Graph
-from mgpp.transformer import (BlockParams, TransformerConfig, attention_head,
-                              bind_params, block_forward, forward_logits,
+from mgpp.transformer import (TransformerConfig, _attention_head,
+                              _batched_block, bind_params, forward_logits,
                               init_params)
 
 DESK_N_TRAIN = 8000
@@ -340,7 +339,7 @@ def test_09_annealing_semantics():
         np.testing.assert_array_equal(p.mask, np.abs(p.value) > thr)
         assert np.all(p.value[~p.mask] == 0.0)
 
-    # recorded sigma0^2 / eta / tau equal the linear closed form at every step
+    # recorded sigma0^2 / eta equal the linear closed form at every step
     sched = cfg.pa_schedule()
     span = sched.t_f - sched.t_i
     dev_init = math.sqrt(cfg.pa_sigma0_init_sq)
@@ -348,22 +347,20 @@ def test_09_annealing_semantics():
 
     def ref(t):
         if t < sched.t_i:
-            return cfg.pa_sigma0_init_sq, t / sched.t_i, cfg.pa_tau0
+            return cfg.pa_sigma0_init_sq, t / sched.t_i
         if t >= sched.t_f:
-            tau = cfg.pa_tau0 if t == sched.t_f else cfg.pa_tau0 / (t - sched.t_f)
-            return cfg.pa_sigma0_end_sq, 1.0, tau
+            return cfg.pa_sigma0_end_sq, 1.0
         if t == sched.t_i:
-            return cfg.pa_sigma0_init_sq, 1.0, cfg.pa_tau0
+            return cfg.pa_sigma0_init_sq, 1.0
         dev = dev_end + (dev_init - dev_end) * (1.0 - (t - sched.t_i) / span)
-        return dev * dev, 1.0, cfg.pa_tau0
+        return dev * dev, 1.0
 
     for t in range(sched.T + 1):
         assert pa_schedule_at(t, sched) == ref(t), f"step {t}"
     anneal = [r for r in metrics.records if "sigma0_sq" in r]
     assert len(anneal) == sched.T
     for r in anneal:
-        sigma0_sq, eta, tau = ref(r["step"])
-        assert (r["sigma0_sq"], r["eta"], r["tau"]) == (sigma0_sq, eta, tau)
+        assert (r["sigma0_sq"], r["eta"]) == ref(r["step"])
     report("survivor set = {|theta| > threshold}; trajectories closed-form exact")
 
 
@@ -417,10 +414,12 @@ def _o_block(x, p):
 
 
 def test_10_attention_layernorm_conformance():
+    """The batched head and block that training runs, on two sequences
+    stacked as one [2n x d] matrix, against the loop oracles per sequence."""
     rng = np.random.default_rng(2024)
-    n, d, k_dim, heads = 3, 16, 4, 2
+    n, d, k_dim, heads, bsz = 3, 16, 4, 2, 2
     for trial in range(5):
-        x = rng.normal(size=(n, d))
+        seqs = rng.normal(size=(bsz, n, d))
         raw = {
             "wq": [rng.normal(size=(d, k_dim)) for _ in range(heads)],
             "wk": [rng.normal(size=(d, k_dim)) for _ in range(heads)],
@@ -433,22 +432,27 @@ def test_10_attention_layernorm_conformance():
         }
         graph = Graph()
         wrap = lambda a: graph.tensor(np.asarray(a, dtype=float))
-        xt = wrap(x)
-        values, weights = attention_head(xt, wrap(raw["wq"][0]),
-                                         wrap(raw["wk"][0]),
-                                         wrap(raw["wv"][0]))
-        o_values, o_weights = _o_attention(x, raw["wq"][0], raw["wk"][0],
-                                           raw["wv"][0])
-        assert np.abs(weights.data - o_weights).max() < 1e-12
-        assert np.abs(values.data - o_values).max() < 1e-12
-        assert np.abs(weights.data.sum(axis=1) - 1.0).max() < 1e-12
+        xt = wrap(seqs.reshape(bsz * n, d))
+        values, weights = _attention_head(xt, wrap(raw["wq"][0]),
+                                          wrap(raw["wk"][0]),
+                                          wrap(raw["wv"][0]), n)
+        bound = {"block0.ffn.w1": wrap(raw["w1"]),
+                 "block0.ffn.w2": wrap(raw["w2"])}
+        for h in range(heads):
+            for key in ("wq", "wk", "wv", "wc"):
+                bound[f"block0.attn.head{h}.{key}"] = wrap(raw[key][h])
+        for ln in (1, 2):
+            bound[f"block0.ln{ln}.gamma"] = wrap(raw[f"gamma{ln}"])
+            bound[f"block0.ln{ln}.beta"] = wrap(raw[f"beta{ln}"])
+        out = _batched_block(xt, bound, 0, heads, n)
 
-        params = BlockParams(
-            wq=[wrap(w) for w in raw["wq"]], wk=[wrap(w) for w in raw["wk"]],
-            wv=[wrap(w) for w in raw["wv"]], wc=[wrap(w) for w in raw["wc"]],
-            w1=wrap(raw["w1"]), w2=wrap(raw["w2"]),
-            gamma1=wrap(raw["gamma1"]), beta1=wrap(raw["beta1"]),
-            gamma2=wrap(raw["gamma2"]), beta2=wrap(raw["beta2"]))
-        out = block_forward(xt, params)
-        assert np.abs(out.data - _o_block(x, raw)).max() < 1e-12, f"trial {trial}"
+        for s, x in enumerate(seqs):
+            rows = slice(s * n, (s + 1) * n)
+            o_values, o_weights = _o_attention(x, raw["wq"][0], raw["wk"][0],
+                                               raw["wv"][0])
+            assert np.abs(weights.data[s] - o_weights).max() < 1e-12
+            assert np.abs(values.data[rows] - o_values).max() < 1e-12
+            assert np.abs(weights.data[s].sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs(out.data[rows] - _o_block(x, raw)).max() < 1e-12, \
+                f"trial {trial} sequence {s}"
     report("attention weights, block outputs, and softmax rows conform")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgpp.data import (Split, SyntheticTaskSpec, batch_iterator,
-                       dump_split, generate_dataset, label_of, load_split)
+                       generate_dataset, label_of)
 
 
 def spec(**kw):
@@ -119,22 +119,3 @@ def test_batch_iterator_rejects_bad_batch_size():
     split = Split(np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
         list(batch_iterator(split, 0, 1))
-
-
-def test_dump_load_round_trip(tmp_path):
-    train, _, _ = generate_dataset(spec(n_train=40, n_dev=8, n_test=8))
-    path = tmp_path / "train.tsv"
-    dump_split(train, path)
-    back = load_split(path)
-    np.testing.assert_array_equal(back.tokens, train.tokens)
-    np.testing.assert_array_equal(back.labels, train.labels)
-    first = path.read_text().splitlines()[0]
-    ids, _, label = first.partition("\t")
-    assert len(ids.split()) == 16 and label.strip().isdigit()
-
-
-def test_load_rejects_malformed_lines(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("1 2 3\t0\nnot a record\n")
-    with pytest.raises(ValueError, match="bad.tsv:2"):
-        load_split(path)

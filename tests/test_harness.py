@@ -233,6 +233,24 @@ def test_checkpoint_rejects_corrupt_manifest(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("manifest", [
+    {"format_version": 1},
+    {"format_version": 1, "tensors": 5},
+    {"format_version": 1, "tensors": [{"name": "w", "prunable": True}]},
+    {"format_version": 1,
+     "tensors": [{"name": "w", "shape": "ab", "prunable": True}]},
+], ids=["no-tensors", "tensors-not-a-list", "entry-without-shape",
+        "shape-not-ints"])
+def test_cli_malformed_manifest_is_runtime_error(tmp_path, capsys, manifest):
+    blob = json.dumps(manifest).encode()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(CheckpointError, match="manifest"):
+        load_checkpoint(path)
+    assert main(["export-histogram", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("mgpp: error: ")
+
+
 # ---------------------------------------------------------------------------
 # run artifacts and diagnostics
 # ---------------------------------------------------------------------------
@@ -272,6 +290,13 @@ def test_run_metrics_file_mirrors_memory(micro_run):
 def test_run_config_snapshot_reloads(micro_run):
     cfg, out, _, _ = micro_run
     assert load_config(out / "config.txt") == cfg
+
+
+def test_final_record_carries_config_without_seed_and_out(micro_run):
+    cfg, out, metrics, _ = micro_run
+    config = metrics.final["config"]
+    assert "seed" not in config and "out" not in config
+    assert build_config(config | {"seed": cfg.seed, "out": str(out)}) == cfg
 
 
 def test_run_checkpoint_matches_final_sparsity(micro_run):
@@ -371,6 +396,21 @@ def test_compare_refuses_duplicate_method_seed(tmp_path):
         assert str(paths[1]) in str(exc.value)
 
 
+def test_compare_refuses_runs_with_different_configs(tmp_path):
+    def run(name, seed, v_final):
+        cfg = build_config(parse_config_text(MICRO) | {
+            "seed": seed, "out": str(tmp_path / name),
+            "schedule.v_final": v_final})
+        run_experiment(cfg)
+        return tmp_path / name / "metrics.jsonl"
+
+    a, b, c = run("a", 0, 0.9), run("b", 1, 0.9), run("c", 1, 0.5)
+    assert compare_runs([a, b])[0]["n_runs"] == 2
+    with pytest.raises(ValueError, match="schedule.v_final") as exc:
+        compare_runs([a, c])
+    assert str(a) in str(exc.value) and str(c) in str(exc.value)
+
+
 def test_compare_needs_final_record(tmp_path):
     path = tmp_path / "open.jsonl"
     with RunMetrics(path) as m:
@@ -392,7 +432,7 @@ def test_dump_schedule_cubic():
 def test_dump_schedule_pa():
     cfg = build_config(parse_config_text(MICRO) | {"method": "pa"})
     header, rows = dump_schedule(cfg)
-    assert header == ["step", "sigma0_sq", "eta", "tau"]
+    assert header == ["step", "sigma0_sq", "eta"]
     assert rows[0][1] == cfg.pa_sigma0_init_sq
     assert rows[-1][1] == cfg.pa_sigma0_end_sq
 

@@ -287,7 +287,7 @@ def test_pa_one_shot_semantics():
     assert metrics.final["sparsity"] == store.sparsity()
 
 
-def test_pa_records_annealed_sigma_and_tau():
+def test_pa_records_annealed_sigma():
     cfg = build_config(micro_pairs(method="pa"))
     metrics, _ = run_prior_annealing(cfg)
     anneal = [r for r in metrics.records if "sigma0_sq" in r]
@@ -296,7 +296,6 @@ def test_pa_records_annealed_sigma_and_tau():
     assert all(b <= a for a, b in zip(sig, sig[1:]))
     assert sig[0] == cfg.pa_sigma0_init_sq
     assert sig[-1] == cfg.pa_sigma0_end_sq
-    assert anneal[-1]["tau"] == cfg.pa_tau0 / (cfg.total_steps - cfg.t_f)
 
 
 def test_pa_refine_extends_steps_and_freezes_masks():

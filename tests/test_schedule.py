@@ -17,7 +17,7 @@ from mgpp.schedule import (CubicScheduleConfig, PaScheduleConfig,
 # 90%-sparsity reference recipe: t_i=5500, t_f=75500, T=ceil(8*393000/32)
 BIG = CubicScheduleConfig(v_final=0.9, t_i=5500, t_f=75500, T=98250, delta_t=10)
 DESK = CubicScheduleConfig(v_final=0.9, t_i=200, t_f=1600, T=2000, delta_t=10)
-PA = PaScheduleConfig(sigma0_init_sq=1.4e-4, sigma0_end_sq=3e-5, tau0=1.0,
+PA = PaScheduleConfig(sigma0_init_sq=1.4e-4, sigma0_end_sq=3e-5,
                       t_i=200, t_f=1600, T=2000)
 
 
@@ -113,20 +113,20 @@ def test_prune_steps_strictly_increasing_no_duplicates():
 
 
 def test_pa_frozen_values():
-    assert pa_schedule_at(0, PA) == (1.4e-4, 0.0, 1.0)
-    assert pa_schedule_at(100, PA) == (1.4e-4, 0.5, 1.0)
-    assert pa_schedule_at(200, PA) == (1.4e-4, 1.0, 1.0)
-    assert pa_schedule_at(900, PA) == (7.49037034920393e-05, 1.0, 1.0)
-    assert pa_schedule_at(1600, PA) == (3e-5, 1.0, 1.0)
-    assert pa_schedule_at(1800, PA) == (3e-5, 1.0, 0.005)
-    assert pa_schedule_at(2000, PA) == (3e-5, 1.0, 0.0025)
+    assert pa_schedule_at(0, PA) == (1.4e-4, 0.0)
+    assert pa_schedule_at(100, PA) == (1.4e-4, 0.5)
+    assert pa_schedule_at(200, PA) == (1.4e-4, 1.0)
+    assert pa_schedule_at(900, PA) == (7.49037034920393e-05, 1.0)
+    assert pa_schedule_at(1600, PA) == (3e-5, 1.0)
+    assert pa_schedule_at(1800, PA) == (3e-5, 1.0)
+    assert pa_schedule_at(2000, PA) == (3e-5, 1.0)
 
 
 def test_pa_matches_reference_bitwise_everywhere():
     dev_init = 1.4e-4 ** 0.5
     dev_end = 3e-5 ** 0.5
     for t in range(PA.T + 1):
-        sigma0_sq, eta, tau = pa_schedule_at(t, PA)
+        sigma0_sq, eta = pa_schedule_at(t, PA)
         if t <= PA.t_i:
             assert sigma0_sq == 1.4e-4
         elif t >= PA.t_f:
@@ -135,7 +135,6 @@ def test_pa_matches_reference_bitwise_everywhere():
             dev = dev_end + (dev_init - dev_end) * (1.0 - (t - 200) / 1400)
             assert sigma0_sq == dev * dev
         assert eta == (t / 200 if t < 200 else 1.0)
-        assert tau == (1.0 if t <= 1600 else 1.0 / (t - 1600))
 
 
 def test_pa_sigma0_monotone_nonincreasing():
@@ -152,11 +151,9 @@ def test_pa_endpoints_returned_verbatim():
 
 def test_pa_config_validation():
     with pytest.raises(ValueError):
-        PaScheduleConfig(3e-5, 1.4e-4, 1.0, 200, 1600, 2000)  # init < end
+        PaScheduleConfig(3e-5, 1.4e-4, 200, 1600, 2000)  # init < end
     with pytest.raises(ValueError):
-        PaScheduleConfig(1.4e-4, 3e-5, 0.0, 200, 1600, 2000)  # tau0 <= 0
-    with pytest.raises(ValueError):
-        PaScheduleConfig(1.4e-4, 3e-5, 1.0, 1600, 200, 2000)
+        PaScheduleConfig(1.4e-4, 3e-5, 1600, 200, 2000)
 
 
 def test_sparsity_floor_counts_desk():

@@ -1,6 +1,5 @@
 """Transformer conformance: loop-based oracles for attention and the block,
-agreement between the per-sequence and batched paths, and a full-model
-gradient check."""
+batch independence of forward_logits, and a full-model gradient check."""
 
 import math
 
@@ -8,10 +7,12 @@ import numpy as np
 import pytest
 
 from mgpp import tensor as T
-from mgpp.tensor import Graph, backward_pass, finite_diff_grad
-from mgpp.transformer import (TransformerConfig, attention_head, bind_params,
-                              block_forward, evaluate_accuracy, forward_logits,
-                              init_params, model_forward, param_layout)
+from mgpp.tensor import Graph, backward_pass
+from mgpp.transformer import (TransformerConfig, _attention_head, _batched_block,
+                              bind_params, evaluate_accuracy, forward_logits,
+                              init_params, param_layout)
+
+from finite_diff import finite_diff_grad
 
 RNG = np.random.default_rng(31337)
 
@@ -65,8 +66,15 @@ def rand_mats(*shapes):
     return [RNG.normal(size=s) / math.sqrt(s[0]) for s in shapes]
 
 
+def logits_of(store, tokens, cfg=TINY):
+    """forward_logits on a fresh tape for a [B x n] token batch."""
+    g = Graph()
+    return forward_logits(g, bind_params(g, store, requires_grad=False),
+                          tokens, cfg)
+
+
 # ---------------------------------------------------------------------------
-# attention_head
+# _attention_head: one head over a batch of sequences stacked as [B*n x d]
 # ---------------------------------------------------------------------------
 
 def test_attention_zero_queries_give_uniform_rows():
@@ -74,65 +82,56 @@ def test_attention_zero_queries_give_uniform_rows():
     x = g.tensor(RNG.normal(size=(5, 6)))
     zero = g.tensor(np.zeros((6, 3)))
     wv = g.tensor(RNG.normal(size=(6, 3)))
-    _, weights = attention_head(x, zero, zero, wv)
-    np.testing.assert_allclose(weights.data, np.full((5, 5), 0.2), atol=1e-15)
+    _, weights = _attention_head(x, zero, zero, wv, 5)
+    np.testing.assert_allclose(weights.data[0], np.full((5, 5), 0.2), atol=1e-15)
 
 
 def test_attention_single_token():
     g = Graph()
     x = g.tensor(RNG.normal(size=(1, 4)))
     wq, wk, wv = (g.tensor(m) for m in rand_mats((4, 2), (4, 2), (4, 2)))
-    _, weights = attention_head(x, wq, wk, wv)
-    np.testing.assert_array_equal(weights.data, [[1.0]])
+    _, weights = _attention_head(x, wq, wk, wv, 1)
+    np.testing.assert_array_equal(weights.data[0], [[1.0]])
 
 
 def test_attention_matches_loop_oracle_three_tokens():
     for _ in range(5):
-        x = RNG.normal(size=(3, 6))
+        seqs = RNG.normal(size=(2, 3, 6))
         wq, wk, wv = rand_mats((6, 4), (6, 4), (6, 4))
         g = Graph()
-        values, weights = attention_head(
-            g.tensor(x), g.tensor(wq), g.tensor(wk), g.tensor(wv))
-        ref_values, ref_weights = loop_attention(x, wq, wk, wv)
-        assert np.max(np.abs(weights.data - ref_weights)) < 1e-12
-        assert np.max(np.abs(values.data - ref_values)) < 1e-12
-        assert np.max(np.abs(weights.data.sum(axis=1) - 1.0)) < 1e-12
+        values, weights = _attention_head(
+            g.tensor(seqs.reshape(6, 6)), g.tensor(wq), g.tensor(wk),
+            g.tensor(wv), 3)
+        for s, x in enumerate(seqs):
+            ref_values, ref_weights = loop_attention(x, wq, wk, wv)
+            assert np.max(np.abs(weights.data[s] - ref_weights)) < 1e-12
+            assert np.max(np.abs(values.data[3 * s:3 * s + 3] - ref_values)) < 1e-12
+        assert np.max(np.abs(weights.data.sum(axis=2) - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# block_forward
+# _batched_block
 # ---------------------------------------------------------------------------
-
-def _random_block_store(cfg, seed):
-    store = init_params(cfg, [seed, 1])
-    return store
-
-
-def _bound_block(graph, store, b=0, H=2):
-    from mgpp.transformer import _block_params
-    bound = bind_params(graph, store, requires_grad=False)
-    return bound, _block_params(bound, b, H)
-
 
 def test_block_output_shape_and_finiteness():
-    store = _random_block_store(TINY, 7)
+    store = init_params(TINY, [7, 1])
     g = Graph()
-    bound, bp = _bound_block(g, store, 0, TINY.H)
+    bound = bind_params(g, store, requires_grad=False)
     x = g.tensor(RNG.normal(size=(5, TINY.d)) * 10)
-    out = block_forward(x, bp)
+    out = _batched_block(x, bound, 0, TINY.H, 5)
     assert out.data.shape == (5, TINY.d)
     assert np.isfinite(out.data).all()
 
 
 def test_block_zero_weights_collapse_to_double_layernorm():
-    store = _random_block_store(TINY, 7)
+    store = init_params(TINY, [7, 1])
     for name in store.names():
         if ".attn." in name or ".ffn." in name:
             store[name].value[:] = 0.0
     g = Graph()
-    bound, bp = _bound_block(g, store, 0, TINY.H)
+    bound = bind_params(g, store, requires_grad=False)
     x = RNG.normal(size=(4, TINY.d))
-    out = block_forward(g.tensor(x), bp)
+    out = _batched_block(g.tensor(x), bound, 0, TINY.H, 4)
     ones, zeros = np.ones(TINY.d), np.zeros(TINY.d)
     expect = np.stack([
         loop_layer_norm(loop_layer_norm(row, ones, zeros), ones, zeros)
@@ -144,23 +143,24 @@ def test_block_matches_loop_oracle_two_heads():
     cfg = TransformerConfig(d=6, k=3, m_ff=10, H=2, L=1, n_max=4, vocab=5,
                             n_classes=2)
     store = init_params(cfg, [99, 1])
-    x = RNG.normal(size=(2, 6))
+    seqs = RNG.normal(size=(3, 2, 6))
     g = Graph()
-    bound, bp = _bound_block(g, store, 0, 2)
-    out = block_forward(g.tensor(x), bp)
+    bound = bind_params(g, store, requires_grad=False)
+    out = _batched_block(g.tensor(seqs.reshape(6, 6)), bound, 0, 2, 2)
 
     heads = [(store[f"block0.attn.head{h}.wq"].value,
               store[f"block0.attn.head{h}.wk"].value,
               store[f"block0.attn.head{h}.wv"].value,
               store[f"block0.attn.head{h}.wc"].value) for h in range(2)]
-    expect = loop_block(x, heads,
-                        store["block0.ffn.w1"].value,
-                        store["block0.ffn.w2"].value,
-                        store["block0.ln1.gamma"].value,
-                        store["block0.ln1.beta"].value,
-                        store["block0.ln2.gamma"].value,
-                        store["block0.ln2.beta"].value)
-    assert np.max(np.abs(out.data - expect)) < 1e-12
+    for s, x in enumerate(seqs):
+        expect = loop_block(x, heads,
+                            store["block0.ffn.w1"].value,
+                            store["block0.ffn.w2"].value,
+                            store["block0.ln1.gamma"].value,
+                            store["block0.ln1.beta"].value,
+                            store["block0.ln2.gamma"].value,
+                            store["block0.ln2.beta"].value)
+        assert np.max(np.abs(out.data[2 * s:2 * s + 2] - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -204,45 +204,45 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# model_forward / forward_logits
+# forward_logits
 # ---------------------------------------------------------------------------
 
 def test_model_forward_shape_and_determinism():
     store = init_params(TINY, [2, 1])
-    tokens = np.array([1, 4, 0, 10])
-    a = model_forward(tokens, store, TINY)
-    b = model_forward(tokens, store, TINY)
-    assert a.data.shape == (3,)
+    tokens = np.array([[1, 4, 0, 10]])
+    a = logits_of(store, tokens)
+    b = logits_of(store, tokens)
+    assert a.data.shape == (1, 3)
     assert np.array_equal(a.data, b.data)
 
 
 def test_model_forward_input_validation():
     store = init_params(TINY, [2, 1])
     with pytest.raises(ValueError):
-        model_forward(np.array([0, 1, 2, 3, 4, 5, 6]), store, TINY)  # > n_max
+        logits_of(store, np.array([[0, 1, 2, 3, 4, 5, 6]]))  # > n_max
     with pytest.raises(ValueError):
-        model_forward(np.array([11]), store, TINY)  # out of vocab
+        logits_of(store, np.array([[11]]))  # out of vocab
+    with pytest.raises(ValueError):
+        logits_of(store, np.array([1, 4, 0]))  # one sequence, not a batch
 
 
-def test_batched_path_matches_per_sequence_path():
+def test_forward_logits_batch_independent():
     store = init_params(TINY, [3, 1])
     tokens = RNG.integers(0, TINY.vocab, size=(6, 5))
-    g = Graph()
-    bound = bind_params(g, store, requires_grad=False)
-    batched = forward_logits(g, bound, tokens, TINY)
+    batched = logits_of(store, tokens)
     assert batched.data.shape == (6, 3)
     for i in range(6):
-        single = model_forward(tokens[i], store, TINY)
-        assert np.max(np.abs(batched.data[i] - single.data)) < 1e-12
+        single = logits_of(store, tokens[i:i + 1])
+        assert np.max(np.abs(batched.data[i] - single.data[0])) < 1e-12
 
 
 def test_logits_permutation_invariant():
     store = init_params(TINY, [4, 1])
     tokens = np.array([1, 7, 3, 3, 0])
-    base = model_forward(tokens, store, TINY).data
+    base = logits_of(store, tokens[None]).data
     for _ in range(4):
         perm = RNG.permutation(5)
-        out = model_forward(tokens[perm], store, TINY).data
+        out = logits_of(store, tokens[perm][None]).data
         assert np.max(np.abs(out - base)) < 1e-9
 
 
@@ -279,9 +279,7 @@ def test_model_gradient_matches_finite_differences():
 def test_evaluate_accuracy_counts_argmax_hits():
     store = init_params(TINY, [9, 1])
     tokens = RNG.integers(0, TINY.vocab, size=(40, 5))
-    g = Graph()
-    bound = bind_params(g, store, requires_grad=False)
-    logits = forward_logits(g, bound, tokens, TINY)
+    logits = logits_of(store, tokens)
     labels = logits.data.argmax(axis=1)
     assert evaluate_accuracy(store, TINY, tokens, labels, chunk=16) == 1.0
     wrong = (labels + 1) % TINY.n_classes
