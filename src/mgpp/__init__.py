@@ -10,8 +10,7 @@ from .config import ConfigError, ExperimentConfig, PRESETS, build_config, load_c
 from .metrics import RunMetrics
 from .params import Param, ParamStore
 from .prior import MgpConfig, g_fn, mgp_grad, neg_log_prior, pa_threshold, penalty_curve
-from .prune import (PruneEvent, apply_global_prune, magnitude_scores,
-                    run_gmp, run_l2_variant, run_mgpp, run_prior_annealing)
+from .prune import PruneEvent, apply_global_prune, magnitude_scores, train
 from .schedule import (CubicScheduleConfig, PaScheduleConfig, pa_schedule_at,
                        prune_steps, sparsity_and_eta_at, sparsity_at)
 from .transformer import TransformerConfig, init_params
@@ -23,8 +22,7 @@ __all__ = [
     "RunMetrics", "Param", "ParamStore",
     "MgpConfig", "g_fn", "mgp_grad", "neg_log_prior", "pa_threshold",
     "penalty_curve",
-    "PruneEvent", "apply_global_prune", "magnitude_scores",
-    "run_gmp", "run_l2_variant", "run_mgpp", "run_prior_annealing",
+    "PruneEvent", "apply_global_prune", "magnitude_scores", "train",
     "CubicScheduleConfig", "PaScheduleConfig", "pa_schedule_at", "prune_steps",
     "sparsity_and_eta_at", "sparsity_at",
     "TransformerConfig", "init_params",

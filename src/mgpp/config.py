@@ -120,6 +120,7 @@ class ExperimentConfig:
     refine_epochs: int
     seed: int
     out_dir: str | None
+    values: dict  # every key of _KEYS, resolved, in _KEYS order
 
     @property
     def total_steps(self) -> int:
@@ -172,7 +173,8 @@ def build_config(values: dict) -> ExperimentConfig:
     for key, value in values.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        merged[key] = value
+        # typed exactly as if read back from config_to_text's output
+        merged[key] = None if value is None else _cast(key, str(value), "config")
 
     method = merged["method"]
     if method not in METHODS:
@@ -189,6 +191,14 @@ def build_config(values: dict) -> ExperimentConfig:
         raise ConfigError("batch_size must be >= 1")
     if merged["pa.refine_epochs"] < 0:
         raise ConfigError("pa.refine_epochs must be >= 0")
+    for key in ("optim.beta1", "optim.beta2"):
+        if not 0.0 <= merged[key] < 1.0:
+            raise ConfigError(f"{key} must lie in [0, 1), got {merged[key]}")
+    if not merged["optim.lr"] > 0.0:
+        raise ConfigError(f"optim.lr must be > 0, got {merged['optim.lr']}")
+    for key in ("optim.lr_floor", "optim.eps", "optim.weight_decay"):
+        if not merged[key] >= 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {merged[key]}")
 
     try:
         task = SyntheticTaskSpec(
@@ -223,7 +233,7 @@ def build_config(values: dict) -> ExperimentConfig:
         pa_sigma0_init_sq=merged["pa.sigma0_init_sq"],
         pa_sigma0_end_sq=merged["pa.sigma0_end_sq"],
         refine_epochs=merged["pa.refine_epochs"],
-        seed=merged["seed"], out_dir=merged["out"])
+        seed=merged["seed"], out_dir=merged["out"], values=merged)
 
     # Fail now, not mid-run: materialize every sub-config this method uses.
     try:
@@ -261,35 +271,13 @@ def load_config(path, preset: str | None = None,
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize the resolved config; load_config on the result round-trips."""
-    pairs = [
-        ("method", cfg.method), ("seed", cfg.seed), ("out", cfg.out_dir),
-        ("task.kind", cfg.task.kind), ("task.vocab", cfg.task.vocab),
-        ("task.length", cfg.task.length), ("task.classes", cfg.task.n_classes),
-        ("task.train", cfg.task.n_train), ("task.dev", cfg.task.n_dev),
-        ("task.test", cfg.task.n_test), ("task.seed", cfg.task.seed),
-        ("model.d", cfg.model.d), ("model.k", cfg.model.k),
-        ("model.ffn", cfg.model.m_ff), ("model.heads", cfg.model.H),
-        ("model.layers", cfg.model.L), ("model.n_max", cfg.model.n_max),
-        ("optim.lr", cfg.lr), ("optim.lr_floor", cfg.lr_floor),
-        ("optim.beta1", cfg.beta1), ("optim.beta2", cfg.beta2),
-        ("optim.eps", cfg.eps_opt), ("optim.weight_decay", cfg.weight_decay),
-        ("epochs", cfg.epochs), ("batch_size", cfg.batch_size),
-        ("schedule.v_final", cfg.v_final), ("schedule.t_i", cfg.t_i),
-        ("schedule.t_f", cfg.t_f), ("schedule.delta_t", cfg.delta_t),
-        ("mgp.lambda", cfg.lam), ("mgp.sigma0_sq", cfg.sigma0_sq),
-        ("mgp.sigma1_sq", cfg.sigma1_sq),
-        ("pa.sigma0_init_sq", cfg.pa_sigma0_init_sq),
-        ("pa.sigma0_end_sq", cfg.pa_sigma0_end_sq),
-        ("pa.refine_epochs", cfg.refine_epochs),
-    ]
     lines = [f"{key} = {value!r}" if isinstance(value, float)
              else f"{key} = {value}"
-             for key, value in pairs if value is not None]
+             for key, value in cfg.values.items() if value is not None]
     return "\n".join(lines) + "\n"
 
 
 def comparable_config(cfg: ExperimentConfig) -> dict:
     """The resolved config as typed values, without seed and out: what two
     runs of one method must share for their results to be averaged."""
-    values = parse_config_text(config_to_text(cfg))
-    return {k: v for k, v in values.items() if k not in ("seed", "out")}
+    return {k: v for k, v in cfg.values.items() if k not in ("seed", "out")}

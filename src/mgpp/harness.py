@@ -14,7 +14,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, config_to_text
 from .metrics import RunMetrics, final_record, load_records
 from .params import ParamStore
-from .prune import RUNNERS
+from .prune import train
 from .schedule import pa_schedule_at, sparsity_and_eta_at
 
 
@@ -30,7 +30,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunMetrics, ParamStore]:
 
     started = time.monotonic()
     with RunMetrics(out / "metrics.jsonl") as metrics:
-        metrics, store = RUNNERS[cfg.method](cfg, metrics)
+        metrics, store = train(cfg, metrics)
     elapsed = time.monotonic() - started
 
     save_checkpoint(store, out / "checkpoint.bin")

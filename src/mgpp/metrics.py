@@ -61,9 +61,6 @@ class RunMetrics:
     def events(self) -> list:
         return list(self._events)
 
-    def thresholds(self) -> list[tuple[int, float]]:
-        return [(e.step, e.threshold) for e in self._events]
-
     def _write(self, record: dict) -> None:
         if self._fh is not None:
             self._fh.write(json.dumps(record, default=_json_default,

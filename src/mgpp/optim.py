@@ -17,12 +17,12 @@ from .params import ParamStore
 
 
 class OptimState:
-    """Flat first/second-moment accumulators and hyperparameters."""
+    """Flat first/second-moment accumulators and the fixed hyperparameters;
+    the learning rate is passed to each step."""
 
-    def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
+    def __init__(self, store: ParamStore, beta1: float = 0.9,
                  beta2: float = 0.999, eps_opt: float = 1e-8,
                  weight_decay: float = 0.0):
-        self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps_opt = float(eps_opt)
@@ -33,22 +33,20 @@ class OptimState:
 
 
 def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
-               lr: float | None = None) -> None:
-    """One decoupled-weight-decay adaptive update of ``store.flat``.
-
-    ``lr`` overrides the state's base rate for this step (the linear decay
-    policy passes the current rate each call). Pruned coordinates are updated
-    like any other; the prune engine re-zeroes them afterwards.
+               lr: float) -> None:
+    """One decoupled-weight-decay adaptive update of ``store.flat`` at rate
+    ``lr`` (the caller passes the current rate of its schedule each step).
+    Pruned coordinates are updated like any other; the prune engine re-zeroes
+    them afterwards.
     """
     if grads.shape != store.flat.shape:
         raise ValueError(f"gradient shape {grads.shape} != {store.flat.shape}")
-    rate = state.lr if lr is None else float(lr)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     if state.weight_decay != 0.0:
-        store.flat *= 1.0 - rate * state.weight_decay
+        store.flat *= 1.0 - lr * state.weight_decay
     m, v = state.m, state.v
     m *= state.beta1
     m += (1.0 - state.beta1) * grads
@@ -56,7 +54,7 @@ def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
     v += (1.0 - state.beta2) * (grads * grads)
     mhat = m / bc1
     vhat = v / bc2
-    store.flat -= rate * mhat / (np.sqrt(vhat) + state.eps_opt)
+    store.flat -= lr * mhat / (np.sqrt(vhat) + state.eps_opt)
 
 
 def linear_lr(t: int, T: int, lr_init: float, lr_floor: float) -> float:

@@ -1,14 +1,20 @@
-"""Pruning engine: magnitude scores, global masking, and the training loops.
+"""Pruning engine: magnitude scores, global masking, and the training loop.
 
-Four runners share one step skeleton:
+`train` runs every method as a list of phases over one batch stream. A phase
+covers steps first..last on a fresh optimizer and a fresh linear LR ramp, and
+its per-step rule gives the prior (a mixture-Gaussian config and its
+coefficient eta, or none) and the action after the update:
 
-    run_mgpp             loss + warm-up-scaled mixture-Gaussian prior,
-                         cubic sparsity ramp, periodic global re-masking
-    run_gmp              the same loop with the prior coefficient forced to 0
-    run_l2_variant       prior off, decoupled weight decay on instead
-    run_prior_annealing  prior on with sigma0^2 annealed toward 0, one
-                         threshold pass at the end, then a refine phase on the
-                         survivors with the masks frozen
+    mgpp  one cubic phase: loss + warm-up-scaled prior, a global prune at
+          each of the schedule's prune steps, the standing mask re-applied
+          after every other update
+    gmp   the same phase with the prior off
+    l2    the same phase with the prior off; its decoupled weight decay
+          lives in the optimizer
+    pa    an anneal phase with the prior on and sigma0^2 annealed toward 0,
+          whose last step is one threshold pass; then, if pa.refine_epochs
+          > 0, a refine phase on the loss alone with the masks frozen, which
+          carries the epoch counter on
 
 Masks are recomputed from scratch at every prune event, so a coordinate
 zeroed at one event can return later if the optimizer pulls it back above the
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +37,7 @@ from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
 from .prior import MgpConfig, mgp_grad, pa_threshold
-from .schedule import (CubicScheduleConfig, pa_schedule_at, prune_steps,
-                       sparsity_and_eta_at)
+from .schedule import pa_schedule_at, prune_steps, sparsity_and_eta_at
 from .tensor import Graph, backward_pass
 from .transformer import (TransformerConfig, bind_params, evaluate_accuracy,
                           forward_logits, init_params)
@@ -99,34 +105,58 @@ def _update(store, opt, step: int, loss: float, grads, lr: float) -> None:
     """Optimizer update, refused for a non-finite loss or gradient."""
     if not (math.isfinite(loss) and np.isfinite(grads).all()):
         raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
-    optim_step(store, grads, opt, lr=lr)
+    optim_step(store, grads, opt, lr)
 
 
-def mgpp_step(batch, store: ParamStore, opt: OptimState, *, step: int,
-              model_cfg: TransformerConfig, cubic: CubicScheduleConfig,
-              mgp: MgpConfig | None, n_train: int, lr: float,
-              prune_now: bool) -> tuple[dict, PruneEvent | None]:
-    """One training step: loss gradients, prior gradients, optimizer
-    update, then either a fresh global prune or re-application of the
-    standing mask. Returns (metrics record, event or None)."""
-    v_t, eta = sparsity_and_eta_at(step, cubic)
-    if mgp is None:
-        eta = 0.0
-    loss, grads = _loss_and_grads(batch, store, model_cfg)
-    _add_prior_grads(grads, store, mgp, eta, n_train)
-    _update(store, opt, step, loss, grads, lr)
+def _threshold_pass(store: ParamStore, threshold: float, step: int) -> PruneEvent:
+    """One-shot structure sparsification: keep the prunable coordinates
+    strictly above the threshold; the masks then stay frozen."""
+    P = store.num_prunable()
+    store.mask[:P] = magnitude_scores(store) > threshold
+    store.apply_masks()
+    zeroed = store.zeroed_count()
+    return PruneEvent(step=step, sparsity=store.sparsity(), zeroed=zeroed,
+                      kept=P - zeroed, threshold=threshold)
 
-    event = None
-    if prune_now:
-        event = apply_global_prune(store, v_t, step)
-    else:
-        store.apply_masks()
 
-    record = {"step": step, "loss": loss, "sparsity": v_t, "eta": eta}
-    if event is not None:
-        record.update(threshold=event.threshold, zeroed=event.zeroed,
-                      kept=event.kept)
-    return record, event
+def _phases(cfg, store: ParamStore, n_train: int):
+    """Yield (first step, last step, rule) per phase of cfg.method.
+
+    rule(step) gives (prior config or None, eta, recorded sparsity or None
+    for the realized one, record keys after eta, action after the update),
+    where the action returns the step's PruneEvent or None.
+    """
+    T = cfg.total_steps
+    if cfg.method != "pa":
+        cubic = cfg.cubic_schedule()
+        events = set(prune_steps(cubic))
+        mgp = cfg.mgp_config() if cfg.method == "mgpp" else None
+
+        def cubic_rule(step):
+            v_t, eta = sparsity_and_eta_at(step, cubic)
+            return (mgp, 0.0 if mgp is None else eta, v_t, {},
+                    partial(apply_global_prune, store, v_t, step)
+                    if step in events else store.apply_masks)
+        yield 1, T, cubic_rule
+        return
+
+    pa = cfg.pa_schedule()
+    # the threshold at the annealed spike width
+    threshold = pa_threshold(
+        MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
+
+    def anneal_rule(step):
+        sigma0_sq, eta = pa_schedule_at(step, pa)
+        return (MgpConfig(cfg.lam, sigma0_sq, cfg.sigma1_sq), eta, None,
+                {"sigma0_sq": sigma0_sq},
+                partial(_threshold_pass, store, threshold, step)
+                if step == T else store.apply_masks)
+    yield 1, T, anneal_rule
+    if cfg.refine_epochs > 0:
+        # Loss only on the survivors, masks frozen.
+        t_refine = math.ceil(cfg.refine_epochs * n_train / cfg.batch_size)
+        yield T + 1, T + t_refine, lambda step: (None, 0.0, None, {},
+                                                 store.apply_masks)
 
 
 def _step_stream(split: Split, batch_size: int, seed: int, first_step: int,
@@ -163,111 +193,37 @@ def _finalize(metrics: RunMetrics, store: ParamStore, cfg, test: Split,
     })
 
 
-def _run_cubic(cfg, metrics: RunMetrics | None,
-               use_prior: bool) -> tuple[RunMetrics, ParamStore]:
+def train(cfg, metrics: RunMetrics | None = None
+          ) -> tuple[RunMetrics, ParamStore]:
+    """Train and prune by cfg.method; returns the metrics and the store.
+
+    Each phase runs on a fresh optimizer and a fresh linear LR ramp; the
+    batch stream and its epoch counter carry on across phases.
+    """
     metrics = metrics if metrics is not None else RunMetrics()
-    train, dev, test = generate_dataset(cfg.task)
+    train_split, dev, test = generate_dataset(cfg.task)
     store = init_params(cfg.model, [cfg.seed, 1])
-    opt = OptimState(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                     eps_opt=cfg.eps_opt, weight_decay=cfg.weight_decay)
-    cubic = cfg.cubic_schedule()
-    events = set(prune_steps(cubic))
-    mgp = cfg.mgp_config() if use_prior else None
-    n_train = len(train)
+    n_train = len(train_split)
 
-    record = None
-    for step, epoch, batch, epoch_end in _step_stream(
-            train, cfg.batch_size, cfg.seed, 1, cubic.T, 0):
-        lr_t = linear_lr(step, cubic.T, cfg.lr, cfg.lr_floor)
-        record, event = mgpp_step(
-            batch, store, opt, step=step, model_cfg=cfg.model, cubic=cubic,
-            mgp=mgp, n_train=n_train, lr=lr_t, prune_now=step in events)
-        if event is not None:
-            metrics.note_event(event)
-        if epoch_end:
-            record["epoch"] = epoch
-            record["dev_accuracy"] = evaluate_accuracy(
-                store, cfg.model, dev.tokens, dev.labels)
-        metrics.log(record)
-
-    _finalize(metrics, store, cfg, test, record)
-    return metrics, store
-
-
-def run_mgpp(cfg, metrics: RunMetrics | None = None):
-    return _run_cubic(cfg, metrics, use_prior=True)
-
-
-def run_gmp(cfg, metrics: RunMetrics | None = None):
-    return _run_cubic(cfg, metrics, use_prior=False)
-
-
-def run_l2_variant(cfg, metrics: RunMetrics | None = None):
-    # The config layer resolves weight_decay to 1e-2 for method "l2";
-    # the loop itself is GMP (decay lives inside the optimizer).
-    return _run_cubic(cfg, metrics, use_prior=False)
-
-
-def run_prior_annealing(cfg, metrics: RunMetrics | None = None):
-    """Anneal sigma0^2 down while training with the prior, threshold once,
-    then refine the survivors on the loss alone with masks fixed."""
-    metrics = metrics if metrics is not None else RunMetrics()
-    train, dev, test = generate_dataset(cfg.task)
-    store = init_params(cfg.model, [cfg.seed, 1])
-    opt = OptimState(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                     eps_opt=cfg.eps_opt, weight_decay=cfg.weight_decay)
-    pa = cfg.pa_schedule()
-    n_train = len(train)
-
-    record = None
-    last_epoch = 0
-    for step, epoch, batch, epoch_end in _step_stream(
-            train, cfg.batch_size, cfg.seed, 1, pa.T, 0):
-        sigma0_sq, eta = pa_schedule_at(step, pa)
-        mgp_t = MgpConfig(cfg.lam, sigma0_sq, cfg.sigma1_sq)
-        loss, grads = _loss_and_grads(batch, store, cfg.model)
-        _add_prior_grads(grads, store, mgp_t, eta, n_train)
-        _update(store, opt, step, loss, grads,
-                linear_lr(step, pa.T, cfg.lr, cfg.lr_floor))
-        record = {"step": step, "loss": loss, "sparsity": store.sparsity(),
-                  "eta": eta, "sigma0_sq": sigma0_sq}
-        last_epoch = epoch
-
-        if step == pa.T:
-            # One-shot structure sparsification at the annealed spike width:
-            # keep strictly above the threshold, then freeze the masks.
-            threshold = pa_threshold(
-                MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
-            P = store.num_prunable()
-            store.mask[:P] = magnitude_scores(store) > threshold
-            store.apply_masks()
-            zeroed = store.zeroed_count()
-            event = PruneEvent(step=step, sparsity=store.sparsity(), zeroed=zeroed,
-                               kept=P - zeroed, threshold=threshold)
-            metrics.note_event(event)
-            record.update(sparsity=event.sparsity, threshold=event.threshold,
-                          zeroed=event.zeroed, kept=event.kept)
-        if epoch_end:
-            record["epoch"] = epoch
-            record["dev_accuracy"] = evaluate_accuracy(
-                store, cfg.model, dev.tokens, dev.labels)
-        metrics.log(record)
-
-    # Refine phase: fresh optimizer, fresh LR ramp, loss only, masks fixed.
-    if cfg.refine_epochs > 0:
-        opt = OptimState(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+    record, epoch = None, 0
+    for first, last, rule in _phases(cfg, store, n_train):
+        opt = OptimState(store, beta1=cfg.beta1, beta2=cfg.beta2,
                          eps_opt=cfg.eps_opt, weight_decay=cfg.weight_decay)
-        t_refine = math.ceil(cfg.refine_epochs * n_train / cfg.batch_size)
-        sparsity = store.sparsity()
         for step, epoch, batch, epoch_end in _step_stream(
-                train, cfg.batch_size, cfg.seed, pa.T + 1, pa.T + t_refine,
-                last_epoch):
+                train_split, cfg.batch_size, cfg.seed, first, last, epoch):
+            mgp, eta, sparsity, extra, action = rule(step)
             loss, grads = _loss_and_grads(batch, store, cfg.model)
-            _update(store, opt, step, loss, grads,
-                    linear_lr(step - pa.T, t_refine, cfg.lr, cfg.lr_floor))
-            store.apply_masks()
-            record = {"step": step, "loss": loss, "sparsity": sparsity,
-                      "eta": 0.0}
+            _add_prior_grads(grads, store, mgp, eta, n_train)
+            _update(store, opt, step, loss, grads, linear_lr(
+                step - first + 1, last - first + 1, cfg.lr, cfg.lr_floor))
+            event = action()
+            record = {"step": step, "loss": loss,
+                      "sparsity": store.sparsity() if sparsity is None else sparsity,
+                      "eta": eta, **extra}
+            if event is not None:
+                metrics.note_event(event)
+                record.update(threshold=event.threshold, zeroed=event.zeroed,
+                              kept=event.kept)
             if epoch_end:
                 record["epoch"] = epoch
                 record["dev_accuracy"] = evaluate_accuracy(
@@ -276,11 +232,3 @@ def run_prior_annealing(cfg, metrics: RunMetrics | None = None):
 
     _finalize(metrics, store, cfg, test, record)
     return metrics, store
-
-
-RUNNERS = {
-    "mgpp": run_mgpp,
-    "gmp": run_gmp,
-    "l2": run_l2_variant,
-    "pa": run_prior_annealing,
-}

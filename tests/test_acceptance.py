@@ -20,8 +20,7 @@ from mgpp.config import build_config, load_config
 from mgpp.harness import run_experiment
 from mgpp.metrics import load_records
 from mgpp.prior import MgpConfig, mgp_grad, neg_log_prior, pa_threshold
-from mgpp.prune import (_add_prior_grads, _loss_and_grads, run_gmp,
-                        run_l2_variant, run_mgpp, run_prior_annealing)
+from mgpp.prune import _add_prior_grads, _loss_and_grads, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.tensor import Graph
@@ -59,11 +58,10 @@ def ablation_sweep():
     cubic-schedule method at 90% sparsity."""
     started = time.monotonic()
     results = {}
-    for method, runner in (("mgpp", run_mgpp), ("gmp", run_gmp),
-                           ("l2", run_l2_variant)):
+    for method in ("mgpp", "gmp", "l2"):
         rows = []
         for seed in range(5):
-            metrics, _ = runner(build_config({"method": method, "seed": seed}))
+            metrics, _ = train(build_config({"method": method, "seed": seed}))
             rows.append((metrics.final["test_accuracy"],
                          metrics.events()[-1].threshold))
         results[method] = rows
@@ -330,7 +328,7 @@ def test_08_ablation_direction(ablation_sweep):
 
 def test_09_annealing_semantics():
     cfg = build_config({"method": "pa", "pa.refine_epochs": 0})
-    metrics, store = run_prior_annealing(cfg)
+    metrics, store = train(cfg)
     thr = pa_threshold(MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
 
     # survivors are exactly the coordinates strictly above the end threshold

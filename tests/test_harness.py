@@ -157,6 +157,15 @@ def test_config_text_round_trips(tmp_path):
     assert again == cfg
 
 
+def test_build_config_types_values_as_their_text_form():
+    cfg = build_config({"optim.weight_decay": 0, "seed": 3})
+    assert isinstance(cfg.weight_decay, float)
+    assert cfg.values["optim.weight_decay"] == 0.0
+    assert build_config(parse_config_text(config_to_text(cfg))) == cfg
+    with pytest.raises(ConfigError, match=r"schedule\.t_i"):
+        build_config({"schedule.t_i": 2.5})
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -337,7 +346,7 @@ def test_histogram_rejects_bad_bins(micro_run):
 def test_threshold_trajectory_matches_events(micro_run):
     _, out, metrics, _ = micro_run
     rows = export_threshold_trajectory(out / "metrics.jsonl")
-    assert rows == metrics.thresholds()
+    assert rows == [(e.step, e.threshold) for e in metrics.events()]
     steps = [s for s, _ in rows]
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
 
@@ -505,6 +514,20 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
     path.write_text("mgp.sigma2_sq = 1\n", encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "sigma2_sq" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "optim.beta1 = 1.0", "optim.beta1 = -0.1", "optim.beta2 = 1.0",
+    "optim.lr = 0.0", "optim.lr = -0.01", "optim.lr = nan",
+    "optim.lr_floor = -3e-4", "optim.eps = -1", "optim.weight_decay = -5",
+])
+def test_cli_rejects_bad_optimizer_keys(tmp_path, capsys, line):
+    cfg_path = micro_config_file(tmp_path, line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    key = line.partition(" =")[0]
+    assert f"{key} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_checkpoint_is_runtime_error(tmp_path, capsys):

@@ -16,17 +16,17 @@ def test_first_step_closed_form():
     # with bias correction the first Adam step is -lr * g / (|g| + eps'),
     # here eps=0 so exactly -lr * sign(g)
     store = make_store({"w": np.array([1.0, -2.0, 3.0])})
-    state = OptimState(store, lr=0.1, beta1=0.9, beta2=0.999, eps_opt=0.0)
+    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=0.0)
     g = np.array([0.5, -0.25, 4.0])
-    optim_step(store, g, state)
+    optim_step(store, g, state, 0.1)
     np.testing.assert_allclose(
         store["w"].value, [1.0 - 0.1, -2.0 + 0.1, 3.0 - 0.1], rtol=1e-15)
 
 
 def test_first_step_with_eps():
     store = make_store({"w": np.array([0.0])})
-    state = OptimState(store, lr=0.001, eps_opt=1e-8)
-    optim_step(store, np.array([2.0]), state)
+    state = OptimState(store, eps_opt=1e-8)
+    optim_step(store, np.array([2.0]), state, 0.001)
     # mhat=2, vhat=4 -> update = -lr*2/(2+1e-8)
     expect = -0.001 * 2.0 / (2.0 + 1e-8)
     np.testing.assert_allclose(store["w"].value, [expect], rtol=1e-15)
@@ -39,10 +39,10 @@ def test_multi_step_matches_reference_loop():
     lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 0.01
 
     store = make_store({"w": theta0.copy()})
-    state = OptimState(store, lr=lr, beta1=b1, beta2=b2, eps_opt=eps,
+    state = OptimState(store, beta1=b1, beta2=b2, eps_opt=eps,
                        weight_decay=wd)
     for g in grads:
-        optim_step(store, g.ravel(), state)
+        optim_step(store, g.ravel(), state, lr)
 
     # independent transcription of decoupled AdamW
     theta = theta0.copy()
@@ -63,27 +63,27 @@ def test_weight_decay_is_decoupled():
     # zero gradient must still shrink the weight multiplicatively -- the
     # decay acts on the parameter, never through the moment estimates
     store = make_store({"w": np.array([2.0])})
-    state = OptimState(store, lr=0.1, weight_decay=0.5, eps_opt=1e-8)
+    state = OptimState(store, weight_decay=0.5, eps_opt=1e-8)
     for _ in range(3):
-        optim_step(store, np.array([0.0]), state)
+        optim_step(store, np.array([0.0]), state, 0.1)
     np.testing.assert_allclose(store["w"].value, [2.0 * (1 - 0.05) ** 3],
                                rtol=1e-15)
     assert np.all(state.m == 0.0)
     assert np.all(state.v == 0.0)
 
 
-def test_per_step_lr_override():
+def test_step_uses_given_lr():
     store = make_store({"w": np.array([1.0])})
-    state = OptimState(store, lr=0.1, eps_opt=0.0)
-    optim_step(store, np.array([1.0]), state, lr=0.005)
+    state = OptimState(store, eps_opt=0.0)
+    optim_step(store, np.array([1.0]), state, 0.005)
     np.testing.assert_allclose(store["w"].value, [1.0 - 0.005], rtol=1e-15)
 
 
 def test_gradient_shape_mismatch_rejected():
     store = make_store({"w": np.ones((2, 2))})
-    state = OptimState(store, lr=0.1)
+    state = OptimState(store)
     with pytest.raises(ValueError):
-        optim_step(store, np.ones(3), state)
+        optim_step(store, np.ones(3), state, 0.1)
 
 
 def test_linear_lr_endpoints_and_midpoint():

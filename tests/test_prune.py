@@ -1,18 +1,19 @@
 """Pruning-engine contracts: score order, global floor-rounded masking,
-tie-breaking, revival, prior-gradient wiring, and the four runners on
-micro-scale configs."""
+tie-breaking, revival, prior-gradient wiring, the public surface, and
+`train` for all four methods on micro-scale configs."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import mgpp.prune
 from mgpp.config import build_config
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
-from mgpp.prune import (apply_global_prune, magnitude_scores,
-                        run_gmp, run_l2_variant, run_mgpp,
-                        run_prior_annealing, _add_prior_grads)
+from mgpp.prune import (apply_global_prune, magnitude_scores, train,
+                        _add_prior_grads)
 from mgpp.schedule import prune_steps
 
 
@@ -175,12 +176,23 @@ def test_prior_applies_only_to_prunable():
 
 
 # ---------------------------------------------------------------------------
-# runners (micro scale)
+# the public surface
+# ---------------------------------------------------------------------------
+
+def test_prune_public_surface():
+    public = {name for name, obj in vars(mgpp.prune).items()
+              if inspect.isfunction(obj) and not name.startswith("_")
+              and obj.__module__ == mgpp.prune.__name__}
+    assert public == {"train", "apply_global_prune", "magnitude_scores"}
+
+
+# ---------------------------------------------------------------------------
+# train, every method (micro scale)
 # ---------------------------------------------------------------------------
 
 def test_mgpp_every_event_hits_floor_count():
     cfg = build_config(micro_pairs())
-    metrics, store = run_mgpp(cfg)
+    metrics, store = train(cfg)
     total = store.num_prunable()
     events = metrics.events()
     assert events, "no prune events fired"
@@ -193,13 +205,13 @@ def test_mgpp_every_event_hits_floor_count():
 
 def test_mgpp_event_steps_match_schedule():
     cfg = build_config(micro_pairs())
-    metrics, _ = run_mgpp(cfg)
+    metrics, _ = train(cfg)
     assert [e.step for e in metrics.events()] == prune_steps(cfg.cubic_schedule())
 
 
 def test_mgpp_masked_values_zero_after_every_step():
     cfg = build_config(micro_pairs())
-    _, store = run_mgpp(cfg)
+    _, store = train(cfg)
     for name in store.prunable_names():
         p = store[name]
         assert np.all(p.value[~p.mask] == 0.0)
@@ -207,7 +219,7 @@ def test_mgpp_masked_values_zero_after_every_step():
 
 def test_mgpp_metrics_schema_and_eta_ramp():
     cfg = build_config(micro_pairs())
-    metrics, _ = run_mgpp(cfg)
+    metrics, _ = train(cfg)
     steps = [r["step"] for r in metrics.records]
     assert steps == list(range(1, cfg.total_steps + 1))
     for r in metrics.records:
@@ -222,8 +234,8 @@ def test_mgpp_metrics_schema_and_eta_ramp():
 
 def test_runs_are_deterministic():
     cfg = build_config(micro_pairs(seed=5))
-    m1, s1 = run_mgpp(cfg)
-    m2, s2 = run_mgpp(cfg)
+    m1, s1 = train(cfg)
+    m2, s2 = train(cfg)
     assert m1.records == m2.records
     assert m1.final == m2.final
     for name in s1.names():
@@ -233,12 +245,12 @@ def test_runs_are_deterministic():
 
 def test_gmp_is_prior_free_code_path():
     # with weight decay pinned to zero the L2 variant IS the GMP loop, so
-    # both runners must produce bit-identical trajectories
+    # both methods must produce bit-identical trajectories
     gmp_cfg = build_config(micro_pairs(method="gmp"))
     l2_cfg = build_config(micro_pairs(**{"method": "l2",
                                          "optim.weight_decay": 0.0}))
-    mg, sg = run_gmp(gmp_cfg)
-    ml, sl = run_l2_variant(l2_cfg)
+    mg, sg = train(gmp_cfg)
+    ml, sl = train(l2_cfg)
     for a, b in zip(mg.records, ml.records):
         assert a["loss"] == b["loss"]
     for name in sg.names():
@@ -247,7 +259,7 @@ def test_gmp_is_prior_free_code_path():
 
 def test_gmp_records_zero_eta():
     cfg = build_config(micro_pairs(method="gmp"))
-    metrics, _ = run_gmp(cfg)
+    metrics, _ = train(cfg)
     assert {r["eta"] for r in metrics.records} == {0.0}
 
 
@@ -255,17 +267,16 @@ def test_l2_default_weight_decay_changes_trajectory():
     gmp_cfg = build_config(micro_pairs(method="gmp"))
     l2_cfg = build_config(micro_pairs(method="l2"))
     assert l2_cfg.weight_decay == 1e-2
-    mg, _ = run_gmp(gmp_cfg)
-    ml, _ = run_l2_variant(l2_cfg)
+    mg, _ = train(gmp_cfg)
+    ml, _ = train(l2_cfg)
     assert any(a["loss"] != b["loss"]
                for a, b in zip(mg.records, ml.records))
 
 
 def test_final_sparsity_exact_for_all_cubic_methods():
-    for method, runner in (("mgpp", run_mgpp), ("gmp", run_gmp),
-                           ("l2", run_l2_variant)):
+    for method in ("mgpp", "gmp", "l2"):
         cfg = build_config(micro_pairs(method=method))
-        metrics, store = runner(cfg)
+        metrics, store = train(cfg)
         n = store.num_prunable()
         assert store.zeroed_count() == math.floor(0.9 * n)
         assert metrics.final["sparsity"] == math.floor(0.9 * n) / n
@@ -273,7 +284,7 @@ def test_final_sparsity_exact_for_all_cubic_methods():
 
 def test_pa_one_shot_semantics():
     cfg = build_config(micro_pairs(**{"method": "pa", "pa.refine_epochs": 0}))
-    metrics, store = run_prior_annealing(cfg)
+    metrics, store = train(cfg)
     thr = pa_threshold(MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
     for name in store.prunable_names():
         p = store[name]
@@ -289,7 +300,7 @@ def test_pa_one_shot_semantics():
 
 def test_pa_records_annealed_sigma():
     cfg = build_config(micro_pairs(method="pa"))
-    metrics, _ = run_prior_annealing(cfg)
+    metrics, _ = train(cfg)
     anneal = [r for r in metrics.records if "sigma0_sq" in r]
     assert len(anneal) == cfg.total_steps
     sig = [r["sigma0_sq"] for r in anneal]
@@ -300,7 +311,7 @@ def test_pa_records_annealed_sigma():
 
 def test_pa_refine_extends_steps_and_freezes_masks():
     cfg = build_config(micro_pairs(method="pa"))
-    metrics, store = run_prior_annealing(cfg)
+    metrics, store = train(cfg)
     t_refine = math.ceil(cfg.refine_epochs * cfg.task.n_train / cfg.batch_size)
     assert metrics.records[-1]["step"] == cfg.total_steps + t_refine
     refine = [r for r in metrics.records if r["step"] > cfg.total_steps]
@@ -311,8 +322,18 @@ def test_pa_refine_extends_steps_and_freezes_masks():
 
 def test_dev_accuracy_logged_each_epoch():
     cfg = build_config(micro_pairs())
-    metrics, _ = run_mgpp(cfg)
+    metrics, _ = train(cfg)
     epochs = [r["epoch"] for r in metrics.records if "epoch" in r]
     assert epochs == [1, 2]
     assert all(0.0 <= r["dev_accuracy"] <= 1.0
                for r in metrics.records if "dev_accuracy" in r)
+
+
+def test_pa_refine_carries_epoch_counter_on():
+    # 100 examples in batches of 32 give 4 steps per epoch and T = 7, so the
+    # anneal phase ends mid-epoch 2 and the refine phase starts epoch 3
+    cfg = build_config(micro_pairs(**{"method": "pa", "task.train": 100,
+                                      "schedule.t_f": 6}))
+    metrics, _ = train(cfg)
+    assert [(r["step"], r["epoch"]) for r in metrics.records
+            if "epoch" in r] == [(4, 1), (7, 2), (11, 3)]
