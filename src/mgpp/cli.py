@@ -8,6 +8,7 @@ export-prior-curve, compare. Exports are CSV on stdout. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .checkpoint import CheckpointError
@@ -56,6 +57,8 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--range expects numbers, got {spec!r}") from exc
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0 and hi >= lo):
+        raise ConfigError(f"--range needs finite LO <= HI and STEP > 0, got {spec!r}")
     return lo, hi, step
 
 
@@ -82,6 +85,8 @@ def _cmd_dump_schedule(args) -> int:
 
 
 def _cmd_export_histogram(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     rows = export_histogram(args.checkpoint, args.bins)
     _print_csv(["center", "count"], rows)
     return 0

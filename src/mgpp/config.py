@@ -10,7 +10,7 @@ line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data import SyntheticTaskSpec
 from .prior import MgpConfig
@@ -100,24 +100,6 @@ class ExperimentConfig:
     method: str
     task: SyntheticTaskSpec
     model: TransformerConfig
-    lr: float
-    lr_floor: float
-    beta1: float
-    beta2: float
-    eps_opt: float
-    weight_decay: float
-    epochs: int
-    batch_size: int
-    v_final: float
-    t_i: int
-    t_f: int
-    delta_t: int
-    lam: float
-    sigma0_sq: float
-    sigma1_sq: float
-    pa_sigma0_init_sq: float
-    pa_sigma0_end_sq: float
-    refine_epochs: int
     seed: int
     out_dir: str | None
     values: dict  # every key of _KEYS, resolved, in _KEYS order
@@ -125,20 +107,26 @@ class ExperimentConfig:
     @property
     def total_steps(self) -> int:
         """T = ceil(E*n/m) optimizer steps over the whole run."""
-        return math.ceil(self.epochs * self.task.n_train / self.batch_size)
+        return math.ceil(self.values["epochs"] * self.task.n_train
+                         / self.values["batch_size"])
 
     def cubic_schedule(self) -> CubicScheduleConfig:
-        return CubicScheduleConfig(v_final=self.v_final, t_i=self.t_i,
-                                   t_f=self.t_f, T=self.total_steps,
-                                   delta_t=self.delta_t)
+        v = self.values
+        return CubicScheduleConfig(v_final=v["schedule.v_final"],
+                                   t_i=v["schedule.t_i"], t_f=v["schedule.t_f"],
+                                   T=self.total_steps,
+                                   delta_t=v["schedule.delta_t"])
 
     def pa_schedule(self) -> PaScheduleConfig:
-        return PaScheduleConfig(sigma0_init_sq=self.pa_sigma0_init_sq,
-                                sigma0_end_sq=self.pa_sigma0_end_sq,
-                                t_i=self.t_i, t_f=self.t_f, T=self.total_steps)
+        v = self.values
+        return PaScheduleConfig(sigma0_init_sq=v["pa.sigma0_init_sq"],
+                                sigma0_end_sq=v["pa.sigma0_end_sq"],
+                                t_i=v["schedule.t_i"], t_f=v["schedule.t_f"],
+                                T=self.total_steps)
 
     def mgp_config(self) -> MgpConfig:
-        return MgpConfig(self.lam, self.sigma0_sq, self.sigma1_sq)
+        v = self.values
+        return MgpConfig(v["mgp.lambda"], v["mgp.sigma0_sq"], v["mgp.sigma1_sq"])
 
 
 def _cast(key: str, raw: str, where: str):
@@ -185,6 +173,9 @@ def build_config(values: dict) -> ExperimentConfig:
     if merged["optim.weight_decay"] is None:
         merged["optim.weight_decay"] = (
             L2_DEFAULT_WEIGHT_DECAY if method == "l2" else 0.0)
+    for key, (caster, _) in _KEYS.items():
+        if caster is float and not math.isfinite(merged[key]):
+            raise ConfigError(f"{key} must be finite, got {merged[key]}")
     if merged["epochs"] < 1:
         raise ConfigError("epochs must be >= 1")
     if merged["batch_size"] < 1:
@@ -220,20 +211,9 @@ def build_config(values: dict) -> ExperimentConfig:
         raise ConfigError(f"model.n_max={model.n_max} is below "
                           f"task.length={task.length}")
 
-    cfg = ExperimentConfig(
-        method=method, task=task, model=model,
-        lr=merged["optim.lr"], lr_floor=merged["optim.lr_floor"],
-        beta1=merged["optim.beta1"], beta2=merged["optim.beta2"],
-        eps_opt=merged["optim.eps"], weight_decay=merged["optim.weight_decay"],
-        epochs=merged["epochs"], batch_size=merged["batch_size"],
-        v_final=merged["schedule.v_final"], t_i=merged["schedule.t_i"],
-        t_f=merged["schedule.t_f"], delta_t=merged["schedule.delta_t"],
-        lam=merged["mgp.lambda"], sigma0_sq=merged["mgp.sigma0_sq"],
-        sigma1_sq=merged["mgp.sigma1_sq"],
-        pa_sigma0_init_sq=merged["pa.sigma0_init_sq"],
-        pa_sigma0_end_sq=merged["pa.sigma0_end_sq"],
-        refine_epochs=merged["pa.refine_epochs"],
-        seed=merged["seed"], out_dir=merged["out"], values=merged)
+    cfg = ExperimentConfig(method=method, task=task, model=model,
+                           seed=merged["seed"], out_dir=merged["out"],
+                           values=merged)
 
     # Fail now, not mid-run: materialize every sub-config this method uses.
     try:
@@ -241,7 +221,7 @@ def build_config(values: dict) -> ExperimentConfig:
         cfg.mgp_config()
         if method == "pa":
             cfg.pa_schedule()
-            MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq)
+            replace(cfg.mgp_config(), sigma0_sq=merged["pa.sigma0_end_sq"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -14,16 +14,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
 
 class RunMetrics:
     """Collects step records and prune events; optionally streams them to a
@@ -63,8 +53,7 @@ class RunMetrics:
 
     def _write(self, record: dict) -> None:
         if self._fh is not None:
-            self._fh.write(json.dumps(record, default=_json_default,
-                                     allow_nan=False) + "\n")
+            self._fh.write(json.dumps(record, allow_nan=False) + "\n")
             self._fh.flush()
 
     def close(self) -> None:

@@ -64,9 +64,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 

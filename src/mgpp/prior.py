@@ -24,7 +24,7 @@ which is also the one-shot pruning threshold returned by pa_threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class MgpConfig:
     lam: float
     sigma0_sq: float
     sigma1_sq: float
-    c1: float = 0.0
-    c2: float = 0.0
+    c1: float = field(init=False)
+    c2: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
@@ -58,21 +58,13 @@ class MgpConfig:
         object.__setattr__(self, "c2", c2)
 
 
-def _as_array(theta) -> np.ndarray:
-    data = getattr(theta, "data", theta)
-    return np.asarray(data, dtype=np.float64)
+def g_fn(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:
+    """Spike responsibility g(theta) = (exp{c2 theta^2 + c1} + 1)^(-1),
+    elementwise.
 
-
-def g_fn(theta: float, cfg: MgpConfig) -> float:
-    """Spike responsibility g(theta) = (exp{c2 theta^2 + c1} + 1)^(-1).
-
-    Returns 0 exactly when the exponent would overflow float64 (the limit
+    Gives 0 exactly where the exponent would overflow float64 (the limit
     value); even in theta and non-increasing in |theta|.
     """
-    return float(_g_array(np.array([float(theta)]), cfg)[0])
-
-
-def _g_array(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:
     u = cfg.c2 * theta * theta + cfg.c1
     out = np.zeros_like(u)
     ok = u <= _EXP_OVERFLOW
@@ -87,8 +79,8 @@ def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
     Finite for all finite inputs, including |theta| up to 1e3 under extreme
     configs (c2 ~ 5e9), because g underflows to exactly 0 there.
     """
-    arr = _as_array(theta)
-    g = _g_array(arr, cfg)
+    arr = np.asarray(theta, dtype=np.float64)
+    g = g_fn(arr, cfg)
     return -(arr / cfg.sigma0_sq * g + arr / cfg.sigma1_sq * (1.0 - g))
 
 
@@ -99,7 +91,7 @@ def neg_log_prior(theta, cfg: MgpConfig) -> float:
     component log densities, keeping the full normalizing constants so the
     value is comparable across configs.
     """
-    arr = _as_array(theta).ravel()
+    arr = np.asarray(theta, dtype=np.float64).ravel()
     log_slab = (math.log(cfg.lam) - 0.5 * math.log(2.0 * math.pi * cfg.sigma1_sq)
                 - arr * arr / (2.0 * cfg.sigma1_sq))
     log_spike = (math.log1p(-cfg.lam) - 0.5 * math.log(2.0 * math.pi * cfg.sigma0_sq)

@@ -25,7 +25,7 @@ mask is re-applied after each optimizer update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -141,20 +141,21 @@ def _phases(cfg, store: ParamStore, n_train: int):
         return
 
     pa = cfg.pa_schedule()
+    mgp = cfg.mgp_config()
     # the threshold at the annealed spike width
-    threshold = pa_threshold(
-        MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
+    threshold = pa_threshold(replace(mgp, sigma0_sq=pa.sigma0_end_sq))
 
     def anneal_rule(step):
         sigma0_sq, eta = pa_schedule_at(step, pa)
-        return (MgpConfig(cfg.lam, sigma0_sq, cfg.sigma1_sq), eta, None,
+        return (MgpConfig(mgp.lam, sigma0_sq, mgp.sigma1_sq), eta, None,
                 {"sigma0_sq": sigma0_sq},
                 partial(_threshold_pass, store, threshold, step)
                 if step == T else store.apply_masks)
     yield 1, T, anneal_rule
-    if cfg.refine_epochs > 0:
+    refine_epochs = cfg.values["pa.refine_epochs"]
+    if refine_epochs > 0:
         # Loss only on the survivors, masks frozen.
-        t_refine = math.ceil(cfg.refine_epochs * n_train / cfg.batch_size)
+        t_refine = math.ceil(refine_epochs * n_train / cfg.values["batch_size"])
         yield T + 1, T + t_refine, lambda step: (None, 0.0, None, {},
                                                  store.apply_masks)
 
@@ -205,17 +206,20 @@ def train(cfg, metrics: RunMetrics | None = None
     store = init_params(cfg.model, [cfg.seed, 1])
     n_train = len(train_split)
 
+    v = cfg.values
     record, epoch = None, 0
     for first, last, rule in _phases(cfg, store, n_train):
-        opt = OptimState(store, beta1=cfg.beta1, beta2=cfg.beta2,
-                         eps_opt=cfg.eps_opt, weight_decay=cfg.weight_decay)
+        opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],
+                         eps_opt=v["optim.eps"],
+                         weight_decay=v["optim.weight_decay"])
         for step, epoch, batch, epoch_end in _step_stream(
-                train_split, cfg.batch_size, cfg.seed, first, last, epoch):
+                train_split, v["batch_size"], cfg.seed, first, last, epoch):
             mgp, eta, sparsity, extra, action = rule(step)
             loss, grads = _loss_and_grads(batch, store, cfg.model)
             _add_prior_grads(grads, store, mgp, eta, n_train)
             _update(store, opt, step, loss, grads, linear_lr(
-                step - first + 1, last - first + 1, cfg.lr, cfg.lr_floor))
+                step - first + 1, last - first + 1, v["optim.lr"],
+                v["optim.lr_floor"]))
             event = action()
             record = {"step": step, "loss": loss,
                       "sparsity": store.sparsity() if sparsity is None else sparsity,

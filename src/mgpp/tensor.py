@@ -28,23 +28,17 @@ class Tensor:
     None``) are plain data holders and cannot participate in ops.
     """
 
-    __slots__ = ("data", "requires_grad", "graph", "id", "needs_grad")
+    __slots__ = ("data", "graph", "id", "needs_grad")
 
-    def __init__(self, data, requires_grad: bool = False, graph: "Graph | None" = None,
-                 tensor_id: int | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, data, graph: "Graph | None" = None,
+                 tensor_id: int | None = None, needs_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.graph = graph
         self.id = tensor_id
-        self.needs_grad = self.requires_grad
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
+        self.needs_grad = needs_grad
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, needs_grad={self.needs_grad})"
 
 
 class OpNode:
@@ -73,21 +67,15 @@ class Graph:
         self._next_id = 0
 
     def tensor(self, data, requires_grad: bool = False) -> Tensor:
-        """Register a leaf tensor on this graph."""
-        t = Tensor(data, requires_grad=requires_grad, graph=self, tensor_id=self._next_id)
+        """Register a tensor on this graph: a leaf, or an op's output."""
+        t = Tensor(data, self, self._next_id, bool(requires_grad))
         self._next_id += 1
         return t
-
-    def _output(self, data: np.ndarray, needs_grad: bool) -> Tensor:
-        out = Tensor(data, requires_grad=False, graph=self, tensor_id=self._next_id)
-        self._next_id += 1
-        out.needs_grad = needs_grad
-        return out
 
     def _record(self, op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
                 make_backward) -> Tensor:
         needs = any(t.needs_grad for t in inputs)
-        out = self._output(out_data, needs)
+        out = self.tensor(out_data, needs)
         backward = make_backward(out) if needs else None
         self.nodes.append(OpNode(op, out.id, backward))
         return out

@@ -113,7 +113,7 @@ def test_01_objective_gradient_fidelity():
         grads = store.views(grads)
 
         checks = [(name, flat) for name, flat, _ in planted]
-        names = store.names()
+        names = [name for name, _ in store.items()]
         for _ in range(12):
             name = names[int(rng.integers(len(names)))]
             flat = int(rng.integers(store[name].value.size))
@@ -329,7 +329,9 @@ def test_08_ablation_direction(ablation_sweep):
 def test_09_annealing_semantics():
     cfg = build_config({"method": "pa", "pa.refine_epochs": 0})
     metrics, store = train(cfg)
-    thr = pa_threshold(MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
+    v = cfg.values
+    init_sq, end_sq = v["pa.sigma0_init_sq"], v["pa.sigma0_end_sq"]
+    thr = pa_threshold(MgpConfig(v["mgp.lambda"], end_sq, v["mgp.sigma1_sq"]))
 
     # survivors are exactly the coordinates strictly above the end threshold
     for name in store.prunable_names():
@@ -340,16 +342,16 @@ def test_09_annealing_semantics():
     # recorded sigma0^2 / eta equal the linear closed form at every step
     sched = cfg.pa_schedule()
     span = sched.t_f - sched.t_i
-    dev_init = math.sqrt(cfg.pa_sigma0_init_sq)
-    dev_end = math.sqrt(cfg.pa_sigma0_end_sq)
+    dev_init = math.sqrt(init_sq)
+    dev_end = math.sqrt(end_sq)
 
     def ref(t):
         if t < sched.t_i:
-            return cfg.pa_sigma0_init_sq, t / sched.t_i
+            return init_sq, t / sched.t_i
         if t >= sched.t_f:
-            return cfg.pa_sigma0_end_sq, 1.0
+            return end_sq, 1.0
         if t == sched.t_i:
-            return cfg.pa_sigma0_init_sq, 1.0
+            return init_sq, 1.0
         dev = dev_end + (dev_init - dev_end) * (1.0 - (t - sched.t_i) / span)
         return dev * dev, 1.0
 

@@ -1,5 +1,6 @@
 """Config resolution, checkpoint format, run artifacts, diagnostics, CLI."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -10,8 +11,8 @@ import pytest
 from mgpp.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from mgpp.cli import main
-from mgpp.config import (ConfigError, build_config, config_to_text,
-                         load_config, parse_config_text)
+from mgpp.config import (ConfigError, ExperimentConfig, build_config,
+                         config_to_text, load_config, parse_config_text)
 from mgpp.harness import (compare_runs, dump_schedule, export_histogram,
                           export_threshold_trajectory, run_experiment)
 from mgpp.metrics import RunMetrics, final_record, load_records
@@ -52,12 +53,23 @@ def micro_config_file(tmp_path, extra: str = "", name: str = "micro.cfg"):
 def test_defaults_resolve():
     cfg = build_config({})
     assert cfg.method == "mgpp"
-    assert cfg.lr == 3e-3 and cfg.lr_floor == 3e-4
-    assert cfg.weight_decay == 0.0
-    assert cfg.lam == 1e-7 and cfg.sigma0_sq == 1e-10 and cfg.sigma1_sq == 0.05
+    v = cfg.values
+    assert v["optim.lr"] == 3e-3 and v["optim.lr_floor"] == 3e-4
+    assert v["optim.weight_decay"] == 0.0
+    assert (v["mgp.lambda"] == 1e-7 and v["mgp.sigma0_sq"] == 1e-10
+            and v["mgp.sigma1_sq"] == 0.05)
     assert cfg.model.n_max == cfg.task.length == 16
     assert cfg.total_steps == math.ceil(8 * 8000 / 32) == 2000
-    assert (cfg.t_i, cfg.t_f, cfg.delta_t) == (200, 1600, 10)
+    assert (v["schedule.t_i"], v["schedule.t_f"], v["schedule.delta_t"]) \
+        == (200, 1600, 10)
+
+
+def test_experiment_config_holds_only_identity_and_values():
+    # every other setting is read from the one resolved key table
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "method", "task", "model", "seed", "out_dir", "values"]
+    cfg = build_config({"seed": 4})
+    assert (cfg.seed, cfg.out_dir) == (cfg.values["seed"], cfg.values["out"])
 
 
 def test_published_preset_expands():
@@ -65,10 +77,13 @@ def test_published_preset_expands():
     assert cfg.method == "mgpp"
     assert cfg.task.n_classes == 3 and cfg.task.n_train == 393000
     assert cfg.total_steps == 98250
-    assert cfg.lr == cfg.lr_floor == 8e-5       # constant learning rate
-    assert (cfg.t_i, cfg.t_f, cfg.delta_t) == (5500, 75500, 10)
-    assert cfg.v_final == 0.9
-    assert (cfg.lam, cfg.sigma0_sq, cfg.sigma1_sq) == (1e-7, 1e-10, 0.05)
+    v = cfg.values
+    assert v["optim.lr"] == v["optim.lr_floor"] == 8e-5  # constant rate
+    assert (v["schedule.t_i"], v["schedule.t_f"], v["schedule.delta_t"]) \
+        == (5500, 75500, 10)
+    assert v["schedule.v_final"] == 0.9
+    assert (v["mgp.lambda"], v["mgp.sigma0_sq"], v["mgp.sigma1_sq"]) \
+        == (1e-7, 1e-10, 0.05)
 
 
 def test_desk_presets_set_method_only():
@@ -110,9 +125,9 @@ def test_file_overrides_preset_and_cli_overrides_file(tmp_path):
     path = tmp_path / "own.cfg"
     path.write_text("seed = 11\noptim.lr = 1e-4\n", encoding="utf-8")
     cfg = load_config(path, preset="mnli-90", overrides={"seed": 22})
-    assert cfg.lr == 1e-4            # file beats preset
-    assert cfg.seed == 22            # override beats file
-    assert cfg.t_i == 5500           # untouched preset key survives
+    assert cfg.values["optim.lr"] == 1e-4        # file beats preset
+    assert cfg.seed == 22                        # override beats file
+    assert cfg.values["schedule.t_i"] == 5500    # untouched preset key survives
 
 
 def test_method_validated():
@@ -121,10 +136,11 @@ def test_method_validated():
 
 
 def test_l2_weight_decay_default_and_override():
-    assert build_config({"method": "l2"}).weight_decay == 1e-2
-    assert build_config({"method": "l2",
-                         "optim.weight_decay": 0.0}).weight_decay == 0.0
-    assert build_config({"method": "mgpp"}).weight_decay == 0.0
+    def weight_decay(values):
+        return build_config(values).values["optim.weight_decay"]
+    assert weight_decay({"method": "l2"}) == 1e-2
+    assert weight_decay({"method": "l2", "optim.weight_decay": 0.0}) == 0.0
+    assert weight_decay({"method": "mgpp"}) == 0.0
 
 
 def test_n_max_below_length_rejected():
@@ -159,7 +175,7 @@ def test_config_text_round_trips(tmp_path):
 
 def test_build_config_types_values_as_their_text_form():
     cfg = build_config({"optim.weight_decay": 0, "seed": 3})
-    assert isinstance(cfg.weight_decay, float)
+    assert isinstance(cfg.values["optim.weight_decay"], float)
     assert cfg.values["optim.weight_decay"] == 0.0
     assert build_config(parse_config_text(config_to_text(cfg))) == cfg
     with pytest.raises(ConfigError, match=r"schedule\.t_i"):
@@ -188,8 +204,9 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(store, path)
     loaded = load_checkpoint(path)
-    assert loaded.names() == store.names()
-    for name in store.names():
+    names = [name for name, _ in store.items()]
+    assert [name for name, _ in loaded.items()] == names
+    for name in names:
         np.testing.assert_array_equal(loaded[name].value, store[name].value)
         np.testing.assert_array_equal(loaded[name].mask, store[name].mask)
         assert loaded[name].prunable == store[name].prunable
@@ -442,8 +459,8 @@ def test_dump_schedule_pa():
     cfg = build_config(parse_config_text(MICRO) | {"method": "pa"})
     header, rows = dump_schedule(cfg)
     assert header == ["step", "sigma0_sq", "eta"]
-    assert rows[0][1] == cfg.pa_sigma0_init_sq
-    assert rows[-1][1] == cfg.pa_sigma0_end_sq
+    assert rows[0][1] == cfg.values["pa.sigma0_init_sq"]
+    assert rows[-1][1] == cfg.values["pa.sigma0_end_sq"]
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +537,13 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
     "optim.beta1 = 1.0", "optim.beta1 = -0.1", "optim.beta2 = 1.0",
     "optim.lr = 0.0", "optim.lr = -0.01", "optim.lr = nan",
     "optim.lr_floor = -3e-4", "optim.eps = -1", "optim.weight_decay = -5",
+    "mgp.sigma1_sq = inf", "mgp.sigma0_sq = nan", "optim.lr = inf",
+    "optim.lr_floor = inf", "optim.weight_decay = inf",
+    "schedule.v_final = -inf", "pa.sigma0_end_sq = nan",
 ])
 def test_cli_rejects_bad_optimizer_keys(tmp_path, capsys, line):
+    # covers every float key: optimizer bounds, and a NaN or infinite value
+    # anywhere, refused before the run starts
     cfg_path = micro_config_file(tmp_path, line + "\n")
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1
@@ -551,9 +573,18 @@ def test_cli_prior_curve(capsys):
 
 
 def test_cli_prior_curve_bad_range(capsys):
-    assert main(["export-prior-curve", "--preset", "desk-90",
-                 "--range", "0:1"]) == 1
-    assert "--range" in capsys.readouterr().err
+    for spec in ("0:1", "0:1:0", "0:1:-0.1", "1:0:0.1", "0:1:nan",
+                 "nan:1:0.1", "0:inf:0.1"):
+        assert main(["export-prior-curve", "--preset", "desk-90",
+                     "--range", spec]) == 1, spec
+        assert "--range" in capsys.readouterr().err
+
+
+def test_cli_histogram_bad_bins_is_usage_error(micro_run, capsys):
+    _, out, _, _ = micro_run
+    assert main(["export-histogram", str(out / "checkpoint.bin"),
+                 "--bins", "0"]) == 1
+    assert "--bins" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand(capsys):

@@ -36,7 +36,7 @@ def test_prunable_coordinates_lead_in_store_order():
 
 def test_writes_through_views_reach_the_buffers():
     store = ParamStore([("g", np.ones(2), False), ("w", np.arange(4.0), True)])
-    assert store.names() == ["g", "w"]
+    assert [name for name, _ in store.items()] == ["g", "w"]
     np.testing.assert_array_equal(store.flat, [0.0, 1.0, 2.0, 3.0, 1.0, 1.0])
     store["w"].mask[1] = False
     store.apply_masks()

@@ -10,6 +10,8 @@ arithmetic (mpmath) from the closed forms:
     threshold^2 = -c1/c2
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def test_derived_constants_frozen():
     assert DESK.c2 == 4999999990.0
 
 
+def test_derived_constants_are_not_constructor_arguments():
+    # c1 and c2 are computed from lam and the variances; passing one is an
+    # error, not a value that is silently overwritten
+    with pytest.raises(TypeError):
+        MgpConfig(1e-7, 1e-10, 0.05, c1=5.0)
+    with pytest.raises(TypeError):
+        MgpConfig(1e-7, 1e-10, 0.05, c2=5.0)
+    cfg = dataclasses.replace(DESK, sigma0_sq=3e-5)
+    assert cfg == MgpConfig(DESK.lam, 3e-5, DESK.sigma1_sq)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MgpConfig(0.0, 1e-10, 0.1)      # lam must be strictly inside (0,1)
@@ -47,10 +60,11 @@ def test_config_validation():
 
 
 def test_g_frozen_values():
-    assert rel(g_fn(0.0, CRIT), 0.99999999999683772202) < 1e-14
-    assert rel(g_fn(5e-5, CRIT), 0.9999991514436392446) < 1e-14
-    assert rel(g_fn(1e-4, CRIT), 6.0992422509352970563e-11) < 1e-12
-    assert g_fn(0.1, CRIT) == 0.0   # exponent ~5e7: hard zero, no overflow
+    g = g_fn(np.array([0.0, 5e-5, 1e-4, 0.1]), CRIT)
+    assert rel(g[0], 0.99999999999683772202) < 1e-14
+    assert rel(g[1], 0.9999991514436392446) < 1e-14
+    assert rel(g[2], 6.0992422509352970563e-11) < 1e-12
+    assert g[3] == 0.0   # exponent ~5e7: hard zero, no overflow
 
 
 def test_g_symmetric_and_monotone():
@@ -63,7 +77,7 @@ def test_g_symmetric_and_monotone():
 
 def test_g_at_threshold_is_half():
     thr = pa_threshold(CRIT)
-    assert rel(g_fn(thr, CRIT), 0.5) < 1e-9
+    assert rel(g_fn(np.array([thr]), CRIT)[0], 0.5) < 1e-9
 
 
 def test_grad_frozen_values():
@@ -121,8 +135,7 @@ def test_no_nan_inf_over_wide_range():
     ])
     assert np.isfinite(mgp_grad(grid, CRIT)).all()
     assert np.isfinite(neg_log_prior(grid, CRIT))
-    assert all(np.isfinite(g_fn(float(t), CRIT)) for t in
-               np.linspace(-1e3, 1e3, 101))
+    assert np.isfinite(g_fn(np.linspace(-1e3, 1e3, 101), CRIT)).all()
 
 
 def test_threshold_frozen_values():

@@ -225,7 +225,8 @@ def test_mgpp_metrics_schema_and_eta_ramp():
     for r in metrics.records:
         assert set(("step", "loss", "sparsity", "eta")) <= set(r)
         assert np.isfinite(r["loss"])
-        expect_eta = r["step"] / cfg.t_i if r["step"] < cfg.t_i else 1.0
+        t_i = cfg.values["schedule.t_i"]
+        expect_eta = r["step"] / t_i if r["step"] < t_i else 1.0
         assert r["eta"] == expect_eta
     event_records = [r for r in metrics.records if "threshold" in r]
     assert len(event_records) == len(metrics.events())
@@ -238,7 +239,7 @@ def test_runs_are_deterministic():
     m2, s2 = train(cfg)
     assert m1.records == m2.records
     assert m1.final == m2.final
-    for name in s1.names():
+    for name, _ in s1.items():
         np.testing.assert_array_equal(s1[name].value, s2[name].value)
         np.testing.assert_array_equal(s1[name].mask, s2[name].mask)
 
@@ -253,7 +254,7 @@ def test_gmp_is_prior_free_code_path():
     ml, sl = train(l2_cfg)
     for a, b in zip(mg.records, ml.records):
         assert a["loss"] == b["loss"]
-    for name in sg.names():
+    for name, _ in sg.items():
         np.testing.assert_array_equal(sg[name].value, sl[name].value)
 
 
@@ -266,7 +267,7 @@ def test_gmp_records_zero_eta():
 def test_l2_default_weight_decay_changes_trajectory():
     gmp_cfg = build_config(micro_pairs(method="gmp"))
     l2_cfg = build_config(micro_pairs(method="l2"))
-    assert l2_cfg.weight_decay == 1e-2
+    assert l2_cfg.values["optim.weight_decay"] == 1e-2
     mg, _ = train(gmp_cfg)
     ml, _ = train(l2_cfg)
     assert any(a["loss"] != b["loss"]
@@ -285,7 +286,9 @@ def test_final_sparsity_exact_for_all_cubic_methods():
 def test_pa_one_shot_semantics():
     cfg = build_config(micro_pairs(**{"method": "pa", "pa.refine_epochs": 0}))
     metrics, store = train(cfg)
-    thr = pa_threshold(MgpConfig(cfg.lam, cfg.pa_sigma0_end_sq, cfg.sigma1_sq))
+    v = cfg.values
+    thr = pa_threshold(MgpConfig(v["mgp.lambda"], v["pa.sigma0_end_sq"],
+                                 v["mgp.sigma1_sq"]))
     for name in store.prunable_names():
         p = store[name]
         kept = np.abs(p.value[p.mask])
@@ -305,14 +308,15 @@ def test_pa_records_annealed_sigma():
     assert len(anneal) == cfg.total_steps
     sig = [r["sigma0_sq"] for r in anneal]
     assert all(b <= a for a, b in zip(sig, sig[1:]))
-    assert sig[0] == cfg.pa_sigma0_init_sq
-    assert sig[-1] == cfg.pa_sigma0_end_sq
+    assert sig[0] == cfg.values["pa.sigma0_init_sq"]
+    assert sig[-1] == cfg.values["pa.sigma0_end_sq"]
 
 
 def test_pa_refine_extends_steps_and_freezes_masks():
     cfg = build_config(micro_pairs(method="pa"))
     metrics, store = train(cfg)
-    t_refine = math.ceil(cfg.refine_epochs * cfg.task.n_train / cfg.batch_size)
+    t_refine = math.ceil(cfg.values["pa.refine_epochs"] * cfg.task.n_train
+                         / cfg.values["batch_size"])
     assert metrics.records[-1]["step"] == cfg.total_steps + t_refine
     refine = [r for r in metrics.records if r["step"] > cfg.total_steps]
     assert {r["eta"] for r in refine} == {0.0}

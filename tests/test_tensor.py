@@ -248,6 +248,26 @@ def test_tensors_from_different_graphs_rejected():
     g1, g2 = Graph(), Graph()
     with pytest.raises(ValueError):
         T.add(g1.tensor(np.ones((2, 2))), g2.tensor(np.ones((2, 2))))
+    # every multi-operand op, with each operand in turn from a second graph:
+    # the op names the cause and records nothing on either tape
+    for op, shapes in ((T.matmul, [(2, 3), (3, 2)]),
+                       (T.bmm, [(2, 2, 3), (2, 3, 2)]),
+                       (T.bmm_nt, [(2, 2, 3), (2, 4, 3)]),
+                       (T.add, [(2, 2), (2, 2)]),
+                       (T.layer_norm, [(2, 3), (3,), (3,)])):
+        for i in range(len(shapes)):
+            g1, g2 = Graph(), Graph()
+            args = [(g2 if j == i else g1).tensor(np.ones(s), requires_grad=True)
+                    for j, s in enumerate(shapes)]
+            with pytest.raises(ValueError, match="different graphs"):
+                op(*args)
+            assert g1.nodes == [] and g2.nodes == []
+
+
+def test_op_refuses_free_tensor():
+    g = Graph()
+    with pytest.raises(ValueError, match="not attached"):
+        T.add(g.tensor(np.ones(2)), T.Tensor(np.ones(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_block_output_shape_and_finiteness():
 
 def test_block_zero_weights_collapse_to_double_layernorm():
     store = init_params(TINY, [7, 1])
-    for name in store.names():
+    for name, _ in store.items():
         if ".attn." in name or ".ffn." in name:
             store[name].value[:] = 0.0
     g = Graph()
@@ -194,7 +194,8 @@ def test_init_gamma_one_beta_zero_and_seeded():
 
 def test_layout_matches_store_order():
     store = init_params(TINY, [1, 1])
-    assert [name for name, _, _ in param_layout(TINY)] == store.names()
+    assert [name for name, _, _ in param_layout(TINY)] == \
+        [name for name, _ in store.items()]
 
 
 def test_config_validation():
