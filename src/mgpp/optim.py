@@ -20,9 +20,8 @@ class OptimState:
     """Flat first/second-moment accumulators and the fixed hyperparameters;
     the learning rate is passed to each step."""
 
-    def __init__(self, store: ParamStore, beta1: float = 0.9,
-                 beta2: float = 0.999, eps_opt: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, store: ParamStore, *, beta1: float, beta2: float,
+                 eps_opt: float, weight_decay: float):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps_opt = float(eps_opt)

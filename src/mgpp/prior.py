@@ -84,21 +84,26 @@ def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
     return -(arr / cfg.sigma0_sq * g + arr / cfg.sigma1_sq * (1.0 - g))
 
 
-def neg_log_prior(theta, cfg: MgpConfig) -> float:
-    """-sum_j log( lam*N(theta_j; 0, sigma1_sq) + (1-lam)*N(theta_j; 0, sigma0_sq) ).
-
-    Evaluated in log space via a max-subtracted log-sum-exp of the two
-    component log densities, keeping the full normalizing constants so the
-    value is comparable across configs.
-    """
-    arr = np.asarray(theta, dtype=np.float64).ravel()
+def _log_density(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:
+    """log( lam*N(theta; 0, sigma1_sq) + (1-lam)*N(theta; 0, sigma0_sq) ),
+    elementwise, as a max-subtracted log-sum-exp of the two component log
+    densities with their full normalizing constants."""
     log_slab = (math.log(cfg.lam) - 0.5 * math.log(2.0 * math.pi * cfg.sigma1_sq)
                 - arr * arr / (2.0 * cfg.sigma1_sq))
     log_spike = (math.log1p(-cfg.lam) - 0.5 * math.log(2.0 * math.pi * cfg.sigma0_sq)
                  - arr * arr / (2.0 * cfg.sigma0_sq))
     m = np.maximum(log_slab, log_spike)
-    logdens = m + np.log(np.exp(log_slab - m) + np.exp(log_spike - m))
-    return float(-logdens.sum())
+    return m + np.log(np.exp(log_slab - m) + np.exp(log_spike - m))
+
+
+def neg_log_prior(theta, cfg: MgpConfig) -> float:
+    """-sum_j log( lam*N(theta_j; 0, sigma1_sq) + (1-lam)*N(theta_j; 0, sigma0_sq) ).
+
+    Evaluated in log space, keeping the full normalizing constants so the
+    value is comparable across configs.
+    """
+    arr = np.asarray(theta, dtype=np.float64).ravel()
+    return float(-_log_density(arr, cfg).sum())
 
 
 def pa_threshold(cfg: MgpConfig) -> float:
@@ -133,7 +138,7 @@ def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
     """
     if isinstance(grid, tuple) and len(grid) == 3:
         lo, hi, step = (float(v) for v in grid)
-        if step <= 0.0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
             raise ValueError(f"bad grid range {grid}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         thetas = [lo + i * step for i in range(count)]
@@ -147,9 +152,6 @@ def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
                 thetas = sorted(set(thetas) | set(float(v) for v in band))
     else:
         thetas = [float(v) for v in grid]
-    rows = []
-    for theta in thetas:
-        nlp = neg_log_prior(np.array([theta]), cfg)
-        grad = float(mgp_grad(np.array([theta]), cfg)[0])
-        rows.append((theta, nlp, -grad))
-    return rows
+    arr = np.array(thetas, dtype=np.float64)
+    return list(zip(thetas, (-_log_density(arr, cfg)).tolist(),
+                    (-mgp_grad(arr, cfg)).tolist()))

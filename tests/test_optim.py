@@ -16,7 +16,8 @@ def test_first_step_closed_form():
     # with bias correction the first Adam step is -lr * g / (|g| + eps'),
     # here eps=0 so exactly -lr * sign(g)
     store = make_store({"w": np.array([1.0, -2.0, 3.0])})
-    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=0.0)
+    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=0.0,
+                       weight_decay=0.0)
     g = np.array([0.5, -0.25, 4.0])
     optim_step(store, g, state, 0.1)
     np.testing.assert_allclose(
@@ -25,7 +26,8 @@ def test_first_step_closed_form():
 
 def test_first_step_with_eps():
     store = make_store({"w": np.array([0.0])})
-    state = OptimState(store, eps_opt=1e-8)
+    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
+                       weight_decay=0.0)
     optim_step(store, np.array([2.0]), state, 0.001)
     # mhat=2, vhat=4 -> update = -lr*2/(2+1e-8)
     expect = -0.001 * 2.0 / (2.0 + 1e-8)
@@ -63,7 +65,8 @@ def test_weight_decay_is_decoupled():
     # zero gradient must still shrink the weight multiplicatively -- the
     # decay acts on the parameter, never through the moment estimates
     store = make_store({"w": np.array([2.0])})
-    state = OptimState(store, weight_decay=0.5, eps_opt=1e-8)
+    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
+                       weight_decay=0.5)
     for _ in range(3):
         optim_step(store, np.array([0.0]), state, 0.1)
     np.testing.assert_allclose(store["w"].value, [2.0 * (1 - 0.05) ** 3],
@@ -74,14 +77,16 @@ def test_weight_decay_is_decoupled():
 
 def test_step_uses_given_lr():
     store = make_store({"w": np.array([1.0])})
-    state = OptimState(store, eps_opt=0.0)
+    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=0.0,
+                       weight_decay=0.0)
     optim_step(store, np.array([1.0]), state, 0.005)
     np.testing.assert_allclose(store["w"].value, [1.0 - 0.005], rtol=1e-15)
 
 
 def test_gradient_shape_mismatch_rejected():
     store = make_store({"w": np.ones((2, 2))})
-    state = OptimState(store)
+    state = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
+                       weight_decay=0.0)
     with pytest.raises(ValueError):
         optim_step(store, np.ones(3), state, 0.1)
 

@@ -11,6 +11,7 @@ arithmetic (mpmath) from the closed forms:
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +179,11 @@ def test_penalty_curve_rows_match_pointwise_functions():
         assert rel(penalty, neg_log_prior(np.array([theta]), CRIT)) < 1e-12
         expect = -mgp_grad(np.array([theta]), CRIT)[0]
         assert abs(grad - expect) <= 1e-12 * max(1.0, abs(expect))
+    for bad in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.1), (0.0, math.inf, 0.1),
+                (-math.inf, 0.0, 0.1), (math.nan, 1.0, 0.1),
+                (0.0, math.nan, 0.1), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="bad grid range"):
+            penalty_curve(CRIT, bad)
 
 
 def test_penalty_curve_explicit_grid():

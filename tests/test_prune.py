@@ -2,6 +2,7 @@
 tie-breaking, revival, prior-gradient wiring, the public surface, and
 `train` for all four methods on micro-scale configs."""
 
+import gc
 import inspect
 import math
 
@@ -10,11 +11,13 @@ import pytest
 
 import mgpp.prune
 from mgpp.config import build_config
+from mgpp.data import generate_dataset
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
 from mgpp.prune import (apply_global_prune, magnitude_scores, train,
-                        _add_prior_grads)
+                        _add_prior_grads, _loss_and_grads)
 from mgpp.schedule import prune_steps
+from mgpp.transformer import init_params
 
 
 def micro_pairs(**kw):
@@ -231,6 +234,24 @@ def test_mgpp_metrics_schema_and_eta_ramp():
     event_records = [r for r in metrics.records if "threshold" in r]
     assert len(event_records) == len(metrics.events())
     assert metrics.final["method"] == "mgpp"
+
+
+def test_step_and_train_leave_no_cyclic_garbage():
+    # nothing on the tape points back to its graph, so a spent step is freed
+    # by reference counting alone, with the cyclic collector off
+    cfg = build_config(micro_pairs())
+    train_split, _, _ = generate_dataset(cfg.task)
+    store = init_params(cfg.model, [cfg.seed, 1])
+    batch = (train_split.tokens[:32], train_split.labels[:32])
+    gc.collect()
+    gc.disable()
+    try:
+        _loss_and_grads(batch, store, cfg.model)
+        assert gc.collect() == 0
+        train(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_runs_are_deterministic():

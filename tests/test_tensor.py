@@ -238,10 +238,14 @@ def test_backward_requires_scalar_loss():
 def test_gradient_accumulates_over_fanout():
     g = Graph()
     theta = g.tensor([[2.0]], requires_grad=True)
-    out = T.add(theta, theta)  # d(2x)/dx = 2
+    w = g.tensor([[3.0]], requires_grad=True)
+    c = g.tensor([[5.0]])  # a constant: fed to ops, gets no gradient
+    out = T.add(T.add(T.add(theta, theta), c), T.matmul(c, w))  # 2x + c + cw
     grads = backward_pass(g, T.reshape(out, ()))
     np.testing.assert_array_equal(grads[theta.id], [[2.0]])
-    assert list(grads) == [theta.id]     # op-output gradients are dropped
+    np.testing.assert_array_equal(grads[w.id], [[5.0]])
+    # op-output gradients are dropped, and the constant never gets one
+    assert sorted(grads) == sorted([theta.id, w.id])
 
 
 def test_tensors_from_different_graphs_rejected():
