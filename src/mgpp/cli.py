@@ -99,8 +99,12 @@ def _cmd_export_thresholds(args) -> int:
 
 
 def _cmd_export_prior_curve(args) -> int:
-    cfg = _load(args)
-    rows = penalty_curve(cfg.mgp_config(), _parse_range(args.range))
+    mgp = _load(args).mgp_config()
+    grid = _parse_range(args.range)
+    try:
+        rows = penalty_curve(mgp, grid)
+    except ValueError as exc:  # only the row limit is left to refuse
+        raise ConfigError(f"--range {args.range!r}: {exc}") from exc
     _print_csv(["theta", "penalty", "penalty_grad"], rows)
     return 0
 

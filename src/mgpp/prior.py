@@ -30,6 +30,7 @@ import numpy as np
 
 # exp overflows float64 just above 709; beyond this the limit value of g is 0.
 _EXP_OVERFLOW = 700.0
+MAX_GRID_ROWS = 10**6  # largest coarse ladder penalty_curve will build
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,17 @@ def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
     (lo, hi, step) triple. For a triple the coarse ladder is augmented with a
     fine near-zero band around the spike/slab transition (when the config has
     one and 0 lies inside [lo, hi]), since the interesting structure there is
-    far narrower than any sensible coarse step.
+    far narrower than any sensible coarse step. A triple whose coarse ladder
+    would exceed MAX_GRID_ROWS rows is refused before anything is built.
     """
     if isinstance(grid, tuple) and len(grid) == 3:
         lo, hi, step = (float(v) for v in grid)
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
             raise ValueError(f"bad grid range {grid}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        if count > MAX_GRID_ROWS:
+            raise ValueError(f"grid range {grid} gives {count} rows, "
+                             f"over the limit of {MAX_GRID_ROWS}")
         thetas = [lo + i * step for i in range(count)]
         if lo < 0.0 < hi and cfg.sigma0_sq < cfg.sigma1_sq:
             try:

@@ -60,22 +60,32 @@ def magnitude_scores(store: ParamStore) -> np.ndarray:
 def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent:
     """Zero the floor(v*N) smallest-magnitude prunable coordinates globally.
 
-    Ranking ties break toward the earlier coordinate (stable sort), and the
-    mask is rebuilt from the current magnitudes alone — previously pruned
-    coordinates compete again.
+    The cut is found by selection, not by sorting: one partition gives the
+    k-th smallest score (the cut) and the next one (the threshold). Every
+    score below the cut is pruned, then the first coordinates equal to the
+    cut, in coordinate order, until k are pruned. So ties break toward the
+    earlier coordinate, exactly as a stable sort of the scores would rank
+    them. The mask is rebuilt from the current magnitudes alone — previously
+    pruned coordinates compete again.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"sparsity fraction must be in [0, 1], got {v}")
     scores = magnitude_scores(store)
     total = scores.size
-    n_zero = math.floor(v * total)
-    order = np.argsort(scores, kind="stable")
-    store.mask[:total] = True
-    store.mask[order[:n_zero]] = False
-    threshold = float(scores[order[n_zero]]) if n_zero < total else 0.0
+    k = math.floor(v * total)
+    if k == total:
+        keep, threshold = np.zeros(total, dtype=bool), 0.0
+    elif k == 0:
+        keep, threshold = np.ones(total, dtype=bool), scores.min()
+    else:
+        cut, threshold = np.partition(scores, [k - 1, k])[[k - 1, k]]
+        keep = scores > cut
+        ties = np.flatnonzero(scores == cut)
+        keep[ties[k - np.count_nonzero(scores < cut):]] = True
+    store.mask[:total] = keep
     store.apply_masks()
-    return PruneEvent(step=step, sparsity=v, zeroed=n_zero,
-                      kept=total - n_zero, threshold=threshold)
+    return PruneEvent(step=step, sparsity=v, zeroed=k,
+                      kept=total - k, threshold=float(threshold))
 
 
 def _loss_and_grads(batch, store: ParamStore,

@@ -256,9 +256,17 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
     them.
 
     Returns a map tensor id -> gradient array. Each node's input gradients
-    are added in argument order, the first write to an id copying its delta.
-    An op output's gradient is dropped as soon as its node has propagated
-    it, so the map ends up holding leaf gradients only.
+    are added in argument order. The first write to an id takes the delta
+    over without a copy when it is a float64 array that owns its data, is
+    writeable, and is not an array an earlier input of the same node already
+    took (``add`` returns ``(gout, gout)``); any other first delta, such as
+    a read-only broadcast or a view, is copied. Later writes add into the
+    held array in place. Taking a delta over is safe because a backward
+    function returns ``gout``, a view of it, or a fresh array, never an
+    array captured from the forward pass, and ``gout`` itself is popped from
+    the map before its node runs. An op output's gradient is dropped as soon
+    as its node has propagated it, so the map ends up holding leaf gradients
+    only.
     """
     if loss.graph is not graph:
         raise ValueError("loss does not belong to this graph")
@@ -269,12 +277,18 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
         gout = grads.pop(node.output_id, None)
         if gout is None or node.backward is None:
             continue
+        taken = []
         for tid, delta in zip(node.input_ids, node.backward(gout)):
             if tid is None:
                 continue
             g = grads.get(tid)
-            if g is None:
-                grads[tid] = np.array(delta, dtype=np.float64)
-            else:
+            if g is not None:
                 np.add(g, delta, out=g)
+            elif (isinstance(delta, np.ndarray) and delta.dtype == np.float64
+                  and delta.flags.owndata and delta.flags.writeable
+                  and not any(delta is t for t in taken)):
+                grads[tid] = delta
+                taken.append(delta)
+            else:
+                grads[tid] = np.array(delta, dtype=np.float64)
     return grads

@@ -574,7 +574,7 @@ def test_cli_prior_curve(capsys):
 
 def test_cli_prior_curve_bad_range(capsys):
     for spec in ("0:1", "0:1:0", "0:1:-0.1", "1:0:0.1", "0:1:nan",
-                 "nan:1:0.1", "0:inf:0.1"):
+                 "nan:1:0.1", "0:inf:0.1", "0:1:1e-9"):
         assert main(["export-prior-curve", "--preset", "desk-90",
                      "--range", spec]) == 1, spec
         assert "--range" in capsys.readouterr().err

@@ -12,6 +12,7 @@ arithmetic (mpmath) from the closed forms:
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ def test_penalty_curve_rows_match_pointwise_functions():
                 (0.0, math.nan, 0.1), (0.0, 1.0, math.nan)):
         with pytest.raises(ValueError, match="bad grid range"):
             penalty_curve(CRIT, bad)
+    # a billion-row ladder is refused before any row is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the limit of 1000000"):
+            penalty_curve(CRIT, (0.0, 1.0, 1e-9))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_penalty_curve_explicit_grid():

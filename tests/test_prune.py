@@ -98,6 +98,41 @@ def test_tie_break_prunes_earlier_coordinate():
     np.testing.assert_array_equal(store["w"].value, [0.0, 0.0, 0.3, 0.3])
 
 
+def stable_argsort_prune(scores, v):
+    """Reference: mask, zeroed, kept and threshold of a global prune ranked
+    by a stable argsort, so ties go to the earlier coordinate."""
+    total = scores.size
+    k = math.floor(v * total)
+    order = np.argsort(scores, kind="stable")
+    mask = np.ones(total, dtype=bool)
+    mask[order[:k]] = False
+    return mask, k, total - k, float(scores[order[k]]) if k < total else 0.0
+
+
+def test_global_prune_matches_stable_argsort_oracle():
+    rng = np.random.default_rng(7)
+    cases = 0
+    for n in range(1, 201):
+        zeros = rng.normal(size=n) * (rng.random(n) < 0.5)  # many exact zeros
+        for values in (zeros, np.full(n, 0.3),
+                       rng.choice([-1.0, 0.0, 1.0], size=n)):  # sign-only
+            for v in (0.0, 1 / n, 0.5, 1 - 1 / n, 1.0):
+                store = flat_store(values)
+                # a second event ranks the coordinates the first re-zeroed
+                for _ in range(2):
+                    before = store.flat.copy()
+                    mask, zeroed, kept, threshold = stable_argsort_prune(
+                        np.abs(before), v)
+                    event = apply_global_prune(store, v)
+                    np.testing.assert_array_equal(store.mask, mask)
+                    np.testing.assert_array_equal(store.flat,
+                                                  np.where(mask, before, 0.0))
+                    assert (event.zeroed, event.kept) == (zeroed, kept)
+                    assert event.threshold == threshold and type(event.threshold) is float
+                    cases += 1
+    assert cases == 200 * 3 * 5 * 2
+
+
 def test_global_ranking_spans_tensors():
     store = ParamStore([("small", np.array([0.01, 0.02]), True),
                         ("big", np.array([1.0, 2.0]), True)])

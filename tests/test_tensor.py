@@ -246,6 +246,58 @@ def test_gradient_accumulates_over_fanout():
     np.testing.assert_array_equal(grads[w.id], [[5.0]])
     # op-output gradients are dropped, and the constant never gets one
     assert sorted(grads) == sorted([theta.id, w.id])
+    maps = [(grads, [theta, w, c])]
+
+    # backward_pass takes fresh first deltas over without copying them; these
+    # graphs pin the cases where a delta must still be copied
+    g = Graph()
+    a = g.tensor([[2.0]], requires_grad=True)
+    b = g.tensor([[3.0]], requires_grad=True)
+    # add feeding two distinct leaves, then one of them again: each add
+    # returns (gout, gout), so the second input must not hold the first's array
+    grads = backward_pass(g, T.reshape(T.add(T.add(a, b), a), ()))
+    np.testing.assert_array_equal(grads[a.id], [[2.0]])
+    np.testing.assert_array_equal(grads[b.id], [[1.0]])
+    maps.append((grads, [a, b]))
+
+    g = Graph()
+    theta = g.tensor([[2.0, -1.0]], requires_grad=True)
+    grads = backward_pass(g, T.reshape(T.matmul(T.add(theta, theta),
+                                                g.tensor([[1.0], [1.0]])), ()))
+    np.testing.assert_array_equal(grads[theta.id], [[2.0, 2.0]])
+    maps.append((grads, [theta]))
+
+    # mean_axis1 returns a read-only broadcast and reshape a view: both copied
+    g = Graph()
+    x = g.tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    w8 = g.tensor(np.linspace(-1.0, 1.0, 8).reshape(8, 1), requires_grad=True)
+    grads = backward_pass(g, T.reshape(
+        T.matmul(T.reshape(T.mean_axis1(x), (1, 8)), w8), ()))
+    np.testing.assert_array_equal(grads[w8.id], x.data.mean(axis=1).reshape(8, 1))
+    np.testing.assert_array_equal(
+        grads[x.id], np.broadcast_to((w8.data.reshape(2, 4) / 3)[:, None, :],
+                                     (2, 3, 4)))
+    maps.append((grads, [x, w8]))
+
+    cfg = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=1, n_max=5, vocab=7,
+                            n_classes=3)
+    store = init_params(cfg, [0, 1])
+    g = Graph()
+    bound = bind_params(g, store)
+    tokens = np.random.default_rng(0).integers(0, 7, size=(4, 5))
+    grads = backward_pass(g, T.cross_entropy_loss(
+        forward_logits(g, bound, tokens, cfg), np.array([0, 1, 2, 0])))
+    maps.append((grads, list(bound.values())))
+
+    # every returned gradient is its own writeable array, sharing memory with
+    # no other gradient, no tensor's data and no parameter buffer
+    for grads, tensors in maps:
+        arrays = list(grads.values())
+        for i, arr in enumerate(arrays):
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, store.flat)
+            assert not any(np.shares_memory(arr, t.data) for t in tensors)
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
 
 
 def test_tensors_from_different_graphs_rejected():
