@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -50,10 +51,11 @@ def save_checkpoint(store: ParamStore, path) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    """Read exactly ``count`` bytes. The count comes from the file itself, so
+    it is checked against the bytes left before anything is allocated."""
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+    return fh.read(count)
 
 
 def _valid_entry(entry) -> bool:

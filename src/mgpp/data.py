@@ -107,6 +107,10 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
 
     Candidates are drawn from the task's sampler, labeled, deduplicated
     globally, and routed to the first split whose per-class quota is open.
+    Each split is filled in place, row by row, into one preallocated
+    [size, length] token array and one [size] label array, and the dedupe
+    set is dropped before the final shuffles copy them; so the peak heap is
+    about three times the splits' own bytes, not one small array per row.
     """
     rng = np.random.default_rng([spec.seed, 0])
     sizes = (spec.n_train, spec.n_dev, spec.n_test)
@@ -116,7 +120,9 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         quotas.append([base + (1 if c < rem else 0) for c in range(spec.n_classes)])
 
     seen: set[bytes] = set()
-    pools = [([], []) for _ in sizes]  # (token rows, labels) per split
+    tokens = [np.empty((size, spec.length), dtype=np.int64) for size in sizes]
+    labels = [np.empty(size, dtype=np.int64) for size in sizes]
+    filled = [0] * len(sizes)
     remaining = sum(sizes)
     attempts_left = _MAX_ATTEMPT_FACTOR * remaining
     while remaining:
@@ -136,15 +142,18 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
                     break
                 seen.add(key)
                 quota[label] -= 1
-                pools[split_idx][0].append(seq)
-                pools[split_idx][1].append(label)
+                row = filled[split_idx]
+                tokens[split_idx][row] = seq
+                labels[split_idx][row] = label
+                filled[split_idx] = row + 1
                 remaining -= 1
                 break
+    del seen
 
     splits = []
-    for (rows, labels), size in zip(pools, sizes):
+    for split_tokens, split_labels, size in zip(tokens, labels, sizes):
         order = np.random.default_rng([spec.seed, 1, size]).permutation(size)
-        splits.append(Split(np.stack(rows)[order], np.asarray(labels)[order]))
+        splits.append(Split(split_tokens[order], split_labels[order]))
     return tuple(splits)
 
 

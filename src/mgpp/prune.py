@@ -189,7 +189,8 @@ def _step_stream(split: Split, batch_size: int, seed: int, first_step: int,
 
 def _finalize(metrics: RunMetrics, store: ParamStore, cfg, test: Split,
               last_record: dict) -> None:
-    test_acc = evaluate_accuracy(store, cfg.model, test.tokens, test.labels)
+    test_acc = evaluate_accuracy(store, cfg.model, test.tokens, test.labels,
+                                 cfg.values["batch_size"])
     metrics.log_final({
         "step": last_record["step"],
         "loss": last_record["loss"],
@@ -241,7 +242,7 @@ def train(cfg, metrics: RunMetrics | None = None
             if epoch_end:
                 record["epoch"] = epoch
                 record["dev_accuracy"] = evaluate_accuracy(
-                    store, cfg.model, dev.tokens, dev.labels)
+                    store, cfg.model, dev.tokens, dev.labels, v["batch_size"])
             metrics.log(record)
 
     _finalize(metrics, store, cfg, test, record)

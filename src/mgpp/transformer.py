@@ -143,8 +143,14 @@ def forward_logits(graph: Graph, bound: dict[str, Tensor], tokens,
 
 
 def evaluate_accuracy(store: ParamStore, cfg: TransformerConfig, tokens,
-                      labels, chunk: int = 256) -> float:
-    """Fraction of sequences whose argmax logit matches the label."""
+                      labels, chunk: int) -> float:
+    """Fraction of sequences whose argmax logit matches the label.
+
+    The sequences go through forward_logits ``chunk`` at a time, and callers
+    pass the training batch size: evaluation then never holds more
+    activations than a training step, so it never sets a run's peak memory.
+    The logits of a sequence do not depend on the chunk it rides in.
+    """
     tokens = np.asarray(tokens)
     labels = np.asarray(labels)
     hits = 0

@@ -227,12 +227,32 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def oversized_checkpoints(tmp_path):
+    """Short files whose headers declare more bytes than they hold: a
+    2^63+5-byte manifest, and a [2^31, 2^31] tensor (2^65 bytes)."""
+    blob = json.dumps({"format_version": 1, "tensors": [
+        {"name": "w", "shape": [2**31, 2**31], "prunable": True}]}).encode()
+    files = {"manifest": MAGIC + struct.pack("<Q", 2**63 + 5) + b"{}",
+             "tensor": MAGIC + struct.pack("<Q", len(blob)) + blob + b"\0" * 8}
+    paths = []
+    for what, data in files.items():
+        path = tmp_path / f"huge-{what}.bin"
+        path.write_bytes(data)
+        paths.append((what, path))
+    return paths
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(sample_store(), path)
     (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:-5])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(tmp_path / "cut.bin")
+    # a declared size is checked against the bytes left before it is read
+    for what, path in oversized_checkpoints(tmp_path):
+        with pytest.raises(CheckpointError,
+                           match=f"truncated checkpoint while reading {what}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
@@ -562,6 +582,10 @@ def test_cli_corrupt_checkpoint_is_runtime_error(tmp_path, capsys):
     path.write_bytes(b"garbage bytes here")
     assert main(["export-histogram", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+    for _, path in oversized_checkpoints(tmp_path):
+        assert main(["export-histogram", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "mgpp: error: truncated checkpoint")
 
 
 def test_cli_prior_curve(capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mgpp.prune
+import mgpp.transformer
 from mgpp.config import build_config
 from mgpp.data import generate_dataset
 from mgpp.params import ParamStore
@@ -387,6 +388,29 @@ def test_dev_accuracy_logged_each_epoch():
     assert epochs == [1, 2]
     assert all(0.0 <= r["dev_accuracy"] <= 1.0
                for r in metrics.records if "dev_accuracy" in r)
+
+
+def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
+    # evaluation runs in training-batch chunks, so no forward pass in a run,
+    # dev and test included, holds more sequences than a training step
+    seen = {"step": [], "eval": []}
+
+    def recorder(kind, forward):
+        def recorded(graph, bound, tokens, model_cfg):
+            seen[kind].append(np.asarray(tokens).shape[0])
+            return forward(graph, bound, tokens, model_cfg)
+        return recorded
+
+    monkeypatch.setattr(mgpp.prune, "forward_logits",
+                        recorder("step", mgpp.prune.forward_logits))
+    monkeypatch.setattr(mgpp.transformer, "forward_logits",
+                        recorder("eval", mgpp.transformer.forward_logits))
+    cfg = build_config(micro_pairs(**{"batch_size": 8, "task.dev": 40}))
+    train(cfg)
+    assert len(seen["step"]) == cfg.total_steps
+    # two dev passes of 5 chunks, one test pass of 8
+    assert len(seen["eval"]) == 2 * 5 + 8
+    assert max(seen["step"] + seen["eval"]) <= 8
 
 
 def test_pa_refine_carries_epoch_counter_on():

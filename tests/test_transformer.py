@@ -282,6 +282,7 @@ def test_evaluate_accuracy_counts_argmax_hits():
     tokens = RNG.integers(0, TINY.vocab, size=(40, 5))
     logits = logits_of(store, tokens)
     labels = logits.data.argmax(axis=1)
-    assert evaluate_accuracy(store, TINY, tokens, labels, chunk=16) == 1.0
     wrong = (labels + 1) % TINY.n_classes
-    assert evaluate_accuracy(store, TINY, tokens, wrong, chunk=16) == 0.0
+    for chunk in (1, 7, 16, 40, 256):
+        assert evaluate_accuracy(store, TINY, tokens, labels, chunk) == 1.0
+        assert evaluate_accuracy(store, TINY, tokens, wrong, chunk) == 0.0
