@@ -41,9 +41,6 @@ class Tensor:
         self.id = tensor_id
         self.needs_grad = needs_grad
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, needs_grad={self.needs_grad})"
-
 
 class OpNode:
     """One recorded operation: op name, output id, the ids of its inputs
@@ -95,24 +92,24 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 # primitive operations
 # ---------------------------------------------------------------------------
 
+def _unbroadcast(grad: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum a gradient over the leading axes an ndim-axis operand lacks."""
+    extra = grad.ndim - ndim
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a 2-D [r x s] by a 2-D [s x t] tensor."""
+    """Matrix product over the last two axes. Leading axes broadcast as in
+    numpy's ``@`` when one operand's equal the other's trailing ones:
+    [r x s] @ [H x s x t] -> [H x r x t] applies H stacked weights."""
     A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+    short, full = sorted((A.shape[:-2], B.shape[:-2]), key=len)
+    if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2] \
+            or full[len(full) - len(short):] != short:
         raise ValueError(f"matmul dimension mismatch: {A.shape} @ {B.shape}")
     return _record("matmul", (a, b), A @ B,
-                   lambda gout: (gout @ B.T, A.T @ gout))
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: [B x n x m] @ [B x m x k] -> [B x n x k]."""
-    A, B = a.data, b.data
-    if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] \
-            or A.shape[2] != B.shape[1]:
-        raise ValueError(f"bmm dimension mismatch: {A.shape} @ {B.shape}")
-    return _record("bmm", (a, b), A @ B,
-                   lambda gout: (gout @ B.transpose(0, 2, 1),
-                                 A.transpose(0, 2, 1) @ gout))
+                   lambda gout: (_unbroadcast(gout @ B.swapaxes(-1, -2), A.ndim),
+                                 _unbroadcast(A.swapaxes(-1, -2) @ gout, B.ndim)))
 
 
 def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
@@ -124,6 +121,13 @@ def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"bmm_nt dimension mismatch: {A.shape} vs {B.shape}")
     return _record("bmm_nt", (a, b), A @ B.transpose(0, 2, 1),
                    lambda gout: (gout @ B, gout.transpose(0, 2, 1) @ A))
+
+
+def sum_axis0(a: Tensor) -> Tensor:
+    """Sum over the leading axis: [H x ...] -> [...]."""
+    shape = a.data.shape
+    return _record("sum_axis0", (a,), a.data.sum(axis=0),
+                   lambda gout: (np.broadcast_to(gout, shape),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -1,10 +1,10 @@
 """A small deterministic transformer encoder with a classification head.
 
-Block pipeline, per token position i:
+Block pipeline, per token position i and head h:
 
-    Q(h) = Wq(h)^T x,  K(h) = Wk(h)^T x,  V(h) = Wv(h)^T x
+    Q(h) = Wq[h]^T x,  K(h) = Wk[h]^T x,  V(h) = Wv[h]^T x
     alpha_ij(h) = softmax_j( <Q_i(h), K_j(h)> / sqrt(k) )
-    u_i  = sum_h Wc(h)^T sum_j alpha_ij(h) V_j(h)
+    u_i  = sum_h Wc[h]^T sum_j alpha_ij(h) V_j(h)
     u~_i = LayerNorm(x_i + u_i;  gamma1, beta1)
     z~_i = W2^T ReLU(W1^T u~_i)
     z_i  = LayerNorm(u~_i + z~_i; gamma2, beta2)
@@ -17,8 +17,10 @@ table and all LayerNorm parameters.
 
 One forward path, forward_logits, serves training and evaluation alike: it
 runs a whole batch of sequences on one tape, with the B*n token rows stacked
-into one [B*n x d] matrix for the projections and batched matmuls for the
-per-sequence attention scores.
+into one [B*n x d] matrix. Each block stores its H heads as a leading axis
+(Wq, Wk, Wv [H x d x k], Wc [H x k x d]), so every head runs in the same
+ops: the projections broadcast x over the heads, and the attention scores
+are batched over heads and sequences together.
 """
 
 from __future__ import annotations
@@ -54,18 +56,12 @@ def param_layout(cfg: TransformerConfig) -> list[tuple[str, tuple, bool]]:
     """(name, shape, prunable) for every parameter, in canonical order."""
     layout: list[tuple[str, tuple, bool]] = [("embed.table", (cfg.vocab, cfg.d), False)]
     for b in range(cfg.L):
-        for h in range(cfg.H):
-            prefix = f"block{b}.attn.head{h}"
-            layout += [(f"{prefix}.wq", (cfg.d, cfg.k), True),
-                       (f"{prefix}.wk", (cfg.d, cfg.k), True),
-                       (f"{prefix}.wv", (cfg.d, cfg.k), True),
-                       (f"{prefix}.wc", (cfg.k, cfg.d), True)]
-        layout += [(f"block{b}.ffn.w1", (cfg.d, cfg.m_ff), True),
-                   (f"block{b}.ffn.w2", (cfg.m_ff, cfg.d), True),
-                   (f"block{b}.ln1.gamma", (cfg.d,), False),
-                   (f"block{b}.ln1.beta", (cfg.d,), False),
-                   (f"block{b}.ln2.gamma", (cfg.d,), False),
-                   (f"block{b}.ln2.beta", (cfg.d,), False)]
+        layout += [(f"block{b}.attn.w{c}", (cfg.H, cfg.d, cfg.k), True) for c in "qkv"]
+        layout += [(f"block{b}.attn.wc", (cfg.H, cfg.k, cfg.d), True),
+                   (f"block{b}.ffn.w1", (cfg.d, cfg.m_ff), True),
+                   (f"block{b}.ffn.w2", (cfg.m_ff, cfg.d), True)]
+        layout += [(f"block{b}.{ln}.{key}", (cfg.d,), False)
+                   for ln in ("ln1", "ln2") for key in ("gamma", "beta")]
     layout.append(("head.w", (cfg.d, cfg.n_classes), False))
     return layout
 
@@ -93,34 +89,31 @@ def bind_params(graph: Graph, store: ParamStore,
             for name, p in store.items()}
 
 
-def _attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                    n: int) -> tuple[Tensor, Tensor]:
-    """One attention head over a batch of length-n sequences, x [B*n x d].
+def _attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+               n: int) -> tuple[Tensor, Tensor]:
+    """All H heads over a batch of length-n sequences, x [B*n x d], with
+    wq, wk, wv [H x d x k].
 
-    Returns (values [B*n x k], weights [B x n x n]) with, within sequence s,
-    weights[s, i, j] = softmax_j(<Q_i, K_j> / sqrt(k)) and
-    values[s*n + i] = sum_j weights[s, i, j] * V_j.
+    Returns (values [H x B*n x k], weights [H*B x n x n]) with, for head h
+    and sequence s, weights[h*B + s, i, j] = softmax_j(<Q_i, K_j> / sqrt(k))
+    and values[h, s*n + i] = sum_j weights[h*B + s, i, j] * V_j.
     """
-    bsz, k_dim = x.data.shape[0] // n, wq.data.shape[1]
-    q = T.reshape(T.matmul(x, wq), (bsz, n, k_dim))
-    k = T.reshape(T.matmul(x, wk), (bsz, n, k_dim))
-    v = T.reshape(T.matmul(x, wv), (bsz, n, k_dim))
+    heads, _, k_dim = wq.data.shape
+    rows = x.data.shape[0]
+    split = (heads * (rows // n), n, k_dim)
+    q = T.reshape(T.matmul(x, wq), split)
+    k = T.reshape(T.matmul(x, wk), split)
+    v = T.reshape(T.matmul(x, wv), split)
     weights = T.row_softmax(T.scale(T.bmm_nt(q, k), 1.0 / math.sqrt(k_dim)))
-    values = T.reshape(T.bmm(weights, v), (bsz * n, k_dim))
+    values = T.reshape(T.matmul(weights, v), (heads, rows, k_dim))
     return values, weights
 
 
-def _batched_block(x: Tensor, bound: dict[str, Tensor], b: int, H: int,
-                   n: int) -> Tensor:
+def _batched_block(x: Tensor, bound: dict[str, Tensor], b: int, n: int) -> Tensor:
     """Block b, read from the bound tensors by name, on x [B*n x d]."""
     p = lambda key: bound[f"block{b}.{key}"]
-    u = None
-    for h in range(H):
-        head = f"attn.head{h}"
-        values, _ = _attention_head(x, p(f"{head}.wq"), p(f"{head}.wk"),
-                                    p(f"{head}.wv"), n)
-        proj = T.matmul(values, p(f"{head}.wc"))
-        u = proj if u is None else T.add(u, proj)
+    values, _ = _attention(x, p("attn.wq"), p("attn.wk"), p("attn.wv"), n)
+    u = T.sum_axis0(T.matmul(values, p("attn.wc")))
     ut = T.layer_norm(T.add(x, u), p("ln1.gamma"), p("ln1.beta"))
     zt = T.matmul(T.relu(T.matmul(ut, p("ffn.w1"))), p("ffn.w2"))
     return T.layer_norm(T.add(ut, zt), p("ln2.gamma"), p("ln2.beta"))
@@ -137,7 +130,7 @@ def forward_logits(graph: Graph, bound: dict[str, Tensor], tokens,
         raise ValueError(f"sequence length {n} exceeds n_max={cfg.n_max}")
     x = T.reshape(T.embedding(bound["embed.table"], ids), (bsz * n, cfg.d))
     for b in range(cfg.L):
-        x = _batched_block(x, bound, b, cfg.H, n)
+        x = _batched_block(x, bound, b, n)
     pooled = T.mean_axis1(T.reshape(x, (bsz, n, cfg.d)))
     return T.matmul(pooled, bound["head.w"])
 

@@ -24,9 +24,8 @@ from mgpp.prune import _add_prior_grads, _loss_and_grads, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.tensor import Graph
-from mgpp.transformer import (TransformerConfig, _attention_head,
-                              _batched_block, bind_params, forward_logits,
-                              init_params)
+from mgpp.transformer import (TransformerConfig, _attention, _batched_block,
+                              bind_params, forward_logits, init_params)
 
 DESK_N_TRAIN = 8000
 
@@ -99,7 +98,7 @@ def test_01_objective_gradient_fidelity():
         # plant coordinates straddling the threshold (both signs)
         planted = [("block0.ffn.w1", i, m * thr) for i, m in
                    enumerate([0.5, -0.7, 0.9, -1.0, 2.0])]
-        planted.append(("block1.attn.head2.wv", 7, -0.9 * thr))
+        planted.append(("block1.attn.wv", 2 * 32 * 8 + 7, -0.9 * thr))  # head 2
         for name, flat, value in planted:
             store[name].value.flat[flat] = value
 
@@ -433,25 +432,23 @@ def test_10_attention_layernorm_conformance():
         graph = Graph()
         wrap = lambda a: graph.tensor(np.asarray(a, dtype=float))
         xt = wrap(seqs.reshape(bsz * n, d))
-        values, weights = _attention_head(xt, wrap(raw["wq"][0]),
-                                          wrap(raw["wk"][0]),
-                                          wrap(raw["wv"][0]), n)
+        values, weights = _attention(xt, wrap(raw["wq"]), wrap(raw["wk"]),
+                                     wrap(raw["wv"]), n)
         bound = {"block0.ffn.w1": wrap(raw["w1"]),
                  "block0.ffn.w2": wrap(raw["w2"])}
-        for h in range(heads):
-            for key in ("wq", "wk", "wv", "wc"):
-                bound[f"block0.attn.head{h}.{key}"] = wrap(raw[key][h])
+        for key in ("wq", "wk", "wv", "wc"):
+            bound[f"block0.attn.{key}"] = wrap(raw[key])
         for ln in (1, 2):
             bound[f"block0.ln{ln}.gamma"] = wrap(raw[f"gamma{ln}"])
             bound[f"block0.ln{ln}.beta"] = wrap(raw[f"beta{ln}"])
-        out = _batched_block(xt, bound, 0, heads, n)
+        out = _batched_block(xt, bound, 0, n)
 
         for s, x in enumerate(seqs):
             rows = slice(s * n, (s + 1) * n)
             o_values, o_weights = _o_attention(x, raw["wq"][0], raw["wk"][0],
                                                raw["wv"][0])
             assert np.abs(weights.data[s] - o_weights).max() < 1e-12
-            assert np.abs(values.data[rows] - o_values).max() < 1e-12
+            assert np.abs(values.data[0, rows] - o_values).max() < 1e-12
             assert np.abs(weights.data[s].sum(axis=1) - 1.0).max() < 1e-12
             assert np.abs(out.data[rows] - _o_block(x, raw)).max() < 1e-12, \
                 f"trial {trial} sequence {s}"

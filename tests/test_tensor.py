@@ -307,7 +307,7 @@ def test_tensors_from_different_graphs_rejected():
     # every multi-operand op, with each operand in turn from a second graph:
     # the op names the cause and records nothing on either tape
     for op, shapes in ((T.matmul, [(2, 3), (3, 2)]),
-                       (T.bmm, [(2, 2, 3), (2, 3, 2)]),
+                       (T.matmul, [(2, 2, 3), (2, 3, 2)]),
                        (T.bmm_nt, [(2, 2, 3), (2, 4, 3)]),
                        (T.add, [(2, 2), (2, 2)]),
                        (T.layer_norm, [(2, 3), (3,), (3,)])):
@@ -370,11 +370,28 @@ def test_grad_matmul():
                 [(3, 4), (4, 2)])
 
 
-def test_grad_bmm_and_bmm_nt():
-    check_grads(lambda g, a, b: _to_scalar(g, T.bmm(a, b)),
+def test_grad_batched_matmul_and_bmm_nt():
+    # 2-D @ 3-D: one input against stacked weights; its gradient sums over them
+    check_grads(lambda g, a, b: _to_scalar(g, T.matmul(a, b)),
+                [(3, 4), (2, 4, 2)])
+    check_grads(lambda g, a, b: _to_scalar(g, T.matmul(a, b)),
                 [(2, 3, 4), (2, 4, 2)])
     check_grads(lambda g, a, b: _to_scalar(g, T.bmm_nt(a, b)),
                 [(2, 3, 4), (2, 5, 4)])
+
+
+def test_grad_sum_axis0():
+    check_grads(lambda g, a: _to_scalar(g, T.sum_axis0(a)), [(3, 2, 4)])
+
+
+def test_matmul_rejects_mismatched_shapes():
+    g = Graph()
+    for shapes in ([(2, 3), (2, 3)], [(3,), (3, 2)], [(2, 3, 4), (5, 4, 2)],
+                   [(2, 1, 3, 4), (2, 4, 2)]):
+        a, b = (g.tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ValueError, match="matmul dimension mismatch"):
+            T.matmul(a, b)
+    assert g.nodes == []
 
 
 def test_grad_add_scale():

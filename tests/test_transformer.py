@@ -8,7 +8,7 @@ import pytest
 
 from mgpp import tensor as T
 from mgpp.tensor import Graph, backward_pass
-from mgpp.transformer import (TransformerConfig, _attention_head, _batched_block,
+from mgpp.transformer import (TransformerConfig, _attention, _batched_block,
                               bind_params, evaluate_accuracy, forward_logits,
                               init_params, param_layout)
 
@@ -74,23 +74,23 @@ def logits_of(store, tokens, cfg=TINY):
 
 
 # ---------------------------------------------------------------------------
-# _attention_head: one head over a batch of sequences stacked as [B*n x d]
+# _attention: the heads over a batch of sequences stacked as [B*n x d]
 # ---------------------------------------------------------------------------
 
 def test_attention_zero_queries_give_uniform_rows():
     g = Graph()
     x = g.tensor(RNG.normal(size=(5, 6)))
-    zero = g.tensor(np.zeros((6, 3)))
-    wv = g.tensor(RNG.normal(size=(6, 3)))
-    _, weights = _attention_head(x, zero, zero, wv, 5)
+    zero = g.tensor(np.zeros((1, 6, 3)))
+    wv = g.tensor(RNG.normal(size=(1, 6, 3)))
+    _, weights = _attention(x, zero, zero, wv, 5)
     np.testing.assert_allclose(weights.data[0], np.full((5, 5), 0.2), atol=1e-15)
 
 
 def test_attention_single_token():
     g = Graph()
     x = g.tensor(RNG.normal(size=(1, 4)))
-    wq, wk, wv = (g.tensor(m) for m in rand_mats((4, 2), (4, 2), (4, 2)))
-    _, weights = _attention_head(x, wq, wk, wv, 1)
+    wq, wk, wv = (g.tensor(m[None]) for m in rand_mats((4, 2), (4, 2), (4, 2)))
+    _, weights = _attention(x, wq, wk, wv, 1)
     np.testing.assert_array_equal(weights.data[0], [[1.0]])
 
 
@@ -99,13 +99,13 @@ def test_attention_matches_loop_oracle_three_tokens():
         seqs = RNG.normal(size=(2, 3, 6))
         wq, wk, wv = rand_mats((6, 4), (6, 4), (6, 4))
         g = Graph()
-        values, weights = _attention_head(
-            g.tensor(seqs.reshape(6, 6)), g.tensor(wq), g.tensor(wk),
-            g.tensor(wv), 3)
+        values, weights = _attention(
+            g.tensor(seqs.reshape(6, 6)), g.tensor(wq[None]), g.tensor(wk[None]),
+            g.tensor(wv[None]), 3)
         for s, x in enumerate(seqs):
             ref_values, ref_weights = loop_attention(x, wq, wk, wv)
             assert np.max(np.abs(weights.data[s] - ref_weights)) < 1e-12
-            assert np.max(np.abs(values.data[3 * s:3 * s + 3] - ref_values)) < 1e-12
+            assert np.max(np.abs(values.data[0, 3 * s:3 * s + 3] - ref_values)) < 1e-12
         assert np.max(np.abs(weights.data.sum(axis=2) - 1.0)) < 1e-12
 
 
@@ -118,7 +118,7 @@ def test_block_output_shape_and_finiteness():
     g = Graph()
     bound = bind_params(g, store, requires_grad=False)
     x = g.tensor(RNG.normal(size=(5, TINY.d)) * 10)
-    out = _batched_block(x, bound, 0, TINY.H, 5)
+    out = _batched_block(x, bound, 0, 5)
     assert out.data.shape == (5, TINY.d)
     assert np.isfinite(out.data).all()
 
@@ -131,7 +131,7 @@ def test_block_zero_weights_collapse_to_double_layernorm():
     g = Graph()
     bound = bind_params(g, store, requires_grad=False)
     x = RNG.normal(size=(4, TINY.d))
-    out = _batched_block(g.tensor(x), bound, 0, TINY.H, 4)
+    out = _batched_block(g.tensor(x), bound, 0, 4)
     ones, zeros = np.ones(TINY.d), np.zeros(TINY.d)
     expect = np.stack([
         loop_layer_norm(loop_layer_norm(row, ones, zeros), ones, zeros)
@@ -146,12 +146,12 @@ def test_block_matches_loop_oracle_two_heads():
     seqs = RNG.normal(size=(3, 2, 6))
     g = Graph()
     bound = bind_params(g, store, requires_grad=False)
-    out = _batched_block(g.tensor(seqs.reshape(6, 6)), bound, 0, 2, 2)
+    out = _batched_block(g.tensor(seqs.reshape(6, 6)), bound, 0, 2)
 
-    heads = [(store[f"block0.attn.head{h}.wq"].value,
-              store[f"block0.attn.head{h}.wk"].value,
-              store[f"block0.attn.head{h}.wv"].value,
-              store[f"block0.attn.head{h}.wc"].value) for h in range(2)]
+    heads = [(store["block0.attn.wq"].value[h],
+              store["block0.attn.wk"].value[h],
+              store["block0.attn.wv"].value[h],
+              store["block0.attn.wc"].value[h]) for h in range(2)]
     for s, x in enumerate(seqs):
         expect = loop_block(x, heads,
                             store["block0.ffn.w1"].value,
@@ -170,16 +170,16 @@ def test_block_matches_loop_oracle_two_heads():
 def test_param_layout_census_desk():
     store = init_params(DESK, [0, 1])
     prunable = store.prunable_names()
-    # per block: 4 heads * 4 matrices + 2 ffn = 18; two blocks
-    assert len(prunable) == 36
+    # per block: 4 attention tensors of 4 heads each + 2 ffn = 6; two blocks
+    assert len(prunable) == 12
     assert store.num_prunable() == 16384
     assert not store["embed.table"].prunable
     assert not store["head.w"].prunable
     assert not store["block0.ln1.gamma"].prunable
-    assert store["block1.attn.head3.wc"].prunable
+    assert store["block1.attn.wc"].prunable
     assert store["block0.ffn.w1"].value.shape == (32, 64)
-    assert store["block0.attn.head0.wq"].value.shape == (32, 8)
-    assert store["block0.attn.head0.wc"].value.shape == (8, 32)
+    assert store["block0.attn.wq"].value.shape == (4, 32, 8)
+    assert store["block0.attn.wc"].value.shape == (4, 8, 32)
 
 
 def test_init_gamma_one_beta_zero_and_seeded():
@@ -258,7 +258,7 @@ def test_model_gradient_matches_finite_differences():
     loss = T.cross_entropy_loss(forward_logits(g, bound, tokens, cfg), labels)
     grads = backward_pass(g, loss)
 
-    for name in ("block0.attn.head0.wq", "block1.ffn.w2", "block0.ln1.gamma",
+    for name in ("block0.attn.wq", "block1.ffn.w2", "block0.ln1.gamma",
                  "head.w", "embed.table"):
         base = store[name].value
 
@@ -275,6 +275,51 @@ def test_model_gradient_matches_finite_differences():
         analytic = grads[bound[name].id]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
         assert np.max(np.abs(fd - analytic) / denom) < 1e-4, name
+
+
+def per_head_logits(store, tokens, cfg):
+    """forward_logits rebuilt from tape ops one head at a time, on the store's
+    weights sliced per head, with the heads' outputs added in head order."""
+    g = Graph()
+    w = lambda name: g.tensor(store[name].value)
+    bsz, n = tokens.shape
+    x = T.reshape(T.embedding(w("embed.table"), tokens), (bsz * n, cfg.d))
+    for b in range(cfg.L):
+        p = lambda key: store[f"block{b}.{key}"].value
+        u = None
+        for h in range(cfg.H):
+            q, k, v = (T.reshape(T.matmul(x, g.tensor(p(f"attn.{key}")[h])),
+                                 (bsz, n, cfg.k)) for key in ("wq", "wk", "wv"))
+            weights = T.row_softmax(T.scale(T.bmm_nt(q, k), 1.0 / math.sqrt(cfg.k)))
+            values = T.reshape(T.matmul(weights, v), (bsz * n, cfg.k))
+            proj = T.matmul(values, g.tensor(p("attn.wc")[h]))
+            u = proj if u is None else T.add(u, proj)
+        ut = T.layer_norm(T.add(x, u), w(f"block{b}.ln1.gamma"), w(f"block{b}.ln1.beta"))
+        zt = T.matmul(T.relu(T.matmul(ut, w(f"block{b}.ffn.w1"))), w(f"block{b}.ffn.w2"))
+        x = T.layer_norm(T.add(ut, zt), w(f"block{b}.ln2.gamma"), w(f"block{b}.ln2.beta"))
+    pooled = T.mean_axis1(T.reshape(x, (bsz, n, cfg.d)))
+    return T.matmul(pooled, w("head.w")).data
+
+
+def test_logits_bitwise_equal_per_head_reference():
+    for cfg, seed in ((DESK, 0), (TINY, 1)):
+        store = init_params(cfg, [seed, 1])
+        tokens = RNG.integers(0, cfg.vocab, size=(8, cfg.n_max))
+        assert np.array_equal(logits_of(store, tokens, cfg).data,
+                              per_head_logits(store, tokens, cfg))
+
+
+def test_tape_length_does_not_depend_on_heads():
+    """A desk-shaped training step records 46 nodes, for 1 head as for 4."""
+    tokens = RNG.integers(0, DESK.vocab, size=(32, DESK.n_max))
+    labels = RNG.integers(0, DESK.n_classes, size=32)
+    for heads in (1, 4):
+        cfg = TransformerConfig(d=32, k=8, m_ff=64, H=heads, L=2, n_max=16,
+                                vocab=16, n_classes=4)
+        g = Graph()
+        bound = bind_params(g, init_params(cfg, [0, 1]))
+        T.cross_entropy_loss(forward_logits(g, bound, tokens, cfg), labels)
+        assert len(g.nodes) == 46, heads
 
 
 def test_evaluate_accuracy_counts_argmax_hits():
