@@ -1,7 +1,8 @@
 """Adaptive moment optimizer with decoupled weight decay, plus linear LR decay.
 
 Parameters, gradient and both moment accumulators are flat vectors in the
-layout of ``ParamStore.flat``, so a step is a few whole-model vector ops.
+layout of ``ParamStore.flat``, so a step is a few vector ops over the whole
+model, run slice by slice so that their temporaries stay small.
 
 The decay term never routes through the moment accumulators: parameters are
 scaled by (1 - lr*weight_decay) before the bias-corrected adaptive update, so
@@ -14,6 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamStore
+from .tensor import _empty
+
+# Coordinates per slice of the Adam update: its two temporaries stay at
+# 2 x 128 KB, whatever the model size.
+_CHUNK = 1 << 14
 
 
 class OptimState:
@@ -46,14 +52,22 @@ def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
     bc2 = 1.0 - state.beta2 ** t
     if state.weight_decay != 0.0:
         store.flat *= 1.0 - lr * state.weight_decay
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grads * grads)
-    mhat = m / bc1
-    vhat = v / bc2
-    store.flat -= lr * mhat / (np.sqrt(vhat) + state.eps_opt)
+    # In place, slice by slice, in the order of: m = beta1*m + (1-beta1)*g;
+    # v = beta2*v + (1-beta2)*(g*g); theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+    for lo in range(0, grads.size, _CHUNK):
+        span = slice(lo, lo + _CHUNK)
+        theta, m, v, g = store.flat[span], state.m[span], state.v[span], grads[span]
+        mhat, vhat = _empty(g.shape), _empty(g.shape)
+        m *= state.beta1
+        m += np.multiply(1.0 - state.beta1, g, out=mhat)
+        v *= state.beta2
+        v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=vhat), out=vhat)
+        np.divide(m, bc1, out=mhat)
+        np.divide(v, bc2, out=vhat)
+        np.multiply(lr, mhat, out=mhat)
+        np.sqrt(vhat, out=vhat)
+        vhat += state.eps_opt
+        theta -= np.divide(mhat, vhat, out=mhat)
 
 
 def linear_lr(t: int, T: int, lr_init: float, lr_floor: float) -> float:

@@ -88,18 +88,19 @@ def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent
                       kept=total - k, threshold=float(threshold))
 
 
-def _loss_and_grads(batch, store: ParamStore,
-                    model_cfg: TransformerConfig) -> tuple[float, np.ndarray]:
+def _loss_and_grads(batch, store: ParamStore, model_cfg: TransformerConfig,
+                    grads: np.ndarray) -> float:
+    """The batch's loss; its gradient overwrites ``grads``, a vector laid
+    out like ``store.flat``."""
     tokens, labels = batch
     graph = Graph()
     bound = bind_params(graph, store)
     logits = forward_logits(graph, bound, tokens, model_cfg)
     loss = T.cross_entropy_loss(logits, labels)
-    grads = backward_pass(graph, loss)
-    flat = np.zeros_like(store.flat)
-    for name, view in store.views(flat).items():
-        view[...] = grads[bound[name].id]
-    return float(loss.data), flat
+    leaf_grads = backward_pass(graph, loss)
+    for name, view in store.views(grads).items():
+        view[...] = leaf_grads[bound[name].id]
+    return float(loss.data)
 
 
 def _add_prior_grads(grads: np.ndarray, store: ParamStore,
@@ -218,6 +219,7 @@ def train(cfg, metrics: RunMetrics | None = None
     n_train = len(train_split)
 
     v = cfg.values
+    grads = np.empty_like(store.flat)
     record, epoch = None, 0
     for first, last, rule in _phases(cfg, store, n_train):
         opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],
@@ -226,7 +228,7 @@ def train(cfg, metrics: RunMetrics | None = None
         for step, epoch, batch, epoch_end in _step_stream(
                 train_split, v["batch_size"], cfg.seed, first, last, epoch):
             mgp, eta, sparsity, extra, action = rule(step)
-            loss, grads = _loss_and_grads(batch, store, cfg.model)
+            loss = _loss_and_grads(batch, store, cfg.model, grads)
             _add_prior_grads(grads, store, mgp, eta, n_train)
             _update(store, opt, step, loss, grads, linear_lr(
                 step - first + 1, last - first + 1, v["optim.lr"],

@@ -9,6 +9,22 @@ ndarrays only, never a Tensor or a Graph. Tensors point to their graph but
 nothing on the tape points back, so a spent tape is freed by reference
 counting as soon as its last reference goes, without the cyclic GC.
 
+Every op output, backward temporary and gradient is a view of a buffer
+from one pool (``_empty``). A training step records the same ops on the same
+shapes each time, so after the first step it reuses buffers instead of
+allocating and page-faulting fresh ones. The pool is keyed by element count
+and dtype, not shape, so arrays of equal size share buffers. A buffer is
+handed out only when nothing else references it: numpy points every view,
+and every view of a view, at the buffer that owns the data, so
+``sys.getrefcount`` counts each live view. The count that means "free" is
+measured at import by the code that tests it, since the interpreter's own
+references vary between CPython versions (3.14 borrows stack references);
+the rule assumes CPython's reference counting. A process keeps its pool:
+buffers are never freed, and each size holds as many buffers as were ever
+live at once. The ops compute in place with ``out=``, in the operation order
+of the plain numpy expressions, so results are bitwise the same.
+cross_entropy_loss, whose arrays are [B x C], allocates as numpy does.
+
 Numerical stabilizers used throughout:
   * softmax / log-sum-exp always subtract the per-row maximum,
   * layer_norm adds EPS_LN = 1e-12 inside the square root, so constant rows
@@ -17,11 +33,40 @@ Numerical stabilizers used throughout:
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 EPS_LN = 1e-12
+
+# (element count, dtype) -> buffers of that size, in creation order
+_POOL: dict[tuple[int, type], list[np.ndarray]] = {}
+
+
+def _first_free(bufs: list, free: int, refcount=sys.getrefcount):
+    """The first buffer in ``bufs`` whose reference count here is ``free``."""
+    for buf in bufs:
+        if refcount(buf) == free:
+            return buf
+    return None
+
+
+# The count _first_free sees for a buffer that only its list holds.
+_FREE = next(c for c in range(1, 9) if _first_free([np.empty(1)], c) is not None)
+
+
+def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of ``shape``: a view of a pooled buffer that
+    nothing else references, or of a new one added to the pool."""
+    size = math.prod(shape)
+    bufs = _POOL.setdefault((size, dtype), [])
+    buf = _first_free(bufs, _FREE)
+    if buf is None:
+        buf = np.empty(size, dtype)
+        bufs.append(buf)
+    return buf.reshape(shape)
 
 
 class Tensor:
@@ -92,10 +137,22 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def _unbroadcast(grad: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum a gradient over the leading axes an ndim-axis operand lacks."""
-    extra = grad.ndim - ndim
-    return grad.sum(axis=tuple(range(extra))) if extra else grad
+def _product(x: np.ndarray, y: np.ndarray, extra: int = 0) -> np.ndarray:
+    """x @ y in a pooled array, summed over its first ``extra`` axes. The
+    slices' products are added in index order, which is bitwise what
+    ``(x @ y).sum(axis=tuple(range(extra)))`` gives, without holding the
+    stacked product. One operand's leading axes are the other's trailing
+    ones, and with ``extra`` > 0 both carry every leading axis."""
+    shape = max(x.shape[:-2], y.shape[:-2], key=len) + (x.shape[-2], y.shape[-1])
+    if not extra:
+        return np.matmul(x, y, out=_empty(shape))
+    x = x.reshape((-1,) + x.shape[extra:])
+    y = y.reshape((-1,) + y.shape[extra:])
+    out = np.matmul(x[0], y[0], out=_empty(shape[extra:]))
+    tmp = _empty(shape[extra:])
+    for i in range(1, len(x)):
+        out += np.matmul(x[i], y[i], out=tmp)
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -107,9 +164,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2] \
             or full[len(full) - len(short):] != short:
         raise ValueError(f"matmul dimension mismatch: {A.shape} @ {B.shape}")
-    return _record("matmul", (a, b), A @ B,
-                   lambda gout: (_unbroadcast(gout @ B.swapaxes(-1, -2), A.ndim),
-                                 _unbroadcast(A.swapaxes(-1, -2) @ gout, B.ndim)))
+    return _record("matmul", (a, b), _product(A, B),
+                   lambda gout: (_product(gout, B.swapaxes(-1, -2), gout.ndim - A.ndim),
+                                 _product(A.swapaxes(-1, -2), gout, gout.ndim - B.ndim)))
 
 
 def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
@@ -119,43 +176,57 @@ def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
     if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] \
             or A.shape[2] != B.shape[2]:
         raise ValueError(f"bmm_nt dimension mismatch: {A.shape} vs {B.shape}")
-    return _record("bmm_nt", (a, b), A @ B.transpose(0, 2, 1),
-                   lambda gout: (gout @ B, gout.transpose(0, 2, 1) @ A))
+    return _record("bmm_nt", (a, b), _product(A, B.transpose(0, 2, 1)),
+                   lambda gout: (_product(gout, B), _product(gout.transpose(0, 2, 1), A)))
 
 
 def sum_axis0(a: Tensor) -> Tensor:
     """Sum over the leading axis: [H x ...] -> [...]."""
     shape = a.data.shape
-    return _record("sum_axis0", (a,), a.data.sum(axis=0),
+    return _record("sum_axis0", (a,), np.sum(a.data, axis=0, out=_empty(shape[1:])),
                    lambda gout: (np.broadcast_to(gout, shape),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _record("add", (a, b), a.data + b.data, lambda gout: (gout, gout))
+    return _record("add", (a, b), np.add(a.data, b.data, out=_empty(a.data.shape)),
+                   lambda gout: (gout, gout))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _record("scale", (a,), a.data * c, lambda gout: (gout * c,))
+    return _record("scale", (a,), np.multiply(a.data, c, out=_empty(a.data.shape)),
+                   lambda gout: (np.multiply(gout, c, out=gout),))
 
 
 def relu(a: Tensor) -> Tensor:
-    """Elementwise max(0, x). Subgradient 0 at exactly 0."""
-    mask = a.data > 0.0  # backward keeps the mask, so the input dies early
-    return _record("relu", (a,), np.maximum(a.data, 0.0),
-                   lambda gout: (gout * mask,))
+    """Elementwise max(0, x). Subgradient 0 at exactly 0. The backward
+    takes its mask from the output, which is > 0 exactly where x is."""
+    out = np.maximum(a.data, 0.0, out=_empty(a.data.shape))
+    return _record("relu", (a,), out, lambda gout: (np.multiply(
+        gout, np.greater(out, 0.0, out=_empty(out.shape, bool)), out=gout),))
 
 
 def row_softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, computed with per-row max subtraction."""
-    if a.data.ndim < 1:
+    x = a.data
+    if x.ndim < 1:
         raise ValueError("row_softmax expects at least one axis")
-    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    return _record("row_softmax", (a,), p,
-                   lambda gout: (p * (gout - (gout * p).sum(axis=-1, keepdims=True)),))
+    rows = x.shape[:-1] + (1,)
+    p = np.subtract(x, np.max(x, axis=-1, keepdims=True, out=_empty(rows)),
+                    out=_empty(x.shape))
+    np.exp(p, out=p)
+    np.divide(p, np.sum(p, axis=-1, keepdims=True, out=_empty(rows)), out=p)
+
+    def backward(gout):
+        # p * (gout - (gout * p).sum(axis=-1, keepdims=True))
+        gp = np.multiply(gout, p, out=_empty(p.shape))
+        np.subtract(gout, np.sum(gp, axis=-1, keepdims=True, out=_empty(rows)),
+                    out=gout)
+        return (np.multiply(p, gout, out=gout),)
+
+    return _record("row_softmax", (a,), p, backward)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -164,26 +235,41 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     Uses the population variance. A 1-D input is one vector; a 2-D input is
     normalized row by row (each row an independent vector).
     """
-    d = a.data.shape[-1]
+    x = a.data
+    d = x.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(
             f"layer_norm parameter shape mismatch: input width {d}, "
             f"gamma {gamma.data.shape}, beta {beta.data.shape}")
     G = gamma.data
-    centered = a.data - a.data.mean(axis=-1, keepdims=True)
-    s = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + EPS_LN)
-    xhat = centered / s
+    rows = x.shape[:-1] + (1,)
+    s = np.mean(x, axis=-1, keepdims=True, out=_empty(rows))  # the mean, then sqrt(var + eps)
+    xhat = np.subtract(x, s, out=_empty(x.shape))  # centered, until divided
+    out = np.multiply(xhat, xhat, out=_empty(x.shape))
+    np.mean(out, axis=-1, keepdims=True, out=s)
+    np.add(s, EPS_LN, out=s)
+    np.sqrt(s, out=s)
+    np.divide(xhat, s, out=xhat)
+    np.multiply(G, xhat, out=out)
+    np.add(out, beta.data, out=out)
 
     def backward(gout):
-        q = gout * G
-        term = q - q.mean(axis=-1, keepdims=True) \
-            - xhat * (q * xhat).mean(axis=-1, keepdims=True)
+        # term = q - mean(q) - xhat * mean(q * xhat) with q = gout * G;
+        # returns term / s, sum(gout * xhat) and sum(gout) over the rows
+        q = np.multiply(gout, G, out=_empty(gout.shape))
+        q_mean = np.mean(q, axis=-1, keepdims=True, out=_empty(rows))
+        t = np.multiply(q, xhat, out=_empty(gout.shape))
+        t_mean = np.mean(t, axis=-1, keepdims=True, out=_empty(rows))
+        np.subtract(q, q_mean, out=q)
+        np.subtract(q, np.multiply(xhat, t_mean, out=t), out=q)
+        np.divide(q, s, out=q)
         axes = tuple(range(gout.ndim - 1))
-        return (term / s,
-                (gout * xhat).sum(axis=axes) if axes else gout * xhat,
-                gout.sum(axis=axes) if axes else gout)
+        d_beta = np.sum(gout, axis=axes, out=_empty(G.shape))
+        d_gamma = np.sum(np.multiply(gout, xhat, out=gout), axis=axes,
+                         out=_empty(G.shape))
+        return q, d_gamma, d_beta
 
-    return _record("layer_norm", (a, gamma, beta), G * xhat + beta.data, backward)
+    return _record("layer_norm", (a, gamma, beta), out, backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -200,11 +286,14 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding id out of range [0, {W.shape[0]})")
 
     def backward(gout):
-        gt = np.zeros_like(W)
+        gt = _empty(W.shape)
+        gt.fill(0.0)
         np.add.at(gt, ids, gout)
         return (gt,)
 
-    return _record("embedding", (table,), W[ids], backward)
+    # ids are checked above, so "clip" never clips; "raise" would buffer out
+    return _record("embedding", (table,), np.take(
+        W, ids, axis=0, out=_empty(ids.shape + W.shape[1:]), mode="clip"), backward)
 
 
 def mean_axis1(a: Tensor) -> Tensor:
@@ -213,8 +302,10 @@ def mean_axis1(a: Tensor) -> Tensor:
     if len(shape) != 3:
         raise ValueError(f"mean_axis1 expects a 3-D tensor, got shape {shape}")
     n = shape[1]
-    return _record("mean_axis1", (a,), a.data.mean(axis=1),
-                   lambda gout: (np.broadcast_to(gout[:, None, :] / n, shape),))
+    return _record("mean_axis1", (a,),
+                   np.mean(a.data, axis=1, out=_empty((shape[0], shape[2]))),
+                   lambda gout: (np.broadcast_to(
+                       np.divide(gout, n, out=gout)[:, None, :], shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -261,16 +352,19 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
 
     Returns a map tensor id -> gradient array. Each node's input gradients
     are added in argument order. The first write to an id takes the delta
-    over without a copy when it is a float64 array that owns its data, is
-    writeable, and is not an array an earlier input of the same node already
+    over without a copy when it is a writeable float64 array, owned or a
+    view, and is not an array an earlier input of the same node already
     took (``add`` returns ``(gout, gout)``); any other first delta, such as
-    a read-only broadcast or a view, is copied. Later writes add into the
-    held array in place. Taking a delta over is safe because a backward
-    function returns ``gout``, a view of it, or a fresh array, never an
-    array captured from the forward pass, and ``gout`` itself is popped from
-    the map before its node runs. An op output's gradient is dropped as soon
-    as its node has propagated it, so the map ends up holding leaf gradients
-    only.
+    a read-only broadcast, is copied into a pooled array. Later writes add
+    into the held array in place. Taking a delta over is safe because a
+    backward function returns ``gout``, a view of it, or a fresh array,
+    never an array captured from the forward pass, and ``gout`` itself is
+    popped from the map before its node runs; so a backward may also
+    overwrite ``gout``. An op output's gradient is dropped as soon as its
+    node has propagated it, so the map ends up holding leaf gradients only.
+    Each record's backward function is dropped once replayed, which frees
+    the forward arrays it held for the rest of the pass; a graph is
+    replayed once.
     """
     if loss.graph is not graph:
         raise ValueError("loss does not belong to this graph")
@@ -281,18 +375,20 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
         gout = grads.pop(node.output_id, None)
         if gout is None or node.backward is None:
             continue
+        deltas, node.backward = node.backward(gout), None
         taken = []
-        for tid, delta in zip(node.input_ids, node.backward(gout)):
+        for tid, delta in zip(node.input_ids, deltas):
             if tid is None:
                 continue
             g = grads.get(tid)
             if g is not None:
                 np.add(g, delta, out=g)
             elif (isinstance(delta, np.ndarray) and delta.dtype == np.float64
-                  and delta.flags.owndata and delta.flags.writeable
+                  and delta.flags.writeable
                   and not any(delta is t for t in taken)):
                 grads[tid] = delta
                 taken.append(delta)
             else:
-                grads[tid] = np.array(delta, dtype=np.float64)
+                grads[tid] = g = _empty(np.shape(delta))
+                np.copyto(g, delta)
     return grads

@@ -112,11 +112,14 @@ def _attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 def _batched_block(x: Tensor, bound: dict[str, Tensor], b: int, n: int) -> Tensor:
     """Block b, read from the bound tensors by name, on x [B*n x d]."""
     p = lambda key: bound[f"block{b}.{key}"]
+    # u and z~ are not named: a local would keep each alive through the
+    # layer norm that follows, and that sets the step's peak memory
     values, _ = _attention(x, p("attn.wq"), p("attn.wk"), p("attn.wv"), n)
-    u = T.sum_axis0(T.matmul(values, p("attn.wc")))
-    ut = T.layer_norm(T.add(x, u), p("ln1.gamma"), p("ln1.beta"))
-    zt = T.matmul(T.relu(T.matmul(ut, p("ffn.w1"))), p("ffn.w2"))
-    return T.layer_norm(T.add(ut, zt), p("ln2.gamma"), p("ln2.beta"))
+    ut = T.layer_norm(T.add(x, T.sum_axis0(T.matmul(values, p("attn.wc")))),
+                      p("ln1.gamma"), p("ln1.beta"))
+    return T.layer_norm(
+        T.add(ut, T.matmul(T.relu(T.matmul(ut, p("ffn.w1"))), p("ffn.w2"))),
+        p("ln2.gamma"), p("ln2.beta"))
 
 
 def forward_logits(graph: Graph, bound: dict[str, Tensor], tokens,

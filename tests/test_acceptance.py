@@ -106,7 +106,8 @@ def test_01_objective_gradient_fidelity():
         tokens = rng.integers(0, model.vocab, size=(8, model.n_max))
         labels = rng.integers(0, model.n_classes, size=8)
 
-        loss_val, grads = _loss_and_grads((tokens, labels), store, model)
+        grads = np.empty_like(store.flat)
+        loss_val = _loss_and_grads((tokens, labels), store, model, grads)
         assert math.isfinite(loss_val)
         _add_prior_grads(grads, store, mgp, eta=eta, n_train=n_train)
         grads = store.views(grads)

@@ -3,11 +3,16 @@
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mgpp
 from mgpp.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from mgpp.cli import main
@@ -349,6 +354,42 @@ def test_run_checkpoint_matches_final_sparsity(micro_run):
     _, out, metrics, store = micro_run
     loaded = load_checkpoint(out / "checkpoint.bin")
     assert loaded.sparsity() == metrics.final["sparsity"] == store.sparsity()
+
+
+def run_bytes(out: Path) -> tuple[bytes, bytes]:
+    return (out / "metrics.jsonl").read_bytes(), (out / "checkpoint.bin").read_bytes()
+
+
+def test_runs_in_fresh_processes_do_not_depend_on_hash_seed(tmp_path):
+    # set and dict order over strings changes with PYTHONHASHSEED; a run's
+    # bytes must not
+    cfg_path = micro_config_file(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(mgpp.__file__).parents[1]))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from mgpp.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", str(cfg_path), "--out", str(out)],
+            env=env | {"PYTHONHASHSEED": hash_seed}, check=True,
+            stdout=subprocess.DEVNULL)
+        outputs.append(run_bytes(out))
+    assert outputs[0] == outputs[1]
+
+
+def test_run_bytes_survive_a_run_of_another_shape(tmp_path):
+    # the second run leaves stale data in the process's array pool, also in
+    # size classes the micro run uses ([B*n x 16] has the size of its
+    # [H x B*n x 8]); the third run must still repeat the first exactly
+    outputs = []
+    for name, extra in (("a", ""), ("wide", "model.d = 16\n"), ("b", "")):
+        cfg = build_config(parse_config_text(MICRO + extra)
+                           | {"out": str(tmp_path / name)})
+        run_experiment(cfg)
+        outputs.append(run_bytes(tmp_path / name))
+    assert outputs[0] == outputs[2]
+    assert outputs[0] != outputs[1]
 
 
 def test_run_requires_out_dir():

@@ -61,6 +61,32 @@ def test_multi_step_matches_reference_loop():
     np.testing.assert_allclose(store["w"].value, theta, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("size", [18000, 99328])  # desk and gmp-wide models
+def test_step_bitwise_equal_plain_expressions(size):
+    # the in-place, sliced update against the whole-vector expressions
+    rng = np.random.default_rng(size)
+    theta0 = rng.normal(size=size)
+    grads = [rng.normal(size=size) for _ in range(4)]
+    lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 0.01
+
+    store = make_store({"w": theta0.copy()})
+    state = OptimState(store, beta1=b1, beta2=b2, eps_opt=eps,
+                       weight_decay=wd)
+    theta, m, v = theta0.copy(), np.zeros(size), np.zeros(size)
+    for t, g in enumerate(grads, 1):
+        optim_step(store, g, state, lr)
+        theta *= 1.0 - lr * wd
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        mhat = m / (1.0 - b1 ** t)
+        vhat = v / (1.0 - b2 ** t)
+        theta -= lr * mhat / (np.sqrt(vhat) + eps)
+        for got, want in ((store.flat, theta), (state.m, m), (state.v, v)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_weight_decay_is_decoupled():
     # zero gradient must still shrink the weight multiplicatively -- the
     # decay acts on the parameter, never through the moment estimates

@@ -282,7 +282,7 @@ def test_step_and_train_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        _loss_and_grads(batch, store, cfg.model)
+        _loss_and_grads(batch, store, cfg.model, np.empty_like(store.flat))
         assert gc.collect() == 0
         train(cfg)
         assert gc.collect() == 0

@@ -3,11 +3,15 @@ gradient checks for every differentiable primitive."""
 
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from mgpp import tensor as T
+from mgpp.config import build_config
+from mgpp.metrics import RunMetrics
+from mgpp.prune import train
 from mgpp.tensor import Graph, backward_pass
 from mgpp.transformer import (TransformerConfig, bind_params, forward_logits,
                               init_params)
@@ -15,6 +19,12 @@ from mgpp.transformer import (TransformerConfig, bind_params, forward_logits,
 from finite_diff import finite_diff_grad
 
 RNG = np.random.default_rng(20260814)
+
+MICRO = {"task.train": 256, "task.dev": 64, "task.test": 64, "task.length": 8,
+         "task.vocab": 12, "task.classes": 4, "model.d": 8, "model.k": 4,
+         "model.ffn": 16, "model.heads": 2, "model.layers": 1, "epochs": 2,
+         "batch_size": 32, "schedule.t_i": 2, "schedule.t_f": 12,
+         "schedule.delta_t": 2}
 
 
 def rel_err(a, b, floor=1e-8):
@@ -462,6 +472,134 @@ def test_grad_random_primitives_within_tolerance():
                 g2, T.row_softmax(T.matmul(g2.tensor(v), g2.tensor(w)))).data)
 
         assert rel_err(grads[xt.id], finite_diff_grad(f, x, 1e-6), 1e-6) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles: the in-place ops against their plain numpy expressions
+# ---------------------------------------------------------------------------
+
+# (rows, d, k, H, ffn, sequences, n): the desk model and gmp-wide, one batch
+SHAPES = [(512, 32, 8, 4, 64, 32, 16), (512, 64, 16, 4, 256, 32, 16)]
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def run_op(op, inputs, gout, **kw):
+    """The op's output and its backward's input gradients for ``gout``."""
+    graph = Graph()
+    leaves = [graph.tensor(x, requires_grad=True) for x in inputs]
+    out = op(*leaves, **kw)
+    return out.data.copy(), graph.nodes[-1].backward(gout.copy())
+
+
+def ln_reference(x, G, beta, gout):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    s = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + T.EPS_LN)
+    xhat = centered / s
+    q = gout * G
+    term = q - q.mean(axis=-1, keepdims=True) \
+        - xhat * (q * xhat).mean(axis=-1, keepdims=True)
+    axes = tuple(range(gout.ndim - 1))
+    return G * xhat + beta, (term / s,
+                             (gout * xhat).sum(axis=axes) if axes else gout * xhat,
+                             gout.sum(axis=axes) if axes else gout)
+
+
+@pytest.mark.parametrize("rows, d, k, H, ffn, B, n", SHAPES)
+def test_inplace_ops_bitwise_equal_plain_expressions(rows, d, k, H, ffn, B, n):
+    rng = np.random.default_rng([rows, d])
+    x = rng.standard_normal((rows, d))
+    G, beta = rng.standard_normal(d), rng.standard_normal(d)
+    for xs in (x, x[0]):
+        gout = rng.standard_normal(xs.shape)
+        out, grads = run_op(T.layer_norm, [xs, G, beta], gout)
+        ref_out, ref_grads = ln_reference(xs, G, beta, gout)
+        assert_bitwise(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert_bitwise(got, want)
+
+    z = 3.0 * rng.standard_normal((H * B, n, n))
+    gout = rng.standard_normal(z.shape)
+    out, (grad,) = run_op(T.row_softmax, [z], gout)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    assert_bitwise(out, p)
+    assert_bitwise(grad, p * (gout - (gout * p).sum(axis=-1, keepdims=True)))
+
+    h = rng.standard_normal((rows, ffn))
+    h[0, :8] = 0.0                          # the kink: subgradient 0
+    gout = rng.standard_normal(h.shape)     # negative gout * 0 gives -0.0
+    out, (grad,) = run_op(T.relu, [h], gout)
+    assert_bitwise(out, np.maximum(h, 0.0))
+    assert_bitwise(grad, gout * (h > 0.0))
+
+    gout = rng.standard_normal(z.shape)
+    out, (grad,) = run_op(T.scale, [z], gout, c=1.0 / math.sqrt(k))
+    assert_bitwise(out, z * (1.0 / math.sqrt(k)))
+    assert_bitwise(grad, gout * (1.0 / math.sqrt(k)))
+
+
+@pytest.mark.parametrize("rows, d, k, H, ffn, B, n", SHAPES)
+def test_matmul_head_sum_bitwise_equal_stacked_sum(rows, d, k, H, ffn, B, n):
+    rng = np.random.default_rng([rows, d, 1])
+    # 2-D @ stacked: the projections x @ Wq; and stacked @ stacked, 2-D @ 2-D
+    for a_shape, b_shape in (((rows, d), (H, d, k)), ((H, rows, k), (H, k, d)),
+                             ((rows, d), (d, ffn)), ((3, 5), (2, H, 5, 7))):
+        A, Bw = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        gout = rng.standard_normal(np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+                                   + (a_shape[-2], b_shape[-1]))
+        out, (ga, gb) = run_op(T.matmul, [A, Bw], gout)
+        assert_bitwise(out, A @ Bw)
+        full_a = gout @ Bw.swapaxes(-1, -2)
+        full_b = A.swapaxes(-1, -2) @ gout
+        assert_bitwise(ga, full_a.sum(axis=tuple(range(full_a.ndim - A.ndim))))
+        assert_bitwise(gb, full_b.sum(axis=tuple(range(full_b.ndim - Bw.ndim))))
+
+
+# ---------------------------------------------------------------------------
+# the buffer pool
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("derive", [
+    lambda a: a.reshape(7, 1039),
+    lambda a: a[1:][::2],
+    lambda a: np.broadcast_to(a, (3, a.size)),
+], ids=["view", "view-of-view", "broadcast"])
+def test_pool_never_hands_out_a_referenced_buffer(derive):
+    size = 7273      # an element count no other test allocates
+    a = T._empty((size,))
+    buf = weakref.ref(a.base)
+    held = derive(a)
+    del a
+    other = T._empty((size,))
+    assert other.base is not buf()
+    assert not np.shares_memory(other, held)
+    del held
+    again = T._empty((size,))
+    assert again.base is buf()
+    assert again.shape == (size,)
+    assert T._empty((1039, 7)).base is not buf()   # `again` still holds it
+
+
+def test_pool_stops_growing_after_the_second_step():
+    class Snapshots(RunMetrics):
+        def __init__(self):
+            super().__init__()
+            self.pool = {}
+
+        def log(self, record):
+            super().log(record)
+            if record["step"] in (2, 20):
+                bufs = [b for group in T._POOL.values() for b in group]
+                self.pool[record["step"]] = (len(bufs), sum(b.nbytes for b in bufs))
+
+    metrics = Snapshots()
+    train(build_config(MICRO | {"epochs": 3}), metrics)
+    assert metrics.pool[2] == metrics.pool[20]
 
 
 # ---------------------------------------------------------------------------
