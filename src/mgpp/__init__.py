@@ -9,7 +9,7 @@ diagnostics (`harness`, CLI `mgpp`).
 from .config import ConfigError, ExperimentConfig, PRESETS, build_config, load_config
 from .metrics import RunMetrics
 from .params import Param, ParamStore
-from .prior import MgpConfig, g_fn, mgp_grad, neg_log_prior, pa_threshold, penalty_curve
+from .prior import MgpConfig, g_fn, mgp_grad, pa_threshold, penalty_curve
 from .prune import PruneEvent, apply_global_prune, magnitude_scores, train
 from .schedule import (CubicScheduleConfig, PaScheduleConfig, pa_schedule_at,
                        prune_steps, sparsity_and_eta_at, sparsity_at)
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ExperimentConfig", "PRESETS", "build_config", "load_config",
     "RunMetrics", "Param", "ParamStore",
-    "MgpConfig", "g_fn", "mgp_grad", "neg_log_prior", "pa_threshold",
-    "penalty_curve",
+    "MgpConfig", "g_fn", "mgp_grad", "pa_threshold", "penalty_curve",
     "PruneEvent", "apply_global_prune", "magnitude_scores", "train",
     "CubicScheduleConfig", "PaScheduleConfig", "pa_schedule_at", "prune_steps",
     "sparsity_and_eta_at", "sparsity_at",

@@ -45,7 +45,6 @@ _KEYS = {
     "model.ffn": (int, 64),
     "model.heads": (int, 4),
     "model.layers": (int, 2),
-    "model.n_max": (int, None),        # defaults to task.length
     "optim.lr": (float, 3e-3),
     "optim.lr_floor": (float, 3e-4),
     "optim.beta1": (float, 0.9),
@@ -168,14 +167,15 @@ def build_config(values: dict) -> ExperimentConfig:
     if method not in METHODS:
         raise ConfigError(f"method must be one of {'/'.join(METHODS)}, "
                           f"got {method!r}")
-    if merged["model.n_max"] is None:
-        merged["model.n_max"] = merged["task.length"]
     if merged["optim.weight_decay"] is None:
         merged["optim.weight_decay"] = (
             L2_DEFAULT_WEIGHT_DECAY if method == "l2" else 0.0)
     for key, (caster, _) in _KEYS.items():
         if caster is float and not math.isfinite(merged[key]):
             raise ConfigError(f"{key} must be finite, got {merged[key]}")
+    for key in ("seed", "task.seed"):
+        if merged[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {merged[key]}")
     if merged["epochs"] < 1:
         raise ConfigError("epochs must be >= 1")
     if merged["batch_size"] < 1:
@@ -203,13 +203,9 @@ def build_config(values: dict) -> ExperimentConfig:
         model = TransformerConfig(
             d=merged["model.d"], k=merged["model.k"], m_ff=merged["model.ffn"],
             H=merged["model.heads"], L=merged["model.layers"],
-            n_max=merged["model.n_max"], vocab=merged["task.vocab"],
-            n_classes=merged["task.classes"])
+            vocab=merged["task.vocab"], n_classes=merged["task.classes"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    if model.n_max < task.length:
-        raise ConfigError(f"model.n_max={model.n_max} is below "
-                          f"task.length={task.length}")
 
     cfg = ExperimentConfig(method=method, task=task, model=model,
                            seed=merged["seed"], out_dir=merged["out"],

@@ -97,16 +97,6 @@ def _log_density(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:
     return m + np.log(np.exp(log_slab - m) + np.exp(log_spike - m))
 
 
-def neg_log_prior(theta, cfg: MgpConfig) -> float:
-    """-sum_j log( lam*N(theta_j; 0, sigma1_sq) + (1-lam)*N(theta_j; 0, sigma0_sq) ).
-
-    Evaluated in log space, keeping the full normalizing constants so the
-    value is comparable across configs.
-    """
-    arr = np.asarray(theta, dtype=np.float64).ravel()
-    return float(-_log_density(arr, cfg).sum())
-
-
 def pa_threshold(cfg: MgpConfig) -> float:
     """The one-shot pruning threshold
 
@@ -129,34 +119,31 @@ def pa_threshold(cfg: MgpConfig) -> float:
 
 
 def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
-    """Sample (theta, neg_log_prior(theta), -mgp_grad(theta)) for plotting.
+    """Sample (theta, -log pi(theta), -mgp_grad(theta)) for plotting.
 
-    ``grid`` is either an iterable of theta values, used as given, or an
-    (lo, hi, step) triple. For a triple the coarse ladder is augmented with a
-    fine near-zero band around the spike/slab transition (when the config has
-    one and 0 lies inside [lo, hi]), since the interesting structure there is
-    far narrower than any sensible coarse step. A triple whose coarse ladder
-    would exceed MAX_GRID_ROWS rows is refused before anything is built.
+    ``grid`` is an (lo, hi, step) triple. The coarse ladder is augmented with
+    a fine near-zero band around the spike/slab transition (when the config
+    has one and 0 lies inside [lo, hi]), since the interesting structure
+    there is far narrower than any sensible coarse step. A range whose coarse
+    ladder would exceed MAX_GRID_ROWS rows is refused before anything is
+    built.
     """
-    if isinstance(grid, tuple) and len(grid) == 3:
-        lo, hi, step = (float(v) for v in grid)
-        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
-            raise ValueError(f"bad grid range {grid}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        if count > MAX_GRID_ROWS:
-            raise ValueError(f"grid range {grid} gives {count} rows, "
-                             f"over the limit of {MAX_GRID_ROWS}")
-        thetas = [lo + i * step for i in range(count)]
-        if lo < 0.0 < hi and cfg.sigma0_sq < cfg.sigma1_sq:
-            try:
-                thr = pa_threshold(cfg)
-            except ValueError:
-                thr = 0.0
-            if thr > 0.0:
-                band = np.linspace(-4.0 * thr, 4.0 * thr, 161)
-                thetas = sorted(set(thetas) | set(float(v) for v in band))
-    else:
-        thetas = [float(v) for v in grid]
+    lo, hi, step = (float(v) for v in grid)
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
+        raise ValueError(f"bad grid range {grid}")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > MAX_GRID_ROWS:
+        raise ValueError(f"grid range {grid} gives {count} rows, "
+                         f"over the limit of {MAX_GRID_ROWS}")
+    thetas = [lo + i * step for i in range(count)]
+    if lo < 0.0 < hi and cfg.sigma0_sq < cfg.sigma1_sq:
+        try:
+            thr = pa_threshold(cfg)
+        except ValueError:
+            thr = 0.0
+        if thr > 0.0:
+            band = np.linspace(-4.0 * thr, 4.0 * thr, 161)
+            thetas = sorted(set(thetas) | set(float(v) for v in band))
     arr = np.array(thetas, dtype=np.float64)
     return list(zip(thetas, (-_log_density(arr, cfg)).tolist(),
                     (-mgp_grad(arr, cfg)).tolist()))

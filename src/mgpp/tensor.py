@@ -9,6 +9,13 @@ ndarrays only, never a Tensor or a Graph. Tensors point to their graph but
 nothing on the tape points back, so a spent tape is freed by reference
 counting as soon as its last reference goes, without the cyclic GC.
 
+A backward function hands its results over: every array it returns is a
+writeable float64 array that shares memory with no other returned array and
+with no forward input or output. It may be ``gout`` itself or a view of it,
+since nothing else holds ``gout`` once its node runs; a broadcast is copied
+into a pooled array first. So backward_pass keeps a first gradient as it is
+and adds later ones into it in place.
+
 Every op output, backward temporary and gradient is a view of a buffer
 from one pool (``_empty``). A training step records the same ops on the same
 shapes each time, so after the first step it reuses buffers instead of
@@ -180,18 +187,25 @@ def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
                    lambda gout: (_product(gout, B), _product(gout.transpose(0, 2, 1), A)))
 
 
+def _filled(shape: tuple, value: np.ndarray) -> np.ndarray:
+    """A pooled array of ``shape`` holding ``value``, broadcast."""
+    out = _empty(shape)
+    np.copyto(out, value)
+    return out
+
+
 def sum_axis0(a: Tensor) -> Tensor:
     """Sum over the leading axis: [H x ...] -> [...]."""
     shape = a.data.shape
     return _record("sum_axis0", (a,), np.sum(a.data, axis=0, out=_empty(shape[1:])),
-                   lambda gout: (np.broadcast_to(gout, shape),))
+                   lambda gout: (_filled(shape, gout),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     return _record("add", (a, b), np.add(a.data, b.data, out=_empty(a.data.shape)),
-                   lambda gout: (gout, gout))
+                   lambda gout: (gout, _filled(gout.shape, gout)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -304,8 +318,8 @@ def mean_axis1(a: Tensor) -> Tensor:
     n = shape[1]
     return _record("mean_axis1", (a,),
                    np.mean(a.data, axis=1, out=_empty((shape[0], shape[2]))),
-                   lambda gout: (np.broadcast_to(
-                       np.divide(gout, n, out=gout)[:, None, :], shape),))
+                   lambda gout: (_filled(
+                       shape, np.divide(gout, n, out=gout)[:, None, :]),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -351,20 +365,13 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
     them.
 
     Returns a map tensor id -> gradient array. Each node's input gradients
-    are added in argument order. The first write to an id takes the delta
-    over without a copy when it is a writeable float64 array, owned or a
-    view, and is not an array an earlier input of the same node already
-    took (``add`` returns ``(gout, gout)``); any other first delta, such as
-    a read-only broadcast, is copied into a pooled array. Later writes add
-    into the held array in place. Taking a delta over is safe because a
-    backward function returns ``gout``, a view of it, or a fresh array,
-    never an array captured from the forward pass, and ``gout`` itself is
-    popped from the map before its node runs; so a backward may also
-    overwrite ``gout``. An op output's gradient is dropped as soon as its
-    node has propagated it, so the map ends up holding leaf gradients only.
-    Each record's backward function is dropped once replayed, which frees
-    the forward arrays it held for the rest of the pass; a graph is
-    replayed once.
+    are added in argument order: the first write to an id keeps the delta
+    the backward function handed over (see the module docstring), and later
+    writes add into it in place. An op output's gradient is dropped as soon
+    as its node has propagated it, so the map ends up holding leaf
+    gradients only. Each record's backward function is dropped once
+    replayed, which frees the forward arrays it held for the rest of the
+    pass; a graph is replayed once.
     """
     if loss.graph is not graph:
         raise ValueError("loss does not belong to this graph")
@@ -376,19 +383,12 @@ def backward_pass(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
         if gout is None or node.backward is None:
             continue
         deltas, node.backward = node.backward(gout), None
-        taken = []
         for tid, delta in zip(node.input_ids, deltas):
             if tid is None:
                 continue
             g = grads.get(tid)
-            if g is not None:
-                np.add(g, delta, out=g)
-            elif (isinstance(delta, np.ndarray) and delta.dtype == np.float64
-                  and delta.flags.writeable
-                  and not any(delta is t for t in taken)):
+            if g is None:
                 grads[tid] = delta
-                taken.append(delta)
             else:
-                grads[tid] = g = _empty(np.shape(delta))
-                np.copyto(g, delta)
+                np.add(g, delta, out=g)
     return grads

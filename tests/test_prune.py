@@ -392,7 +392,8 @@ def test_dev_accuracy_logged_each_epoch():
 
 def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
     # evaluation runs in training-batch chunks, so no forward pass in a run,
-    # dev and test included, holds more sequences than a training step
+    # dev and test included, holds more sequences than a training step; the
+    # last dev window overlaps the one before, so every pass is a full batch
     seen = {"step": [], "eval": []}
 
     def recorder(kind, forward):
@@ -405,12 +406,12 @@ def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
                         recorder("step", mgpp.prune.forward_logits))
     monkeypatch.setattr(mgpp.transformer, "forward_logits",
                         recorder("eval", mgpp.transformer.forward_logits))
-    cfg = build_config(micro_pairs(**{"batch_size": 8, "task.dev": 40}))
+    cfg = build_config(micro_pairs(**{"batch_size": 8, "task.dev": 44}))
     train(cfg)
     assert len(seen["step"]) == cfg.total_steps
-    # two dev passes of 5 chunks, one test pass of 8
-    assert len(seen["eval"]) == 2 * 5 + 8
-    assert max(seen["step"] + seen["eval"]) <= 8
+    # two dev passes of 6 chunks, one test pass of 8
+    assert len(seen["eval"]) == 2 * 6 + 8
+    assert set(seen["step"] + seen["eval"]) == {8}
 
 
 def test_pa_refine_carries_epoch_counter_on():

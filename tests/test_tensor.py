@@ -258,13 +258,13 @@ def test_gradient_accumulates_over_fanout():
     assert sorted(grads) == sorted([theta.id, w.id])
     maps = [(grads, [theta, w, c])]
 
-    # backward_pass takes fresh first deltas over without copying them; these
-    # graphs pin the cases where a delta must still be copied
+    # backward_pass keeps each first delta as its backward handed it over;
+    # these graphs pin the ops whose backward must hand over a copy
     g = Graph()
     a = g.tensor([[2.0]], requires_grad=True)
     b = g.tensor([[3.0]], requires_grad=True)
-    # add feeding two distinct leaves, then one of them again: each add
-    # returns (gout, gout), so the second input must not hold the first's array
+    # add feeding two distinct leaves, then one of them again: each add hands
+    # its second input a copy of gout, so no two inputs hold the same array
     grads = backward_pass(g, T.reshape(T.add(T.add(a, b), a), ()))
     np.testing.assert_array_equal(grads[a.id], [[2.0]])
     np.testing.assert_array_equal(grads[b.id], [[1.0]])
@@ -277,7 +277,8 @@ def test_gradient_accumulates_over_fanout():
     np.testing.assert_array_equal(grads[theta.id], [[2.0, 2.0]])
     maps.append((grads, [theta]))
 
-    # mean_axis1 returns a read-only broadcast and reshape a view: both copied
+    # mean_axis1 broadcasts its gradient, so it hands over a filled copy;
+    # reshape hands over a view of gout
     g = Graph()
     x = g.tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
     w8 = g.tensor(np.linspace(-1.0, 1.0, 8).reshape(8, 1), requires_grad=True)
@@ -289,8 +290,7 @@ def test_gradient_accumulates_over_fanout():
                                      (2, 3, 4)))
     maps.append((grads, [x, w8]))
 
-    cfg = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=1, n_max=5, vocab=7,
-                            n_classes=3)
+    cfg = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=1, vocab=7, n_classes=3)
     store = init_params(cfg, [0, 1])
     g = Graph()
     bound = bind_params(g, store)
@@ -586,6 +586,10 @@ def test_pool_never_hands_out_a_referenced_buffer(derive):
 
 
 def test_pool_stops_growing_after_the_second_step():
+    def snapshot():
+        bufs = [b for group in T._POOL.values() for b in group]
+        return len(bufs), sum(b.nbytes for b in bufs)
+
     class Snapshots(RunMetrics):
         def __init__(self):
             super().__init__()
@@ -594,12 +598,71 @@ def test_pool_stops_growing_after_the_second_step():
         def log(self, record):
             super().log(record)
             if record["step"] in (2, 20):
-                bufs = [b for group in T._POOL.values() for b in group]
-                self.pool[record["step"]] = (len(bufs), sum(b.nbytes for b in bufs))
+                self.pool[record["step"]] = snapshot()
 
     metrics = Snapshots()
-    train(build_config(MICRO | {"epochs": 3}), metrics)
-    assert metrics.pool[2] == metrics.pool[20]
+    # dev and test splits that are not a multiple of the batch: evaluation
+    # still runs at the training step's shapes, so the pool stays put
+    train(build_config(MICRO | {"epochs": 3, "task.dev": 72, "task.test": 40}),
+          metrics)
+    assert metrics.pool[2] == metrics.pool[20] == snapshot()
+
+
+# ---------------------------------------------------------------------------
+# the hand-over contract
+# ---------------------------------------------------------------------------
+
+def public_ops() -> set:
+    return {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == T.__name__} \
+        - {"backward_pass"}
+
+
+HANDOVER_CASES = [
+    ("matmul", T.matmul, [(3, 4), (4, 5)]),
+    ("matmul", T.matmul, [(6, 4), (2, 4, 5)]),      # weights stacked by head
+    ("matmul", T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    ("bmm_nt", T.bmm_nt, [(2, 3, 4), (2, 5, 4)]),
+    ("sum_axis0", T.sum_axis0, [(2, 3, 4)]),
+    ("add", T.add, [(3, 4), (3, 4)]),
+    ("add", lambda a: T.add(a, a), [(3, 4)]),
+    ("scale", lambda a: T.scale(a, -0.5), [(3, 4)]),
+    ("relu", T.relu, [(3, 4)]),
+    ("row_softmax", T.row_softmax, [(2, 3, 4)]),
+    ("layer_norm", T.layer_norm, [(3, 4), (4,), (4,)]),
+    ("embedding", lambda t: T.embedding(t, np.array([[0, 2], [2, 1]])), [(3, 4)]),
+    ("mean_axis1", T.mean_axis1, [(2, 3, 4)]),
+    ("reshape", lambda a: T.reshape(a, (4, 3)), [(3, 4)]),
+    ("cross_entropy_loss",
+     lambda z: T.cross_entropy_loss(z, np.array([0, 3, 1])), [(3, 4)]),
+]
+
+
+@pytest.mark.parametrize("name, op, shapes", HANDOVER_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(HANDOVER_CASES)])
+def test_backward_hands_over_unshared_writeable_arrays(name, op, shapes):
+    # backward_pass keeps a first delta as it is and adds later ones into it,
+    # so each array a backward returns must be its own: writeable float64,
+    # sharing memory with no other returned array and no forward array
+    rng = np.random.default_rng(5)
+    g = Graph()
+    inputs = [g.tensor(rng.uniform(-1.0, 1.0, s), requires_grad=True)
+              for s in shapes]
+    out = op(*inputs)
+    node = g.nodes[-1]
+    assert node.op == name
+    deltas = node.backward(rng.uniform(-1.0, 1.0, out.data.shape))
+    assert len(deltas) == len(node.input_ids)
+    forward = [t.data for t in inputs] + [out.data]
+    for i, delta in enumerate(deltas):
+        assert isinstance(delta, np.ndarray) and delta.dtype == np.float64
+        assert delta.flags.writeable
+        assert not any(np.shares_memory(delta, a) for a in forward)
+        assert not any(np.shares_memory(delta, d) for d in deltas[i + 1:])
+
+
+def test_handover_cases_cover_every_public_op():
+    assert {name for name, _, _ in HANDOVER_CASES} == public_ops()
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +670,11 @@ def test_pool_stops_growing_after_the_second_step():
 # ---------------------------------------------------------------------------
 
 def test_public_ops_are_exactly_the_training_tape_ops():
-    cfg = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=2, n_max=5, vocab=7,
-                            n_classes=3)
+    cfg = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=2, vocab=7, n_classes=3)
     graph = Graph()
     bound = bind_params(graph, init_params(cfg, [0, 1]))
     tokens = RNG.integers(0, cfg.vocab, size=(4, 5))
     loss = T.cross_entropy_loss(forward_logits(graph, bound, tokens, cfg),
                                 np.array([0, 1, 2, 0]))
     backward_pass(graph, loss)
-    public = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
-              if not name.startswith("_") and fn.__module__ == T.__name__}
-    assert public == {node.op for node in graph.nodes} | {"backward_pass"}
+    assert public_ops() == {node.op for node in graph.nodes}

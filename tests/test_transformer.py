@@ -16,10 +16,8 @@ from finite_diff import finite_diff_grad
 
 RNG = np.random.default_rng(31337)
 
-DESK = TransformerConfig(d=32, k=8, m_ff=64, H=4, L=2, n_max=16, vocab=16,
-                         n_classes=4)
-TINY = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=2, n_max=6, vocab=11,
-                         n_classes=3)
+DESK = TransformerConfig(d=32, k=8, m_ff=64, H=4, L=2, vocab=16, n_classes=4)
+TINY = TransformerConfig(d=8, k=4, m_ff=16, H=2, L=2, vocab=11, n_classes=3)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +138,7 @@ def test_block_zero_weights_collapse_to_double_layernorm():
 
 
 def test_block_matches_loop_oracle_two_heads():
-    cfg = TransformerConfig(d=6, k=3, m_ff=10, H=2, L=1, n_max=4, vocab=5,
-                            n_classes=2)
+    cfg = TransformerConfig(d=6, k=3, m_ff=10, H=2, L=1, vocab=5, n_classes=2)
     store = init_params(cfg, [99, 1])
     seqs = RNG.normal(size=(3, 2, 6))
     g = Graph()
@@ -200,8 +197,7 @@ def test_layout_matches_store_order():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TransformerConfig(d=0, k=4, m_ff=16, H=2, L=2, n_max=6, vocab=11,
-                          n_classes=3)
+        TransformerConfig(d=0, k=4, m_ff=16, H=2, L=2, vocab=11, n_classes=3)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +215,6 @@ def test_model_forward_shape_and_determinism():
 
 def test_model_forward_input_validation():
     store = init_params(TINY, [2, 1])
-    with pytest.raises(ValueError):
-        logits_of(store, np.array([[0, 1, 2, 3, 4, 5, 6]]))  # > n_max
     with pytest.raises(ValueError):
         logits_of(store, np.array([[11]]))  # out of vocab
     with pytest.raises(ValueError):
@@ -302,19 +296,19 @@ def per_head_logits(store, tokens, cfg):
 
 
 def test_logits_bitwise_equal_per_head_reference():
-    for cfg, seed in ((DESK, 0), (TINY, 1)):
+    for cfg, seed, n in ((DESK, 0, 16), (TINY, 1, 6)):
         store = init_params(cfg, [seed, 1])
-        tokens = RNG.integers(0, cfg.vocab, size=(8, cfg.n_max))
+        tokens = RNG.integers(0, cfg.vocab, size=(8, n))
         assert np.array_equal(logits_of(store, tokens, cfg).data,
                               per_head_logits(store, tokens, cfg))
 
 
 def test_tape_length_does_not_depend_on_heads():
     """A desk-shaped training step records 46 nodes, for 1 head as for 4."""
-    tokens = RNG.integers(0, DESK.vocab, size=(32, DESK.n_max))
+    tokens = RNG.integers(0, DESK.vocab, size=(32, 16))
     labels = RNG.integers(0, DESK.n_classes, size=32)
     for heads in (1, 4):
-        cfg = TransformerConfig(d=32, k=8, m_ff=64, H=heads, L=2, n_max=16,
+        cfg = TransformerConfig(d=32, k=8, m_ff=64, H=heads, L=2,
                                 vocab=16, n_classes=4)
         g = Graph()
         bound = bind_params(g, init_params(cfg, [0, 1]))
@@ -328,6 +322,9 @@ def test_evaluate_accuracy_counts_argmax_hits():
     logits = logits_of(store, tokens)
     labels = logits.data.argmax(axis=1)
     wrong = (labels + 1) % TINY.n_classes
+    # a hit every third row: an overlapping last window counts each row once
+    mixed = np.where(np.arange(40) % 3 == 0, labels, wrong)
     for chunk in (1, 7, 16, 40, 256):
         assert evaluate_accuracy(store, TINY, tokens, labels, chunk) == 1.0
         assert evaluate_accuracy(store, TINY, tokens, wrong, chunk) == 0.0
+        assert evaluate_accuracy(store, TINY, tokens, mixed, chunk) == 14 / 40
