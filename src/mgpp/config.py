@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .data import SyntheticTaskSpec
-from .prior import MgpConfig
-from .schedule import CubicScheduleConfig, PaScheduleConfig
+from .prior import MgpConfig, pa_threshold
+from .schedule import CubicScheduleConfig, PaScheduleConfig, pa_schedule_at
 from .transformer import TransformerConfig
 
 METHODS = ("mgpp", "gmp", "l2", "pa")
@@ -216,8 +216,11 @@ def build_config(values: dict) -> ExperimentConfig:
         cfg.cubic_schedule()
         cfg.mgp_config()
         if method == "pa":
-            cfg.pa_schedule()
-            replace(cfg.mgp_config(), sigma0_sq=merged["pa.sigma0_end_sq"])
+            # the anneal's first prior, its widest, and the threshold pass
+            # at its last spike width
+            pa, mgp = cfg.pa_schedule(), cfg.mgp_config()
+            replace(mgp, sigma0_sq=pa_schedule_at(1, pa)[0])
+            pa_threshold(replace(mgp, sigma0_sq=pa.sigma0_end_sq))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -19,6 +19,15 @@ with c1 = ln(lam) - ln(1-lam) + 0.5*ln(sigma0_sq) - 0.5*ln(sigma1_sq) and
 c2 = 0.5/sigma0_sq - 0.5/sigma1_sq. g(theta) is the posterior responsibility
 of the spike component; it crosses 1/2 exactly where c2*theta^2 + c1 = 0,
 which is also the one-shot pruning threshold returned by pa_threshold.
+
+g_fn and mgp_grad run once per training step over every prunable
+coordinate, so they compute in place, in arrays from the tensor engine's
+pool (``tensor._empty``), and allocate nothing after the first step. They
+do the operations of the plain expressions in the same order, so their
+results are bitwise the same. Where c2*theta^2 + c1 is above the cutoff, g
+is 0: the exponent is clamped to the cutoff, which changes no exponent at
+or below it and keeps exp finite, and the clamped lanes are then set to 0.
+A returned array stays valid for as long as the caller holds it.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tensor import _empty
 
 # exp overflows float64 just above 709; beyond this the limit value of g is 0.
 _EXP_OVERFLOW = 700.0
@@ -61,20 +72,29 @@ class MgpConfig:
 
 def g_fn(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:
     """Spike responsibility g(theta) = (exp{c2 theta^2 + c1} + 1)^(-1),
-    elementwise.
+    elementwise, in a pooled array (see the module docstring).
 
     Gives 0 exactly where the exponent would overflow float64 (the limit
     value); even in theta and non-increasing in |theta|.
     """
-    u = cfg.c2 * theta * theta + cfg.c1
-    out = np.zeros_like(u)
-    ok = u <= _EXP_OVERFLOW
-    out[ok] = 1.0 / (np.exp(u[ok]) + 1.0)
-    return out
+    arr = np.asarray(theta, dtype=np.float64)
+    u = np.multiply(cfg.c2, arr, out=_empty(arr.shape))
+    np.multiply(u, arr, out=u)
+    np.add(u, cfg.c1, out=u)
+    # g is 0 where the exponent is above the cutoff (or NaN); the clamp
+    # leaves every other exponent as it is and keeps exp finite
+    over = _empty(arr.shape, bool)
+    np.logical_not(np.less_equal(u, _EXP_OVERFLOW, out=over), out=over)
+    np.minimum(u, _EXP_OVERFLOW, out=u)
+    np.exp(u, out=u)
+    np.add(u, 1.0, out=u)
+    np.divide(1.0, u, out=u)
+    np.putmask(u, over, 0.0)
+    return u
 
 
 def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
-    """Gradient of the log prior, elementwise:
+    """Gradient of the log prior, elementwise, in a pooled array:
     -(theta/sigma0_sq * g(theta) + theta/sigma1_sq * (1 - g(theta))).
 
     Finite for all finite inputs, including |theta| up to 1e3 under extreme
@@ -82,7 +102,12 @@ def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
     """
     arr = np.asarray(theta, dtype=np.float64)
     g = g_fn(arr, cfg)
-    return -(arr / cfg.sigma0_sq * g + arr / cfg.sigma1_sq * (1.0 - g))
+    out = np.divide(arr, cfg.sigma0_sq, out=_empty(arr.shape))
+    np.multiply(out, g, out=out)
+    slab = np.divide(arr, cfg.sigma1_sq, out=_empty(arr.shape))
+    np.multiply(slab, np.subtract(1.0, g, out=g), out=slab)
+    np.add(out, slab, out=out)
+    return np.negative(out, out=out)
 
 
 def _log_density(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:

@@ -38,7 +38,7 @@ from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
 from .prior import MgpConfig, mgp_grad, pa_threshold
 from .schedule import pa_schedule_at, prune_steps, sparsity_and_eta_at
-from .tensor import Graph, backward_pass
+from .tensor import Graph, _empty, backward_pass
 from .transformer import (TransformerConfig, bind_params, evaluate_accuracy,
                           forward_logits, init_params)
 
@@ -53,8 +53,10 @@ class PruneEvent:
 
 
 def magnitude_scores(store: ParamStore) -> np.ndarray:
-    """|theta_j| over the prunable coordinates, in global coordinate order."""
-    return np.abs(store.flat[:store.num_prunable()])
+    """|theta_j| over the prunable coordinates, in global coordinate order,
+    in a pooled array."""
+    P = store.num_prunable()
+    return np.abs(store.flat[:P], out=_empty((P,)))
 
 
 def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent:
@@ -66,23 +68,30 @@ def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent
     cut, in coordinate order, until k are pruned. So ties break toward the
     earlier coordinate, exactly as a stable sort of the scores would rank
     them. The mask is rebuilt from the current magnitudes alone — previously
-    pruned coordinates compete again.
+    pruned coordinates compete again. The scores are a pooled array and the
+    comparisons are written into the mask, so an event allocates only the
+    tie positions.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"sparsity fraction must be in [0, 1], got {v}")
     scores = magnitude_scores(store)
     total = scores.size
     k = math.floor(v * total)
+    keep = store.mask[:total]
     if k == total:
-        keep, threshold = np.zeros(total, dtype=bool), 0.0
+        keep[...], threshold = False, 0.0
     elif k == 0:
-        keep, threshold = np.ones(total, dtype=bool), scores.min()
+        keep[...], threshold = True, scores.min()
     else:
-        cut, threshold = np.partition(scores, [k - 1, k])[[k - 1, k]]
-        keep = scores > cut
-        ties = np.flatnonzero(scores == cut)
-        keep[ties[k - np.count_nonzero(scores < cut):]] = True
-    store.mask[:total] = keep
+        # partition the scores in place, then take them again; the mask
+        # holds each comparison in turn
+        scores.partition([k - 1, k])
+        cut, threshold = scores[k - 1], scores[k]
+        np.abs(store.flat[:total], out=scores)
+        below = np.count_nonzero(np.less(scores, cut, out=keep))
+        ties = np.flatnonzero(np.equal(scores, cut, out=keep))[k - below:]
+        np.greater(scores, cut, out=keep)
+        keep[ties] = True
     store.apply_masks()
     return PruneEvent(step=step, sparsity=v, zeroed=k,
                       kept=total - k, threshold=float(threshold))
@@ -109,12 +118,14 @@ def _add_prior_grads(grads: np.ndarray, store: ParamStore,
     if eta == 0.0:
         return
     P = store.num_prunable()
-    grads[:P] -= (eta / n_train) * mgp_grad(store.flat[:P], mgp)
+    prior = mgp_grad(store.flat[:P], mgp)
+    grads[:P] -= np.multiply(prior, eta / n_train, out=prior)
 
 
 def _update(store, opt, step: int, loss: float, grads, lr: float) -> None:
     """Optimizer update, refused for a non-finite loss or gradient."""
-    if not (math.isfinite(loss) and np.isfinite(grads).all()):
+    if not (math.isfinite(loss)
+            and np.isfinite(grads, out=_empty(grads.shape, bool)).all()):
         raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
     optim_step(store, grads, opt, lr)
 
@@ -123,7 +134,7 @@ def _threshold_pass(store: ParamStore, threshold: float, step: int) -> PruneEven
     """One-shot structure sparsification: keep the prunable coordinates
     strictly above the threshold; the masks then stay frozen."""
     P = store.num_prunable()
-    store.mask[:P] = magnitude_scores(store) > threshold
+    np.greater(magnitude_scores(store), threshold, out=store.mask[:P])
     store.apply_masks()
     zeroed = store.zeroed_count()
     return PruneEvent(step=step, sparsity=store.sparsity(), zeroed=zeroed,

@@ -16,21 +16,33 @@ since nothing else holds ``gout`` once its node runs; a broadcast is copied
 into a pooled array first. So backward_pass keeps a first gradient as it is
 and adds later ones into it in place.
 
-Every op output, backward temporary and gradient is a view of a buffer
-from one pool (``_empty``). A training step records the same ops on the same
-shapes each time, so after the first step it reuses buffers instead of
-allocating and page-faulting fresh ones. The pool is keyed by element count
-and dtype, not shape, so arrays of equal size share buffers. A buffer is
-handed out only when nothing else references it: numpy points every view,
-and every view of a view, at the buffer that owns the data, so
-``sys.getrefcount`` counts each live view. The count that means "free" is
-measured at import by the code that tests it, since the interpreter's own
-references vary between CPython versions (3.14 borrows stack references);
-the rule assumes CPython's reference counting. A process keeps its pool:
-buffers are never freed, and each size holds as many buffers as were ever
-live at once. The ops compute in place with ``out=``, in the operation order
-of the plain numpy expressions, so results are bitwise the same.
-cross_entropy_loss, whose arrays are [B x C], allocates as numpy does.
+Every op output, backward temporary and gradient, with the two exceptions
+named below, is a view of a buffer from one pool (``_empty``). A training
+step records the same ops on the same shapes each time, so after the first
+step it reuses buffers instead of allocating and page-faulting fresh ones.
+The pool is keyed by element count and dtype, not shape, so arrays of equal
+size share buffers. A buffer is handed out only when nothing else
+references it: numpy points every view, and every view of a view, at the
+buffer that owns the data, so ``sys.getrefcount`` counts each live view.
+The count that means "free" is measured at import by the code that tests
+it, since the interpreter's own references vary between CPython versions
+(3.14 borrows stack references); the rule assumes CPython's reference
+counting. A process keeps its pool: buffers are never freed, and each size
+holds as many buffers as were ever live at once. Other modules take their
+per-step temporaries from the same pool: the prior gradient, the global
+prune's scores, the divergence check's mask and the optimizer's slices.
+
+The ops compute in place with ``out=``, in the operation order of the plain
+numpy expressions, so results are bitwise the same. Three take a faster
+route to the same bits:
+  * row_softmax takes the row max one column at a time (``_row_max``); max
+    is exact in any order, and a zero maximum's sign cannot reach the output;
+  * row_softmax and layer_norm reduce with ``np.add.reduce`` (and the same
+    divide for a mean), the calls that ``np.sum`` and ``np.mean`` wrap;
+  * embedding's backward is one ``np.bincount`` over the table's cells,
+    which adds each cell's gradients in index order from 0.0, as
+    ``np.add.at`` does. Its index array is pooled; its [V x d] result is
+    fresh, as is every array of cross_entropy_loss, which are [B x C].
 
 Numerical stabilizers used throughout:
   * softmax / log-sum-exp always subtract the per-row maximum,
@@ -222,25 +234,45 @@ def relu(a: Tensor) -> Tensor:
         gout, np.greater(out, 0.0, out=_empty(out.shape, bool)), out=gout),))
 
 
+def _row_max(x: np.ndarray, rows: tuple) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) in a pooled array, taken column by
+    column: on rows as short as a sequence, a few strided passes beat
+    ``np.max``'s reduction over the last axis. Max is exact in any order, so
+    this is ``np.max``'s result up to the sign of a zero maximum, and that
+    sign changes x - max only for x = -0.0, where both signs exponentiate
+    to 1."""
+    m = _empty(rows)
+    np.copyto(m, x[..., :1])
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
+
+
 def row_softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, computed with per-row max subtraction."""
     x = a.data
     if x.ndim < 1:
         raise ValueError("row_softmax expects at least one axis")
     rows = x.shape[:-1] + (1,)
-    p = np.subtract(x, np.max(x, axis=-1, keepdims=True, out=_empty(rows)),
-                    out=_empty(x.shape))
+    p = np.subtract(x, _row_max(x, rows), out=_empty(x.shape))
     np.exp(p, out=p)
-    np.divide(p, np.sum(p, axis=-1, keepdims=True, out=_empty(rows)), out=p)
+    np.divide(p, np.add.reduce(p, axis=-1, keepdims=True, out=_empty(rows)), out=p)
 
     def backward(gout):
         # p * (gout - (gout * p).sum(axis=-1, keepdims=True))
         gp = np.multiply(gout, p, out=_empty(p.shape))
-        np.subtract(gout, np.sum(gp, axis=-1, keepdims=True, out=_empty(rows)),
-                    out=gout)
+        np.subtract(gout, np.add.reduce(gp, axis=-1, keepdims=True,
+                                        out=_empty(rows)), out=gout)
         return (np.multiply(p, gout, out=gout),)
 
     return _record("row_softmax", (a,), p, backward)
+
+
+def _row_mean(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True) into ``out``: the sum and the divide
+    that ``np.mean`` makes, without its Python wrapper."""
+    np.add.reduce(x, axis=-1, keepdims=True, out=out)
+    return np.divide(out, x.shape[-1], out=out)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -257,10 +289,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"gamma {gamma.data.shape}, beta {beta.data.shape}")
     G = gamma.data
     rows = x.shape[:-1] + (1,)
-    s = np.mean(x, axis=-1, keepdims=True, out=_empty(rows))  # the mean, then sqrt(var + eps)
+    s = _row_mean(x, _empty(rows))  # the mean, then sqrt(var + eps)
     xhat = np.subtract(x, s, out=_empty(x.shape))  # centered, until divided
     out = np.multiply(xhat, xhat, out=_empty(x.shape))
-    np.mean(out, axis=-1, keepdims=True, out=s)
+    _row_mean(out, s)
     np.add(s, EPS_LN, out=s)
     np.sqrt(s, out=s)
     np.divide(xhat, s, out=xhat)
@@ -271,16 +303,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         # term = q - mean(q) - xhat * mean(q * xhat) with q = gout * G;
         # returns term / s, sum(gout * xhat) and sum(gout) over the rows
         q = np.multiply(gout, G, out=_empty(gout.shape))
-        q_mean = np.mean(q, axis=-1, keepdims=True, out=_empty(rows))
+        q_mean = _row_mean(q, _empty(rows))
         t = np.multiply(q, xhat, out=_empty(gout.shape))
-        t_mean = np.mean(t, axis=-1, keepdims=True, out=_empty(rows))
+        t_mean = _row_mean(t, _empty(rows))
         np.subtract(q, q_mean, out=q)
         np.subtract(q, np.multiply(xhat, t_mean, out=t), out=q)
         np.divide(q, s, out=q)
         axes = tuple(range(gout.ndim - 1))
-        d_beta = np.sum(gout, axis=axes, out=_empty(G.shape))
-        d_gamma = np.sum(np.multiply(gout, xhat, out=gout), axis=axes,
-                         out=_empty(G.shape))
+        d_beta = np.add.reduce(gout, axis=axes, out=_empty(G.shape))
+        d_gamma = np.add.reduce(np.multiply(gout, xhat, out=gout), axis=axes,
+                                out=_empty(G.shape))
         return q, d_gamma, d_beta
 
     return _record("layer_norm", (a, gamma, beta), out, backward)
@@ -300,10 +332,17 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding id out of range [0, {W.shape[0]})")
 
     def backward(gout):
-        gt = _empty(W.shape)
-        gt.fill(0.0)
-        np.add.at(gt, ids, gout)
-        return (gt,)
+        # np.add.at(zeros, ids, gout) as one bincount over the cells: cell
+        # (i, c) of the table is bin i*d + c, and bincount adds each bin's
+        # weights in index order from 0.0, as add.at does
+        V, d = W.shape
+        cells = np.multiply(ids[..., None], d, dtype=np.intp,
+                            out=_empty(ids.shape + (d,), np.intp))
+        np.add(cells, np.arange(d), out=cells)
+        grad = np.bincount(cells.reshape(-1), weights=gout.reshape(-1),
+                           minlength=V * d)
+        # with no ids at all, bincount's zeros are integers
+        return (grad.astype(np.float64, copy=False).reshape(W.shape),)
 
     # ids are checked above, so "clip" never clips; "raise" would buffer out
     return _record("embedding", (table,), np.take(

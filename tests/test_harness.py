@@ -168,6 +168,24 @@ def test_invalid_subconfig_surfaces_as_config_error():
         build_config({"epochs": 0})
 
 
+@pytest.mark.parametrize("lines, message", [
+    # the anneal would start from a spike wider than the slab
+    ("pa.sigma0_init_sq = 0.1\n", "sigma0_sq must not exceed sigma1_sq"),
+    ("mgp.sigma1_sq = 3e-5\n", "sigma0_sq must not exceed sigma1_sq"),
+    # the threshold pass needs a spike strictly narrower than the slab
+    ("mgp.sigma1_sq = 3e-5\npa.sigma0_init_sq = 3e-5\n",
+     "sigma0_sq < sigma1_sq strictly"),
+], ids=["wide-start", "narrow-slab", "slab-equals-end"])
+def test_cli_refuses_a_pa_prior_that_fails_mid_run(tmp_path, capsys, lines,
+                                                   message):
+    # both configs once passed build_config and died on the first step
+    cfg_path = micro_config_file(tmp_path, "method = pa\n" + lines)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")

@@ -17,9 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mgpp.prior import MgpConfig, g_fn, mgp_grad, pa_threshold, penalty_curve
+from mgpp.prior import (_EXP_OVERFLOW, MgpConfig, g_fn, mgp_grad, pa_threshold,
+                        penalty_curve)
 
-from prior_oracle import neg_log_prior
+from prior_oracle import (EXP_OVERFLOW, g_reference, mgp_grad_reference,
+                          neg_log_prior)
 
 RNG = np.random.default_rng(77)
 
@@ -139,6 +141,52 @@ def test_no_nan_inf_over_wide_range():
     assert np.isfinite(mgp_grad(grid, CRIT)).all()
     assert np.isfinite(neg_log_prior(grid, CRIT))
     assert np.isfinite(g_fn(np.linspace(-1e3, 1e3, 101), CRIT)).all()
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+# the desk prior, an annealed spike (g spread over its whole range), and a
+# degenerate mixture (c2 = 0)
+KERNEL_CFGS = [DESK, MgpConfig(1e-7, 1.4e-4, 0.05), MgpConfig(0.3, 0.05, 0.05)]
+
+
+@pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=["desk", "annealed", "c2=0"])
+def test_pooled_kernels_bitwise_equal_plain_expressions(cfg):
+    assert EXP_OVERFLOW == _EXP_OVERFLOW
+    theta = np.concatenate([
+        RNG.normal(size=2000) * 0.05, RNG.normal(size=500) * 1e-4,
+        np.geomspace(1e-12, 1e3, 300), -np.geomspace(1e-12, 1e3, 300),
+        [0.0, -0.0, 1e-300, -5e-324, np.nan],
+    ])
+    if cfg.c2 > 0.0:
+        # exponents on a fine ladder straddling the cutoff, from both signs
+        u = np.linspace(EXP_OVERFLOW - 1e-9 * EXP_OVERFLOW,
+                        EXP_OVERFLOW + 1e-9 * EXP_OVERFLOW, 401)
+        near = np.sqrt((u - cfg.c1) / cfg.c2)
+        exponent = cfg.c2 * near * near + cfg.c1
+        assert (exponent <= EXP_OVERFLOW).any() and (exponent > EXP_OVERFLOW).any()
+        theta = np.concatenate([theta, near, -near])
+    rows = theta[:theta.size // 7 * 7].reshape(-1, 7)
+    for arr in (theta, rows[:, 1::2], theta[::-3]):
+        assert_bitwise(g_fn(arr, cfg), g_reference(arr, cfg))
+        assert_bitwise(mgp_grad(arr, cfg), mgp_grad_reference(arr, cfg))
+    for t in theta[::97]:
+        # 0-d input: a NumPy scalar, a 0-d array and a Python float
+        for zero_d in (t, np.array(t), float(t)):
+            assert_bitwise(g_fn(zero_d, cfg), g_reference(np.float64(t), cfg))
+            assert_bitwise(mgp_grad(zero_d, cfg), mgp_grad_reference(t, cfg))
+
+
+def test_pooled_kernel_results_are_not_overwritten_by_later_calls():
+    first = mgp_grad(np.array([1e-5, 0.3]), CRIT)
+    held = first.copy()
+    second = mgp_grad(np.array([-0.3, 2.0]), CRIT)
+    assert not np.shares_memory(first, second)
+    assert_bitwise(first, held)
 
 
 def test_threshold_frozen_values():

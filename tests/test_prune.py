@@ -5,6 +5,7 @@ tie-breaking, revival, prior-gradient wiring, the public surface, and
 import gc
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import mgpp.prune
 import mgpp.transformer
 from mgpp.config import build_config
 from mgpp.data import generate_dataset
+from mgpp.metrics import RunMetrics
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
 from mgpp.prune import (apply_global_prune, magnitude_scores, train,
@@ -288,6 +290,33 @@ def test_step_and_train_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_steps_after_warm_up_allocate_less_than_a_prunable_vector():
+    # steps 5-7 of a micro mgpp run: the prior on every step (eta = 1 from
+    # t_i = 2) and a prune event at step 6, between the epoch ends at 0 and 8
+    cfg = build_config(micro_pairs(**{"model.d": 64, "model.k": 16,
+                                      "model.ffn": 256, "model.heads": 4}))
+
+    class Probe(RunMetrics):
+        def log(self, record):
+            super().log(record)
+            if record["step"] == 4:
+                tracemalloc.start()
+            elif record["step"] == 7:
+                self.peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+    try:
+        probe, store = train(cfg, Probe())
+    finally:
+        tracemalloc.stop()
+    P = store.num_prunable()
+    window = probe.records[4:7]
+    assert [r["step"] for r in window] == [5, 6, 7]
+    assert all(r["eta"] == 1.0 and "epoch" not in r for r in window)
+    assert 0 < window[1]["zeroed"] < P            # a partition, not v = 0 or 1
+    assert probe.peak < 8 * P                     # one float64 vector of P
 
 
 def test_runs_are_deterministic():

@@ -525,10 +525,9 @@ def test_inplace_ops_bitwise_equal_plain_expressions(rows, d, k, H, ffn, B, n):
     z = 3.0 * rng.standard_normal((H * B, n, n))
     gout = rng.standard_normal(z.shape)
     out, (grad,) = run_op(T.row_softmax, [z], gout)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    assert_bitwise(out, p)
-    assert_bitwise(grad, p * (gout - (gout * p).sum(axis=-1, keepdims=True)))
+    ref_out, ref_grad = softmax_reference(z, gout)
+    assert_bitwise(out, ref_out)
+    assert_bitwise(grad, ref_grad)
 
     h = rng.standard_normal((rows, ffn))
     h[0, :8] = 0.0                          # the kink: subgradient 0
@@ -541,6 +540,64 @@ def test_inplace_ops_bitwise_equal_plain_expressions(rows, d, k, H, ffn, B, n):
     out, (grad,) = run_op(T.scale, [z], gout, c=1.0 / math.sqrt(k))
     assert_bitwise(out, z * (1.0 / math.sqrt(k)))
     assert_bitwise(grad, gout * (1.0 / math.sqrt(k)))
+
+
+def softmax_reference(z, gout):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, p * (gout - (gout * p).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_row_softmax_column_max_bitwise_equal_np_max(n):
+    rng = np.random.default_rng([n, 3])
+    z = 3.0 * rng.standard_normal((4, 5, n))
+    z[0, 0] = 1.5                                   # all tied
+    z[0, 1, ::2] = z[0, 1].max() + 1.0              # tied at the maximum
+    z[1] = -np.abs(z[1])
+    z[1, 0, -1] = 0.0                               # maximum +0.0
+    z[1, 1, 0] = -0.0                               # maximum -0.0
+    z[1, 2, 0], z[1, 2, -1] = -0.0, 0.0             # both signed zeros
+    z[1, 3, 0], z[1, 3, -1] = 0.0, -0.0
+    z[1, 4] = -0.0
+    gout = rng.standard_normal(z.shape)
+    assert (T._row_max(z, z.shape[:-1] + (1,)) == z.max(axis=-1, keepdims=True)).all()
+    out, (grad,) = run_op(T.row_softmax, [z], gout)
+    ref_out, ref_grad = softmax_reference(z, gout)
+    assert_bitwise(out, ref_out)
+    assert_bitwise(grad, ref_grad)
+    # a non-contiguous input takes the same path
+    out, (grad,) = run_op(T.row_softmax, [z[:, ::2, :]], gout[:, ::2, :])
+    ref_out, ref_grad = softmax_reference(z[:, ::2, :], gout[:, ::2, :])
+    assert_bitwise(out, ref_out)
+    assert_bitwise(grad, ref_grad)
+
+
+def embedding_reference(W, ids, gout):
+    grad = np.zeros_like(W)
+    np.add.at(grad, ids, gout)
+    return W[ids], grad
+
+
+@pytest.mark.parametrize("V, d, ids", [
+    # id 3 repeats, and ids 2 and 4 never occur
+    (6, 5, np.array([[0, 3, 3, 1], [3, 0, 5, 3]])),
+    # a narrow dtype, and the largest id is not V - 1
+    (6, 5, np.array([4, 4, 4], dtype=np.int8)),
+    (6, 5, np.zeros((0, 3), dtype=np.int64)),
+    # the desk and gmp-wide shapes: one batch of sequences
+    (16, 32, np.random.default_rng(1).integers(0, 16, size=(32, 16))),
+    (4, 64, np.random.default_rng(2).integers(0, 4, size=(32, 16))),
+], ids=["repeats", "int8", "empty", "desk", "gmp-wide"])
+def test_embedding_backward_bitwise_equal_add_at(V, d, ids):
+    rng = np.random.default_rng([V, d])
+    W = rng.standard_normal((V, d))
+    gout = rng.standard_normal(ids.shape + (d,))
+    gout.reshape(-1, d)[::3, ::2] = -0.0      # a cell summing -0.0 alone gives 0.0
+    out, (grad,) = run_op(lambda t: T.embedding(t, ids), [W], gout)
+    ref_out, ref_grad = embedding_reference(W, ids, gout)
+    assert_bitwise(out, ref_out)
+    assert_bitwise(grad, ref_grad)
 
 
 @pytest.mark.parametrize("rows, d, k, H, ffn, B, n", SHAPES)
