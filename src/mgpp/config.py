@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 from .data import SyntheticTaskSpec
 from .prior import MgpConfig, pa_threshold
-from .schedule import CubicScheduleConfig, PaScheduleConfig, pa_schedule_at
+from .schedule import (CubicScheduleConfig, PaScheduleConfig, pa_schedule_at,
+                       prune_steps, sparsity_and_eta_at)
 from .transformer import TransformerConfig
 
 METHODS = ("mgpp", "gmp", "l2", "pa")
@@ -95,6 +96,17 @@ PRESETS: dict[str, dict[str, str]] = {
 
 
 @dataclass(frozen=True)
+class StepPlan:
+    """One training step of a method's plan, as plain data."""
+
+    mgp: MgpConfig | None  # the prior, or None for the loss alone
+    eta: float             # the prior's coefficient, as recorded
+    fields: dict           # scheduled record keys: v(t) as sparsity, or sigma0_sq
+    prune: float | None = None      # after the update: prune to this sparsity,
+    threshold: float | None = None  # else cut at this |theta|, else re-mask
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     method: str
     task: SyntheticTaskSpec
@@ -126,6 +138,43 @@ class ExperimentConfig:
     def mgp_config(self) -> MgpConfig:
         v = self.values
         return MgpConfig(v["mgp.lambda"], v["mgp.sigma0_sq"], v["mgp.sigma1_sq"])
+
+    def phases(self) -> list:
+        """The method's plan: (first step, last step, rule) per phase, where
+        rule(step) is that step's StepPlan. mgpp is one cubic phase with the
+        warm-up-scaled prior and a global prune at each prune step; gmp and
+        l2 are that phase without a prior (l2's weight decay is the
+        optimizer's). pa anneals sigma0^2 with a threshold pass on its last
+        step, then refines the survivors for pa.refine_epochs, masks frozen."""
+        T = self.total_steps
+        if self.method != "pa":
+            cubic = self.cubic_schedule()
+            events = set(prune_steps(cubic))
+            mgp = self.mgp_config() if self.method == "mgpp" else None
+
+            def cubic_rule(step):
+                v_t, eta = sparsity_and_eta_at(step, cubic)
+                return StepPlan(mgp, 0.0 if mgp is None else eta,
+                                {"sparsity": v_t},
+                                prune=v_t if step in events else None)
+            return [(1, T, cubic_rule)]
+
+        pa, mgp = self.pa_schedule(), self.mgp_config()
+
+        def anneal_rule(step):
+            # sigma0^2 holds its end value from t_f <= T: step T's is the cut's
+            sigma0_sq, eta = pa_schedule_at(step, pa)
+            prior = replace(mgp, sigma0_sq=sigma0_sq)
+            return StepPlan(prior, eta, {"sigma0_sq": sigma0_sq},
+                            threshold=pa_threshold(prior) if step == T else None)
+        phases = [(1, T, anneal_rule)]
+        refine_epochs = self.values["pa.refine_epochs"]
+        if refine_epochs > 0:
+            t_refine = math.ceil(refine_epochs * self.task.n_train
+                                 / self.values["batch_size"])
+            phases.append((T + 1, T + t_refine,
+                           lambda step: StepPlan(None, 0.0, {})))
+        return phases
 
 
 def _cast(key: str, raw: str, where: str):
@@ -211,16 +260,14 @@ def build_config(values: dict) -> ExperimentConfig:
                            seed=merged["seed"], out_dir=merged["out"],
                            values=merged)
 
-    # Fail now, not mid-run: materialize every sub-config this method uses.
+    # Fail now, not mid-run: materialize every sub-config, then each phase's
+    # first and last step (pa's widest prior, then its threshold pass)
     try:
         cfg.cubic_schedule()
         cfg.mgp_config()
-        if method == "pa":
-            # the anneal's first prior, its widest, and the threshold pass
-            # at its last spike width
-            pa, mgp = cfg.pa_schedule(), cfg.mgp_config()
-            replace(mgp, sigma0_sq=pa_schedule_at(1, pa)[0])
-            pa_threshold(replace(mgp, sigma0_sq=pa.sigma0_end_sq))
+        for first, last, rule in cfg.phases():
+            rule(first)
+            rule(last)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

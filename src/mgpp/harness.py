@@ -15,7 +15,6 @@ from .config import ConfigError, ExperimentConfig, config_to_text
 from .metrics import RunMetrics, final_record, load_records
 from .params import ParamStore
 from .prune import train
-from .schedule import pa_schedule_at, sparsity_and_eta_at
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunMetrics, ParamStore]:
@@ -120,17 +119,13 @@ def compare_runs(metrics_paths) -> list[dict]:
 
 
 def dump_schedule(cfg: ExperimentConfig) -> tuple[list[str], list[tuple]]:
-    """Tabulate the run's schedule for every step 0..T.
+    """Tabulate the first phase of the run's plan for every step 0..T: the
+    step, its scheduled record fields and eta, as training records them.
 
     Cubic methods give (step, sparsity, eta); prior annealing gives
     (step, sigma0_sq, eta).
     """
-    if cfg.method == "pa":
-        sched = cfg.pa_schedule()
-        header = ["step", "sigma0_sq", "eta"]
-        rows = [(t, *pa_schedule_at(t, sched)) for t in range(sched.T + 1)]
-    else:
-        sched = cfg.cubic_schedule()
-        header = ["step", "sparsity", "eta"]
-        rows = [(t, *sparsity_and_eta_at(t, sched)) for t in range(sched.T + 1)]
-    return header, rows
+    _, last, rule = cfg.phases()[0]
+    rows = [(t, *plan.fields.values(), plan.eta)
+            for t, plan in enumerate(map(rule, range(last + 1)))]
+    return ["step", *rule(0).fields, "eta"], rows

@@ -1,7 +1,9 @@
 """Run metrics: an append-only JSONL stream plus an in-memory mirror.
 
-One JSON object per line. Every record carries step/loss/sparsity/eta; prune
-events add threshold/zeroed/kept; epoch boundaries add epoch/dev_accuracy;
+One JSON object per line. Every record carries step/loss/sparsity/eta, where
+sparsity is the scheduled v(t) for the cubic methods and the realized one
+for pa; pa's anneal records add sigma0_sq; prune events add
+threshold/zeroed/kept; epoch boundaries add epoch/dev_accuracy;
 the single closing record carries final=true with test accuracy, realized
 sparsity, method, seed, the task fingerprint, and the resolved config
 without seed and out. Wall-clock time is kept out of this stream on purpose

@@ -16,6 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .tensor import _empty
+
 
 @dataclass(frozen=True)
 class Param:
@@ -74,9 +76,10 @@ class ParamStore:
         return self._n_prunable
 
     def apply_masks(self) -> None:
-        """Zero every masked coordinate in place."""
+        """Zero every masked coordinate in place, via a pooled complement."""
         P = self._n_prunable
-        self.flat[:P][~self.mask[:P]] = 0.0
+        masked = np.logical_not(self.mask[:P], out=_empty((P,), bool))
+        np.copyto(self.flat[:P], 0.0, where=masked)
 
     def sparsity(self) -> float:
         """Fraction of prunable coordinates currently masked out."""

@@ -1,20 +1,12 @@
 """Pruning engine: magnitude scores, global masking, and the training loop.
 
-`train` runs every method as a list of phases over one batch stream. A phase
-covers steps first..last on a fresh optimizer and a fresh linear LR ramp, and
-its per-step rule gives the prior (a mixture-Gaussian config and its
-coefficient eta, or none) and the action after the update:
-
-    mgpp  one cubic phase: loss + warm-up-scaled prior, a global prune at
-          each of the schedule's prune steps, the standing mask re-applied
-          after every other update
-    gmp   the same phase with the prior off
-    l2    the same phase with the prior off; its decoupled weight decay
-          lives in the optimizer
-    pa    an anneal phase with the prior on and sigma0^2 annealed toward 0,
-          whose last step is one threshold pass; then, if pa.refine_epochs
-          > 0, a refine phase on the loss alone with the masks frozen, which
-          carries the epoch counter on
+`train` runs the plan of ``ExperimentConfig.phases()`` over one batch stream.
+A phase covers steps first..last on a fresh optimizer and a fresh linear LR
+ramp, and its rule gives each step's prior (a mixture-Gaussian config and
+its coefficient eta, or none), its scheduled record fields, and what follows
+the update: a global prune to the scheduled sparsity, `pa`'s threshold pass,
+or the standing masks re-applied. The batch stream and its epoch counter
+carry on across phases.
 
 Masks are recomputed from scratch at every prune event, so a coordinate
 zeroed at one event can return later if the optimizer pulls it back above the
@@ -25,8 +17,7 @@ mask is re-applied after each optimizer update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +27,7 @@ from .data import Split, batch_iterator, generate_dataset
 from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
-from .prior import MgpConfig, mgp_grad, pa_threshold
-from .schedule import pa_schedule_at, prune_steps, sparsity_and_eta_at
+from .prior import MgpConfig, mgp_grad
 from .tensor import Graph, _empty, backward_pass
 from .transformer import (TransformerConfig, bind_params, evaluate_accuracy,
                           forward_logits, init_params)
@@ -45,9 +35,7 @@ from .transformer import (TransformerConfig, bind_params, evaluate_accuracy,
 
 @dataclass(frozen=True)
 class PruneEvent:
-    step: int
-    sparsity: float   # scheduled target v at this step
-    zeroed: int       # floor(v * N)
+    zeroed: int       # floor(v * N), or the count at or below a threshold
     kept: int
     threshold: float  # smallest surviving |theta|; 0.0 if nothing survives
 
@@ -59,7 +47,7 @@ def magnitude_scores(store: ParamStore) -> np.ndarray:
     return np.abs(store.flat[:P], out=_empty((P,)))
 
 
-def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent:
+def apply_global_prune(store: ParamStore, v: float) -> PruneEvent:
     """Zero the floor(v*N) smallest-magnitude prunable coordinates globally.
 
     The cut is found by selection, not by sorting: one partition gives the
@@ -93,8 +81,7 @@ def apply_global_prune(store: ParamStore, v: float, step: int = 0) -> PruneEvent
         np.greater(scores, cut, out=keep)
         keep[ties] = True
     store.apply_masks()
-    return PruneEvent(step=step, sparsity=v, zeroed=k,
-                      kept=total - k, threshold=float(threshold))
+    return PruneEvent(zeroed=k, kept=total - k, threshold=float(threshold))
 
 
 def _loss_and_grads(batch, store: ParamStore, model_cfg: TransformerConfig,
@@ -130,56 +117,14 @@ def _update(store, opt, step: int, loss: float, grads, lr: float) -> None:
     optim_step(store, grads, opt, lr)
 
 
-def _threshold_pass(store: ParamStore, threshold: float, step: int) -> PruneEvent:
+def _threshold_pass(store: ParamStore, threshold: float) -> PruneEvent:
     """One-shot structure sparsification: keep the prunable coordinates
     strictly above the threshold; the masks then stay frozen."""
     P = store.num_prunable()
     np.greater(magnitude_scores(store), threshold, out=store.mask[:P])
     store.apply_masks()
     zeroed = store.zeroed_count()
-    return PruneEvent(step=step, sparsity=store.sparsity(), zeroed=zeroed,
-                      kept=P - zeroed, threshold=threshold)
-
-
-def _phases(cfg, store: ParamStore, n_train: int):
-    """Yield (first step, last step, rule) per phase of cfg.method.
-
-    rule(step) gives (prior config or None, eta, recorded sparsity or None
-    for the realized one, record keys after eta, action after the update),
-    where the action returns the step's PruneEvent or None.
-    """
-    T = cfg.total_steps
-    if cfg.method != "pa":
-        cubic = cfg.cubic_schedule()
-        events = set(prune_steps(cubic))
-        mgp = cfg.mgp_config() if cfg.method == "mgpp" else None
-
-        def cubic_rule(step):
-            v_t, eta = sparsity_and_eta_at(step, cubic)
-            return (mgp, 0.0 if mgp is None else eta, v_t, {},
-                    partial(apply_global_prune, store, v_t, step)
-                    if step in events else store.apply_masks)
-        yield 1, T, cubic_rule
-        return
-
-    pa = cfg.pa_schedule()
-    mgp = cfg.mgp_config()
-    # the threshold at the annealed spike width
-    threshold = pa_threshold(replace(mgp, sigma0_sq=pa.sigma0_end_sq))
-
-    def anneal_rule(step):
-        sigma0_sq, eta = pa_schedule_at(step, pa)
-        return (MgpConfig(mgp.lam, sigma0_sq, mgp.sigma1_sq), eta, None,
-                {"sigma0_sq": sigma0_sq},
-                partial(_threshold_pass, store, threshold, step)
-                if step == T else store.apply_masks)
-    yield 1, T, anneal_rule
-    refine_epochs = cfg.values["pa.refine_epochs"]
-    if refine_epochs > 0:
-        # Loss only on the survivors, masks frozen.
-        t_refine = math.ceil(refine_epochs * n_train / cfg.values["batch_size"])
-        yield T + 1, T + t_refine, lambda step: (None, 0.0, None, {},
-                                                 store.apply_masks)
+    return PruneEvent(zeroed=zeroed, kept=P - zeroed, threshold=threshold)
 
 
 def _step_stream(split: Split, batch_size: int, seed: int, first_step: int,
@@ -219,11 +164,8 @@ def _finalize(metrics: RunMetrics, store: ParamStore, cfg, test: Split,
 
 def train(cfg, metrics: RunMetrics | None = None
           ) -> tuple[RunMetrics, ParamStore]:
-    """Train and prune by cfg.method; returns the metrics and the store.
-
-    Each phase runs on a fresh optimizer and a fresh linear LR ramp; the
-    batch stream and its epoch counter carry on across phases.
-    """
+    """Train and prune by the plan of cfg.phases(); returns the metrics and
+    the store."""
     metrics = metrics if metrics is not None else RunMetrics()
     train_split, dev, test = generate_dataset(cfg.task)
     store = init_params(cfg.model, [cfg.seed, 1])
@@ -232,22 +174,30 @@ def train(cfg, metrics: RunMetrics | None = None
     v = cfg.values
     grads = np.empty_like(store.flat)
     record, epoch = None, 0
-    for first, last, rule in _phases(cfg, store, n_train):
+    for first, last, rule in cfg.phases():
         opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],
                          eps_opt=v["optim.eps"],
                          weight_decay=v["optim.weight_decay"])
         for step, epoch, batch, epoch_end in _step_stream(
                 train_split, v["batch_size"], cfg.seed, first, last, epoch):
-            mgp, eta, sparsity, extra, action = rule(step)
+            plan = rule(step)
             loss = _loss_and_grads(batch, store, cfg.model, grads)
-            _add_prior_grads(grads, store, mgp, eta, n_train)
+            _add_prior_grads(grads, store, plan.mgp, plan.eta, n_train)
             _update(store, opt, step, loss, grads, linear_lr(
                 step - first + 1, last - first + 1, v["optim.lr"],
                 v["optim.lr_floor"]))
-            event = action()
+            event = None
+            if plan.prune is not None:
+                event = apply_global_prune(store, plan.prune)
+            elif plan.threshold is not None:
+                event = _threshold_pass(store, plan.threshold)
+            else:
+                store.apply_masks()
+            # a scheduled sparsity is recorded as planned, else the realized one
+            fields = plan.fields
             record = {"step": step, "loss": loss,
-                      "sparsity": store.sparsity() if sparsity is None else sparsity,
-                      "eta": eta, **extra}
+                      "sparsity": fields["sparsity"] if "sparsity" in fields
+                      else store.sparsity(), "eta": plan.eta, **fields}
             if event is not None:
                 metrics.note_event(event)
                 record.update(threshold=event.threshold, zeroed=event.zeroed,

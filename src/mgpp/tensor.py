@@ -30,7 +30,8 @@ it, since the interpreter's own references vary between CPython versions
 counting. A process keeps its pool: buffers are never freed, and each size
 holds as many buffers as were ever live at once. Other modules take their
 per-step temporaries from the same pool: the prior gradient, the global
-prune's scores, the divergence check's mask and the optimizer's slices.
+prune's scores, the masks' complement, the divergence check's mask and the
+optimizer's slices.
 
 The ops compute in place with ``out=``, in the operation order of the plain
 numpy expressions, so results are bitwise the same. Three take a faster

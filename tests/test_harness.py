@@ -16,13 +16,14 @@ import mgpp
 from mgpp.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from mgpp.cli import main
-from mgpp.config import (ConfigError, ExperimentConfig, build_config,
+from mgpp.config import (PRESETS, ConfigError, ExperimentConfig, build_config,
                          config_to_text, load_config, parse_config_text)
 from mgpp.harness import (compare_runs, dump_schedule, export_histogram,
                           export_threshold_trajectory, run_experiment)
 from mgpp.metrics import RunMetrics, final_record, load_records
 from mgpp.params import ParamStore
-from mgpp.schedule import sparsity_and_eta_at
+from mgpp.prune import train
+from mgpp.schedule import prune_steps, sparsity_and_eta_at
 
 MICRO = """\
 # micro run for tests
@@ -168,7 +169,7 @@ def test_invalid_subconfig_surfaces_as_config_error():
         build_config({"epochs": 0})
 
 
-@pytest.mark.parametrize("lines, message", [
+PA_PRIORS_THAT_FAIL = pytest.mark.parametrize("lines, message", [
     # the anneal would start from a spike wider than the slab
     ("pa.sigma0_init_sq = 0.1\n", "sigma0_sq must not exceed sigma1_sq"),
     ("mgp.sigma1_sq = 3e-5\n", "sigma0_sq must not exceed sigma1_sq"),
@@ -176,6 +177,9 @@ def test_invalid_subconfig_surfaces_as_config_error():
     ("mgp.sigma1_sq = 3e-5\npa.sigma0_init_sq = 3e-5\n",
      "sigma0_sq < sigma1_sq strictly"),
 ], ids=["wide-start", "narrow-slab", "slab-equals-end"])
+
+
+@PA_PRIORS_THAT_FAIL
 def test_cli_refuses_a_pa_prior_that_fails_mid_run(tmp_path, capsys, lines,
                                                    message):
     # both configs once passed build_config and died on the first step
@@ -444,9 +448,11 @@ def test_histogram_rejects_bad_bins(micro_run):
 
 
 def test_threshold_trajectory_matches_events(micro_run):
-    _, out, metrics, _ = micro_run
+    cfg, out, metrics, _ = micro_run
     rows = export_threshold_trajectory(out / "metrics.jsonl")
-    assert rows == [(e.step, e.threshold) for e in metrics.events()]
+    assert rows == list(zip(prune_steps(cfg.cubic_schedule()),
+                            [e.threshold for e in metrics.events()],
+                            strict=True))
     steps = [s for s, _ in rows]
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
 
@@ -544,6 +550,42 @@ def test_dump_schedule_pa():
     assert header == ["step", "sigma0_sq", "eta"]
     assert rows[0][1] == cfg.values["pa.sigma0_init_sq"]
     assert rows[-1][1] == cfg.values["pa.sigma0_end_sq"]
+
+
+@pytest.mark.parametrize("method", ["mgpp", "gmp", "l2", "pa"])
+def test_dump_schedule_is_what_the_run_records(method):
+    cfg = build_config(parse_config_text(MICRO) | {"method": method})
+    header, rows = dump_schedule(cfg)
+    metrics, _ = train(cfg)
+    key = header[1]   # sparsity, or sigma0_sq for pa
+    planned = {r["step"]: (r[key], r["eta"]) for r in metrics.records
+               if r["step"] <= cfg.total_steps}
+    assert planned == {t: (v, eta) for t, v, eta in rows[1:]}
+
+
+def _every_planned_step(values: dict) -> str:
+    """"refused" by build_config, or "planned" once every step of every
+    phase has evaluated; build_config itself evaluates only each phase's
+    first and last step."""
+    try:
+        cfg = build_config(values)
+    except ConfigError:
+        return "refused"
+    for first, last, rule in cfg.phases():
+        for step in range(first, last + 1):
+            rule(step)
+    return "planned"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_step_of_a_preset_plan_evaluates(preset):
+    assert _every_planned_step(dict(PRESETS[preset])) == "planned"
+
+
+@PA_PRIORS_THAT_FAIL
+def test_a_pa_prior_that_fails_mid_run_is_refused_up_front(lines, message):
+    values = parse_config_text(MICRO + "method = pa\n" + lines)
+    assert _every_planned_step(values) == "refused"
 
 
 # ---------------------------------------------------------------------------

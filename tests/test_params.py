@@ -1,6 +1,7 @@
 """Flat parameter layout: views, coordinate order, and immutable bindings."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,25 @@ def test_writes_through_views_reach_the_buffers():
     store.apply_masks()
     np.testing.assert_array_equal(store["w"].value, [0.0, 0.0, 2.0, 3.0])
     assert store.zeroed_count() == 1 and store.sparsity() == 0.25
+
+
+def test_apply_masks_writes_positive_zeros_and_allocates_nothing_warm():
+    # the gmp-wide shape's prunable count; one call warms the pooled buffer
+    rng = np.random.default_rng(0)
+    store = ParamStore([("w", -rng.random(98_304), True),
+                        ("g", -np.ones(3), False)])
+    store.mask[:98_304] = rng.random(98_304) < 0.5
+    store.apply_masks()
+    tracemalloc.start()
+    try:
+        store.apply_masks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    w = store["w"]
+    assert not np.signbit(w.value[~w.mask]).any()   # +0.0, not -0.0
+    assert (w.value[w.mask] < 0).all() and (store["g"].value == -1.0).all()
 
 
 def test_reassigning_a_binding_raises():
