@@ -1,9 +1,9 @@
 """Magnitude pruning of small transformers under a mixture-Gaussian prior.
 
-Everything runs on CPU float64 with a self-contained tape autodiff engine.
-The public surface: build a config (`config`), run a method (`prune`,
-`harness`), inspect the prior and schedules (`prior`, `schedule`), and export
-diagnostics (`harness`, CLI `mgpp`).
+Everything runs on CPU float64, with a training step whose backward is
+written out by hand. The public surface: build a config (`config`), run a
+method (`prune`, `harness`), inspect the prior and schedules (`prior`,
+`schedule`), and export diagnostics (`harness`, CLI `mgpp`).
 """
 
 from .config import ConfigError, ExperimentConfig, PRESETS, build_config, load_config

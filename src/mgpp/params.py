@@ -63,6 +63,10 @@ class ParamStore:
         ``flat``."""
         return {name: buf[span].reshape(shape) for name, span, shape in self._layout}
 
+    def span(self, name: str) -> slice:
+        """Where parameter ``name`` lies in ``flat``."""
+        return next(span for n, span, _ in self._layout if n == name)
+
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 

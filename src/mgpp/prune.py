@@ -21,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .config import comparable_config
 from .data import Split, batch_iterator, generate_dataset
 from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
 from .prior import MgpConfig, mgp_grad
-from .tensor import Graph, _empty, backward_pass
-from .transformer import (TransformerConfig, bind_params, evaluate_accuracy,
-                          forward_logits, init_params)
+from .tensor import _empty
+from .transformer import evaluate_accuracy, init_params, loss_and_grads
 
 
 @dataclass(frozen=True)
@@ -82,21 +80,6 @@ def apply_global_prune(store: ParamStore, v: float) -> PruneEvent:
         keep[ties] = True
     store.apply_masks()
     return PruneEvent(zeroed=k, kept=total - k, threshold=float(threshold))
-
-
-def _loss_and_grads(batch, store: ParamStore, model_cfg: TransformerConfig,
-                    grads: np.ndarray) -> float:
-    """The batch's loss; its gradient overwrites ``grads``, a vector laid
-    out like ``store.flat``."""
-    tokens, labels = batch
-    graph = Graph()
-    bound = bind_params(graph, store)
-    logits = forward_logits(graph, bound, tokens, model_cfg)
-    loss = T.cross_entropy_loss(logits, labels)
-    leaf_grads = backward_pass(graph, loss)
-    for name, view in store.views(grads).items():
-        view[...] = leaf_grads[bound[name].id]
-    return float(loss.data)
 
 
 def _add_prior_grads(grads: np.ndarray, store: ParamStore,
@@ -181,7 +164,7 @@ def train(cfg, metrics: RunMetrics | None = None
         for step, epoch, batch, epoch_end in _step_stream(
                 train_split, v["batch_size"], cfg.seed, first, last, epoch):
             plan = rule(step)
-            loss = _loss_and_grads(batch, store, cfg.model, grads)
+            loss = loss_and_grads(store, cfg.model, *batch, grads)
             _add_prior_grads(grads, store, plan.mgp, plan.eta, n_train)
             _update(store, opt, step, loss, grads, linear_lr(
                 step - first + 1, last - first + 1, v["optim.lr"],

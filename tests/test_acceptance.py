@@ -14,18 +14,17 @@ import time
 import numpy as np
 import pytest
 
-from mgpp import tensor as T
 from mgpp.checkpoint import load_checkpoint
 from mgpp.config import build_config, load_config
 from mgpp.harness import run_experiment
 from mgpp.metrics import load_records
 from mgpp.prior import MgpConfig, mgp_grad, pa_threshold
-from mgpp.prune import _add_prior_grads, _loss_and_grads, train
+from mgpp.prune import _add_prior_grads, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
-from mgpp.tensor import Graph
-from mgpp.transformer import (TransformerConfig, _attention, _batched_block,
-                              bind_params, forward_logits, init_params)
+from mgpp.tensor import cross_entropy
+from mgpp.transformer import (TransformerConfig, _attention, _block,
+                              forward_logits, init_params, loss_and_grads)
 
 from prior_oracle import neg_log_prior
 
@@ -86,13 +85,10 @@ def test_01_objective_gradient_fidelity():
     eta, n_train = 1.0, DESK_N_TRAIN
 
     def objective(store, tokens, labels):
-        graph = Graph()
-        bound = bind_params(graph, store)
-        loss = T.cross_entropy_loss(forward_logits(graph, bound, tokens, model),
-                                    labels)
+        loss, _ = cross_entropy(forward_logits(store, tokens, model), labels)
         penalty = sum(neg_log_prior(store[name].value, mgp)
                       for name in store.prunable_names())
-        return float(loss.data) + eta / n_train * penalty
+        return loss + eta / n_train * penalty
 
     worst = 0.0
     for draw in range(5):
@@ -109,7 +105,7 @@ def test_01_objective_gradient_fidelity():
         labels = rng.integers(0, model.n_classes, size=8)
 
         grads = np.empty_like(store.flat)
-        loss_val = _loss_and_grads((tokens, labels), store, model, grads)
+        loss_val = loss_and_grads(store, model, tokens, labels, grads)
         assert math.isfinite(loss_val)
         _add_prior_grads(grads, store, mgp, eta=eta, n_train=n_train)
         grads = store.views(grads)
@@ -432,27 +428,20 @@ def test_10_attention_layernorm_conformance():
             "gamma1": rng.normal(size=d), "beta1": rng.normal(size=d),
             "gamma2": rng.normal(size=d), "beta2": rng.normal(size=d),
         }
-        graph = Graph()
-        wrap = lambda a: graph.tensor(np.asarray(a, dtype=float))
-        xt = wrap(seqs.reshape(bsz * n, d))
-        values, weights = _attention(xt, wrap(raw["wq"]), wrap(raw["wk"]),
-                                     wrap(raw["wv"]), n)
-        bound = {"block0.ffn.w1": wrap(raw["w1"]),
-                 "block0.ffn.w2": wrap(raw["w2"])}
-        for key in ("wq", "wk", "wv", "wc"):
-            bound[f"block0.attn.{key}"] = wrap(raw[key])
-        for ln in (1, 2):
-            bound[f"block0.ln{ln}.gamma"] = wrap(raw[f"gamma{ln}"])
-            bound[f"block0.ln{ln}.beta"] = wrap(raw[f"beta{ln}"])
-        out = _batched_block(xt, bound, 0, n)
+        xt = seqs.reshape(bsz * n, d)
+        wqkv = np.concatenate([raw["wq"], raw["wk"], raw["wv"]])
+        values, weights, _ = _attention(xt, wqkv, n)
+        out = _block(xt, (wqkv, np.asarray(raw["wc"]), raw["w1"], raw["w2"],
+                          raw["gamma1"], raw["beta1"], raw["gamma2"],
+                          raw["beta2"]), n)
 
         for s, x in enumerate(seqs):
             rows = slice(s * n, (s + 1) * n)
             o_values, o_weights = _o_attention(x, raw["wq"][0], raw["wk"][0],
                                                raw["wv"][0])
-            assert np.abs(weights.data[s] - o_weights).max() < 1e-12
-            assert np.abs(values.data[0, rows] - o_values).max() < 1e-12
-            assert np.abs(weights.data[s].sum(axis=1) - 1.0).max() < 1e-12
-            assert np.abs(out.data[rows] - _o_block(x, raw)).max() < 1e-12, \
+            assert np.abs(weights[s] - o_weights).max() < 1e-12
+            assert np.abs(values[0, rows] - o_values).max() < 1e-12
+            assert np.abs(weights[s].sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs(out[rows] - _o_block(x, raw)).max() < 1e-12, \
                 f"trial {trial} sequence {s}"
     report("attention weights, block outputs, and softmax rows conform")

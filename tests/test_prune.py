@@ -18,9 +18,9 @@ from mgpp.metrics import RunMetrics
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
 from mgpp.prune import (apply_global_prune, magnitude_scores, train,
-                        _add_prior_grads, _loss_and_grads)
+                        _add_prior_grads)
 from mgpp.schedule import prune_steps
-from mgpp.transformer import init_params
+from mgpp.transformer import init_params, loss_and_grads
 
 
 def micro_pairs(**kw):
@@ -286,7 +286,7 @@ def test_step_and_train_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        _loss_and_grads(batch, store, cfg.model, np.empty_like(store.flat))
+        loss_and_grads(store, cfg.model, *batch, np.empty_like(store.flat))
         assert gc.collect() == 0
         train(cfg)
         assert gc.collect() == 0
@@ -428,16 +428,15 @@ def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
     # last dev window overlaps the one before, so every pass is a full batch
     seen = {"step": [], "eval": []}
 
-    def recorder(kind, forward):
-        def recorded(graph, bound, tokens, model_cfg):
-            seen[kind].append(np.asarray(tokens).shape[0])
-            return forward(graph, bound, tokens, model_cfg)
-        return recorded
+    forward = mgpp.transformer.forward_logits
 
-    monkeypatch.setattr(mgpp.prune, "forward_logits",
-                        recorder("step", mgpp.prune.forward_logits))
-    monkeypatch.setattr(mgpp.transformer, "forward_logits",
-                        recorder("eval", mgpp.transformer.forward_logits))
+    def recorded(store, tokens, model_cfg, saved=None):
+        # a training step keeps the arrays its backward reads; evaluation not
+        kind = "eval" if saved is None else "step"
+        seen[kind].append(np.asarray(tokens).shape[0])
+        return forward(store, tokens, model_cfg, saved)
+
+    monkeypatch.setattr(mgpp.transformer, "forward_logits", recorded)
     cfg = build_config(micro_pairs(**{"batch_size": 8, "task.dev": 44}))
     train(cfg)
     assert len(seen["step"]) == cfg.total_steps

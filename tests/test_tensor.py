@@ -1,5 +1,7 @@
-"""Tensor-engine oracles: frozen forward values plus finite-difference
-gradient checks for every differentiable primitive."""
+"""Oracles for the tape (``tape.py``), the gradient oracle of the planned
+training step: frozen forward values, finite-difference gradient checks for
+every differentiable primitive, and bitwise checks of its ops against plain
+numpy expressions. Also the buffer pool of ``mgpp.tensor``."""
 
 import inspect
 import math
@@ -8,13 +10,14 @@ import weakref
 import numpy as np
 import pytest
 
-from mgpp import tensor as T
+import mgpp.tensor
+import tape as T
 from mgpp.config import build_config
 from mgpp.metrics import RunMetrics
 from mgpp.prune import train
-from mgpp.tensor import Graph, backward_pass
-from mgpp.transformer import (TransformerConfig, bind_params, forward_logits,
-                              init_params)
+from mgpp.transformer import TransformerConfig, init_params
+from tape import Graph, backward_pass
+from tape_model import bind_params, forward_logits
 
 from finite_diff import finite_diff_grad
 
@@ -498,7 +501,7 @@ def run_op(op, inputs, gout, **kw):
 
 def ln_reference(x, G, beta, gout):
     centered = x - x.mean(axis=-1, keepdims=True)
-    s = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + T.EPS_LN)
+    s = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + mgpp.tensor.EPS_LN)
     xhat = centered / s
     q = gout * G
     term = q - q.mean(axis=-1, keepdims=True) \
@@ -561,7 +564,7 @@ def test_row_softmax_column_max_bitwise_equal_np_max(n):
     z[1, 3, 0], z[1, 3, -1] = 0.0, -0.0
     z[1, 4] = -0.0
     gout = rng.standard_normal(z.shape)
-    assert (T._row_max(z, z.shape[:-1] + (1,)) == z.max(axis=-1, keepdims=True)).all()
+    assert (mgpp.tensor._row_max(z, z.shape[:-1] + (1,)) == z.max(axis=-1, keepdims=True)).all()
     out, (grad,) = run_op(T.row_softmax, [z], gout)
     ref_out, ref_grad = softmax_reference(z, gout)
     assert_bitwise(out, ref_out)
@@ -628,23 +631,23 @@ def test_matmul_head_sum_bitwise_equal_stacked_sum(rows, d, k, H, ffn, B, n):
 ], ids=["view", "view-of-view", "broadcast"])
 def test_pool_never_hands_out_a_referenced_buffer(derive):
     size = 7273      # an element count no other test allocates
-    a = T._empty((size,))
+    a = mgpp.tensor._empty((size,))
     buf = weakref.ref(a.base)
     held = derive(a)
     del a
-    other = T._empty((size,))
+    other = mgpp.tensor._empty((size,))
     assert other.base is not buf()
     assert not np.shares_memory(other, held)
     del held
-    again = T._empty((size,))
+    again = mgpp.tensor._empty((size,))
     assert again.base is buf()
     assert again.shape == (size,)
-    assert T._empty((1039, 7)).base is not buf()   # `again` still holds it
+    assert mgpp.tensor._empty((1039, 7)).base is not buf()   # `again` still holds it
 
 
 def test_pool_stops_growing_after_the_second_step():
     def snapshot():
-        bufs = [b for group in T._POOL.values() for b in group]
+        bufs = [b for group in mgpp.tensor._POOL.values() for b in group]
         return len(bufs), sum(b.nbytes for b in bufs)
 
     class Snapshots(RunMetrics):

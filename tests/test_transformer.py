@@ -1,16 +1,19 @@
 """Transformer conformance: loop-based oracles for attention and the block,
-batch independence of forward_logits, and a full-model gradient check."""
+batch independence of forward_logits, a full-model gradient check of the
+planned step, and the per-head tape as a bitwise reference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mgpp import tensor as T
-from mgpp.tensor import Graph, backward_pass
-from mgpp.transformer import (TransformerConfig, _attention, _batched_block,
-                              bind_params, evaluate_accuracy, forward_logits,
-                              init_params, param_layout)
+import tape as T
+import tape_model
+from mgpp.tensor import cross_entropy
+from mgpp.transformer import (TransformerConfig, _attention, _block,
+                              _block_views, evaluate_accuracy, forward_logits,
+                              init_params, loss_and_grads, param_layout)
+from tape import Graph
 
 from finite_diff import finite_diff_grad
 
@@ -65,10 +68,13 @@ def rand_mats(*shapes):
 
 
 def logits_of(store, tokens, cfg=TINY):
-    """forward_logits on a fresh tape for a [B x n] token batch."""
-    g = Graph()
-    return forward_logits(g, bind_params(g, store, requires_grad=False),
-                          tokens, cfg)
+    """forward_logits for a [B x n] token batch."""
+    return forward_logits(store, tokens, cfg)
+
+
+def block0(store, cfg=TINY):
+    """Block 0's parameter views, as _block takes them."""
+    return _block_views(store, store.flat, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -76,49 +82,43 @@ def logits_of(store, tokens, cfg=TINY):
 # ---------------------------------------------------------------------------
 
 def test_attention_zero_queries_give_uniform_rows():
-    g = Graph()
-    x = g.tensor(RNG.normal(size=(5, 6)))
-    zero = g.tensor(np.zeros((1, 6, 3)))
-    wv = g.tensor(RNG.normal(size=(1, 6, 3)))
-    _, weights = _attention(x, zero, zero, wv, 5)
-    np.testing.assert_allclose(weights.data[0], np.full((5, 5), 0.2), atol=1e-15)
+    x = RNG.normal(size=(5, 6))
+    zero = np.zeros((1, 6, 3))
+    wv = RNG.normal(size=(1, 6, 3))
+    _, weights, _ = _attention(x, np.concatenate([zero, zero, wv]), 5)
+    np.testing.assert_allclose(weights[0], np.full((5, 5), 0.2), atol=1e-15)
 
 
 def test_attention_single_token():
-    g = Graph()
-    x = g.tensor(RNG.normal(size=(1, 4)))
-    wq, wk, wv = (g.tensor(m[None]) for m in rand_mats((4, 2), (4, 2), (4, 2)))
-    _, weights = _attention(x, wq, wk, wv, 1)
-    np.testing.assert_array_equal(weights.data[0], [[1.0]])
+    x = RNG.normal(size=(1, 4))
+    wqkv = np.stack(rand_mats((4, 2), (4, 2), (4, 2)))
+    _, weights, _ = _attention(x, wqkv, 1)
+    np.testing.assert_array_equal(weights[0], [[1.0]])
 
 
 def test_attention_matches_loop_oracle_three_tokens():
     for _ in range(5):
         seqs = RNG.normal(size=(2, 3, 6))
         wq, wk, wv = rand_mats((6, 4), (6, 4), (6, 4))
-        g = Graph()
-        values, weights = _attention(
-            g.tensor(seqs.reshape(6, 6)), g.tensor(wq[None]), g.tensor(wk[None]),
-            g.tensor(wv[None]), 3)
+        values, weights, _ = _attention(seqs.reshape(6, 6),
+                                        np.stack([wq, wk, wv]), 3)
         for s, x in enumerate(seqs):
             ref_values, ref_weights = loop_attention(x, wq, wk, wv)
-            assert np.max(np.abs(weights.data[s] - ref_weights)) < 1e-12
-            assert np.max(np.abs(values.data[0, 3 * s:3 * s + 3] - ref_values)) < 1e-12
-        assert np.max(np.abs(weights.data.sum(axis=2) - 1.0)) < 1e-12
+            assert np.max(np.abs(weights[s] - ref_weights)) < 1e-12
+            assert np.max(np.abs(values[0, 3 * s:3 * s + 3] - ref_values)) < 1e-12
+        assert np.max(np.abs(weights.sum(axis=2) - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# _batched_block
+# _block
 # ---------------------------------------------------------------------------
 
 def test_block_output_shape_and_finiteness():
     store = init_params(TINY, [7, 1])
-    g = Graph()
-    bound = bind_params(g, store, requires_grad=False)
-    x = g.tensor(RNG.normal(size=(5, TINY.d)) * 10)
-    out = _batched_block(x, bound, 0, 5)
-    assert out.data.shape == (5, TINY.d)
-    assert np.isfinite(out.data).all()
+    x = RNG.normal(size=(5, TINY.d)) * 10
+    out = _block(x, block0(store), 5)
+    assert out.shape == (5, TINY.d)
+    assert np.isfinite(out).all()
 
 
 def test_block_zero_weights_collapse_to_double_layernorm():
@@ -126,24 +126,20 @@ def test_block_zero_weights_collapse_to_double_layernorm():
     for name, _ in store.items():
         if ".attn." in name or ".ffn." in name:
             store[name].value[:] = 0.0
-    g = Graph()
-    bound = bind_params(g, store, requires_grad=False)
     x = RNG.normal(size=(4, TINY.d))
-    out = _batched_block(g.tensor(x), bound, 0, 4)
+    out = _block(x, block0(store), 4)
     ones, zeros = np.ones(TINY.d), np.zeros(TINY.d)
     expect = np.stack([
         loop_layer_norm(loop_layer_norm(row, ones, zeros), ones, zeros)
         for row in x])
-    assert np.max(np.abs(out.data - expect)) < 1e-12
+    assert np.max(np.abs(out - expect)) < 1e-12
 
 
 def test_block_matches_loop_oracle_two_heads():
     cfg = TransformerConfig(d=6, k=3, m_ff=10, H=2, L=1, vocab=5, n_classes=2)
     store = init_params(cfg, [99, 1])
     seqs = RNG.normal(size=(3, 2, 6))
-    g = Graph()
-    bound = bind_params(g, store, requires_grad=False)
-    out = _batched_block(g.tensor(seqs.reshape(6, 6)), bound, 0, 2)
+    out = _block(seqs.reshape(6, 6), block0(store, cfg), 2)
 
     heads = [(store["block0.attn.wq"].value[h],
               store["block0.attn.wk"].value[h],
@@ -157,7 +153,7 @@ def test_block_matches_loop_oracle_two_heads():
                             store["block0.ln1.beta"].value,
                             store["block0.ln2.gamma"].value,
                             store["block0.ln2.beta"].value)
-        assert np.max(np.abs(out.data[2 * s:2 * s + 2] - expect)) < 1e-12
+        assert np.max(np.abs(out[2 * s:2 * s + 2] - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,8 @@ def test_model_forward_shape_and_determinism():
     tokens = np.array([[1, 4, 0, 10]])
     a = logits_of(store, tokens)
     b = logits_of(store, tokens)
-    assert a.data.shape == (1, 3)
-    assert np.array_equal(a.data, b.data)
+    assert a.shape == (1, 3)
+    assert np.array_equal(a, b)
 
 
 def test_model_forward_input_validation():
@@ -225,19 +221,19 @@ def test_forward_logits_batch_independent():
     store = init_params(TINY, [3, 1])
     tokens = RNG.integers(0, TINY.vocab, size=(6, 5))
     batched = logits_of(store, tokens)
-    assert batched.data.shape == (6, 3)
+    assert batched.shape == (6, 3)
     for i in range(6):
         single = logits_of(store, tokens[i:i + 1])
-        assert np.max(np.abs(batched.data[i] - single.data[0])) < 1e-12
+        assert np.max(np.abs(batched[i] - single[0])) < 1e-12
 
 
 def test_logits_permutation_invariant():
     store = init_params(TINY, [4, 1])
     tokens = np.array([1, 7, 3, 3, 0])
-    base = logits_of(store, tokens[None]).data
+    base = logits_of(store, tokens[None])
     for _ in range(4):
         perm = RNG.permutation(5)
-        out = logits_of(store, tokens[perm][None]).data
+        out = logits_of(store, tokens[perm][None])
         assert np.max(np.abs(out - base)) < 1e-9
 
 
@@ -247,26 +243,21 @@ def test_model_gradient_matches_finite_differences():
     tokens = RNG.integers(0, cfg.vocab, size=(3, 5))
     labels = np.array([0, 2, 1])
 
-    g = Graph()
-    bound = bind_params(g, store)
-    loss = T.cross_entropy_loss(forward_logits(g, bound, tokens, cfg), labels)
-    grads = backward_pass(g, loss)
+    grads = np.empty_like(store.flat)
+    loss_and_grads(store, cfg, tokens, labels, grads)
+    grads = store.views(grads)
 
     for name in ("block0.attn.wq", "block1.ffn.w2", "block0.ln1.gamma",
                  "head.w", "embed.table"):
-        base = store[name].value
+        base = store[name].value.copy()
 
         def f(x):
-            g2 = Graph()
-            b2 = {}
-            for nm, p in store.items():
-                b2[nm] = g2.tensor(x if nm == name else p.value,
-                                   requires_grad=False)
-            return float(T.cross_entropy_loss(
-                forward_logits(g2, b2, tokens, cfg), labels).data)
+            store[name].value[...] = x
+            return cross_entropy(forward_logits(store, tokens, cfg), labels)[0]
 
         fd = finite_diff_grad(f, base, 1e-5)
-        analytic = grads[bound[name].id]
+        store[name].value[...] = base
+        analytic = grads[name]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
         assert np.max(np.abs(fd - analytic) / denom) < 1e-4, name
 
@@ -299,28 +290,29 @@ def test_logits_bitwise_equal_per_head_reference():
     for cfg, seed, n in ((DESK, 0, 16), (TINY, 1, 6)):
         store = init_params(cfg, [seed, 1])
         tokens = RNG.integers(0, cfg.vocab, size=(8, n))
-        assert np.array_equal(logits_of(store, tokens, cfg).data,
+        assert np.array_equal(logits_of(store, tokens, cfg),
                               per_head_logits(store, tokens, cfg))
 
 
 def test_tape_length_does_not_depend_on_heads():
-    """A desk-shaped training step records 46 nodes, for 1 head as for 4."""
+    """The tape oracle records 46 nodes for a desk-shaped step, for 1 head as
+    for 4."""
     tokens = RNG.integers(0, DESK.vocab, size=(32, 16))
     labels = RNG.integers(0, DESK.n_classes, size=32)
     for heads in (1, 4):
         cfg = TransformerConfig(d=32, k=8, m_ff=64, H=heads, L=2,
                                 vocab=16, n_classes=4)
         g = Graph()
-        bound = bind_params(g, init_params(cfg, [0, 1]))
-        T.cross_entropy_loss(forward_logits(g, bound, tokens, cfg), labels)
+        bound = tape_model.bind_params(g, init_params(cfg, [0, 1]))
+        T.cross_entropy_loss(tape_model.forward_logits(g, bound, tokens, cfg),
+                             labels)
         assert len(g.nodes) == 46, heads
 
 
 def test_evaluate_accuracy_counts_argmax_hits():
     store = init_params(TINY, [9, 1])
     tokens = RNG.integers(0, TINY.vocab, size=(40, 5))
-    logits = logits_of(store, tokens)
-    labels = logits.data.argmax(axis=1)
+    labels = logits_of(store, tokens).argmax(axis=1)
     wrong = (labels + 1) % TINY.n_classes
     # a hit every third row: an overlapping last window counts each row once
     mixed = np.where(np.arange(40) % 3 == 0, labels, wrong)
