@@ -1,5 +1,5 @@
-"""Float64 kernels of the training step, the buffer pool they draw from, and
-the worker thread that runs the step's weight-side products.
+"""Float64 kernels of the training step, the buffer pools they draw from,
+and the worker thread that runs a share of the step.
 
 Every kernel computes with ``out=`` in the operation order of a plain numpy
 expression, so its results are bitwise that expression's. Three take a
@@ -18,44 +18,48 @@ Numerical stabilizers used throughout:
     normalize to the offset vector instead of dividing by zero.
 
 The pool. Every large array of a step, with the exceptions named at
-embedding_grad and cross_entropy, is a view of a buffer from one pool
-(``_empty``). A training step asks for the same shapes each time, so after
-the first step it reuses buffers instead of allocating and page-faulting
-fresh ones. The pool is keyed by element count and dtype, not shape, so
-arrays of equal size share buffers. A buffer is handed out only when nothing
-else references it: numpy points every view, and every view of a view, at
-the buffer that owns the data, so ``sys.getrefcount`` counts each live view.
-The count that means "free" is measured at import by the code that tests it,
-since the interpreter's own references vary between CPython versions (3.14
-borrows stack references); the rule assumes CPython's reference counting. A
-process keeps its pool: buffers are never freed, and each size holds as many
-buffers as were ever live at once. Other modules take their per-step
-temporaries from the same pool: the prior gradient, the global prune's
-scores, the masks' complement, the divergence check's mask and the
-optimizer's slices.
+embedding_grad and cross_entropy, is a view of a buffer from a pool
+(``_empty``). Each thread has a pool of its own, so which buffer a thread
+gets never depends on how far another thread has got. A training step asks
+for the same shapes each time, so after the first step it reuses buffers
+instead of allocating and page-faulting fresh ones. A pool is keyed by
+element count and dtype, not shape, so arrays of equal size share buffers.
+A buffer is handed out only when nothing else references it: numpy points
+every view, and every view of a view, at the buffer that owns the data, so
+``sys.getrefcount`` counts each live view. The count that means "free" is
+measured at import by the code that tests it, since the interpreter's own
+references vary between CPython versions (3.14 borrows stack references);
+the rule assumes CPython's reference counting. A process keeps its pools:
+buffers are never freed, and each size holds as many buffers as were ever
+live at once in that thread. Other modules take their per-step temporaries
+from the same pool: the prior gradient, the global prune's scores, the
+masks' complement, the divergence check's mask and the optimizer's slices.
 
-The worker. ``_submit(*products)`` queues one job for one worker thread,
-started by the first call: ``np.matmul(x, y, out=out)`` for each
-(x, y, out), in order. ``_wait()`` returns once every queued job is done and
-re-raises the first error a product raised. numpy releases the GIL inside a
-product, so on a second core the worker's products overlap the main
-thread's work; a job of a few products wakes the worker once. Two rules
-keep this exact and the pool deterministic:
-  * until ``_wait`` returns, the main thread writes into no array that a
-    queued product reads or writes, and reads no array a product writes;
-  * every array handed to ``_submit`` stays referenced from the main
-    thread's side (``_PENDING``) until ``_wait`` sees its job done, and the
-    worker drops its own references before it reports a job done. So
-    whether a pooled buffer is free never depends on how far the worker has
-    got.
-The worker allocates nothing: each product writes into the ``out`` it is
-given. It has no setting: one thread, started lazily, never stopped (it is a
-daemon and idles on its queue).
+The worker. ``_submit(fn, *args)`` queues the job ``fn(*args)`` for one
+worker thread, started by the first call; ``_products`` is the job of a few
+matrix products into given arrays. ``_wait()`` returns once every queued
+job is done and re-raises the first error a job raised. numpy releases the
+GIL inside a product and inside its loops over large arrays, so on a second
+core a job overlaps the main thread's work.
+Two rules keep this exact and the pools deterministic:
+  * until ``_wait`` returns, neither thread writes into an array that the
+    other reads or writes in that time;
+  * whatever a job keeps lives in arrays that the main thread holds, and
+    every array handed to ``_submit`` stays referenced from the main
+    thread's side (``_PENDING``) until ``_wait`` sees its job done. The
+    worker takes a job's temporaries from its own pool, and drops its own
+    references before it reports a job done.
+So whether a pooled buffer is free never depends on how far the worker has
+got. The worker has no setting: one thread, started lazily, never stopped
+(it is a daemon and idles on its queue). A forked child has no worker, as
+fork copies only the thread that calls it, so the child forgets the
+parent's worker, queues and pools, and its first job starts a new worker.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import queue
 import sys
 import threading
@@ -64,8 +68,16 @@ import numpy as np
 
 EPS_LN = 1e-12
 
-# (element count, dtype) -> buffers of that size, in creation order
-_POOL: dict[tuple[int, type], list[np.ndarray]] = {}
+
+class _Pool(threading.local):
+    """Each thread's own buffers: (element count, dtype) -> buffers of that
+    size, in creation order."""
+
+    def __init__(self):
+        self.buffers: dict[tuple[int, type], list[np.ndarray]] = {}
+
+
+_POOL = _Pool()
 
 
 def _first_free(bufs: list, free: int, refcount=sys.getrefcount):
@@ -84,7 +96,7 @@ def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized array of ``shape``: a view of a pooled buffer that
     nothing else references, or of a new one added to the pool."""
     size = math.prod(shape)
-    bufs = _POOL.setdefault((size, dtype), [])
+    bufs = _POOL.buffers.setdefault((size, dtype), [])
     buf = _first_free(bufs, _FREE)
     if buf is None:
         buf = np.empty(size, dtype)
@@ -107,22 +119,30 @@ def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
     holding the stacked product. One operand's leading axes are the other's
     trailing ones, and with ``extra`` > 0 both carry every leading axis."""
     shape = max(x.shape[:-2], y.shape[:-2], key=len) + (x.shape[-2], y.shape[-1])
+    if out is None:
+        out = _empty(shape[extra:])
     if not extra:
-        return np.matmul(x, y, out=_empty(shape) if out is None else out)
+        return np.matmul(x, y, out=out)
     x = x.reshape((-1,) + x.shape[extra:])
     y = y.reshape((-1,) + y.shape[extra:])
-    out = np.matmul(x[0], y[0], out=_empty(shape[extra:]))
+    np.matmul(x[0], y[0], out=out)
     tmp = _empty(shape[extra:])
     for i in range(1, len(x)):
         out += np.matmul(x[i], y[i], out=tmp)
     return out
 
 
+def _products(*triples) -> None:
+    """``np.matmul(x, y, out=out)`` for each (x, y, out), in order."""
+    for x, y, out in triples:
+        np.matmul(x, y, out=out)
+
+
 # ---------------------------------------------------------------------------
 # the worker
 # ---------------------------------------------------------------------------
 
-_JOBS: queue.SimpleQueue = queue.SimpleQueue()   # jobs of (x, y, out) products
+_JOBS: queue.SimpleQueue = queue.SimpleQueue()   # (fn, args) of each job
 _DONE: queue.SimpleQueue = queue.SimpleQueue()   # one token per finished job
 _PENDING: list[tuple] = []   # every queued job, until _wait
 _ERRORS: list[BaseException] = []
@@ -130,27 +150,26 @@ _worker: threading.Thread | None = None
 
 
 def _work() -> None:
-    """The worker's loop: run each job's products in order, keep an error
-    for _wait, drop the job's arrays and report the job done."""
+    """The worker's loop: run each job, keep an error for _wait, drop the
+    job's arrays and report the job done."""
     while True:
-        job = _JOBS.get()
+        fn, args = _JOBS.get()
         try:
-            for x, y, out in job:
-                np.matmul(x, y, out=out)
+            fn(*args)
         except BaseException as exc:   # re-raised by _wait on the main thread
             _ERRORS.append(exc)
-        job = x = y = out = None
+        fn = args = None
         _DONE.put(None)
 
 
-def _submit(*job) -> None:
-    """Queue ``np.matmul(x, y, out=out)`` for each (x, y, out) of ``job``."""
+def _submit(fn, *args) -> None:
+    """Queue ``fn(*args)`` for the worker."""
     global _worker
     if _worker is None:
-        _worker = threading.Thread(target=_work, name="mgpp-products", daemon=True)
+        _worker = threading.Thread(target=_work, name="mgpp-worker", daemon=True)
         _worker.start()
-    _PENDING.append(job)
-    _JOBS.put(job)
+    _PENDING.append((fn, args))
+    _JOBS.put((fn, args))
 
 
 def _wait() -> None:
@@ -162,6 +181,22 @@ def _wait() -> None:
         error = _ERRORS[0]
         _ERRORS.clear()
         raise error
+
+
+def _forget_worker() -> None:
+    """In a forked child: the worker thread was not copied, so the next
+    job starts a new one on new queues, and every thread starts a new pool
+    (a buffer the parent's worker held would otherwise never be free)."""
+    global _JOBS, _DONE, _worker, _POOL
+    _JOBS, _DONE = queue.SimpleQueue(), queue.SimpleQueue()
+    _PENDING.clear()
+    _ERRORS.clear()
+    _worker = None
+    _POOL = _Pool()
+
+
+if hasattr(os, "register_at_fork"):     # no fork, nothing to reset
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 # ---------------------------------------------------------------------------
@@ -207,41 +242,49 @@ def row_softmax_grad(gout: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.multiply(p, gout, out=gout)
 
 
-def layer_norm(x: np.ndarray, G: np.ndarray, beta: np.ndarray) -> tuple:
-    """G * (x - mean) / sqrt(var + EPS_LN) + beta along the last axis, with
-    the population variance. Returns (out, xhat, s): xhat is x normalized,
-    written over x, and s = sqrt(var + EPS_LN) per row, the two arrays
-    layer_norm_grad reads."""
-    rows = x.shape[:-1] + (1,)
-    s = _row_mean(x, _empty(rows))  # the mean, then sqrt(var + eps)
+def layer_norm(x: np.ndarray, G: np.ndarray, beta: np.ndarray,
+               out: np.ndarray, s: np.ndarray) -> None:
+    """G * (x - mean) / sqrt(var + EPS_LN) + beta along the last axis of
+    x [rows x d], with the population variance, into ``out``. Writes what
+    layer_norm_grad reads: xhat, x normalized, over x, and
+    s = sqrt(var + EPS_LN) per row into ``s`` [rows x 1]."""
+    _row_mean(x, s)                 # the mean, then sqrt(var + eps)
     xhat = np.subtract(x, s, out=x)  # centered, until divided
-    out = np.multiply(xhat, xhat, out=_empty(x.shape))
+    np.multiply(xhat, xhat, out=out)
     _row_mean(out, s)
     np.add(s, EPS_LN, out=s)
     np.sqrt(s, out=s)
     np.divide(xhat, s, out=xhat)
     np.multiply(G, xhat, out=out)
     np.add(out, beta, out=out)
-    return out, xhat, s
 
 
 def layer_norm_grad(gout: np.ndarray, G: np.ndarray, xhat: np.ndarray,
-                    s: np.ndarray, d_gamma: np.ndarray,
-                    d_beta: np.ndarray) -> np.ndarray:
-    """The input gradient of layer_norm for ``gout`` [rows x d]:
-    (q - mean(q) - xhat * mean(q * xhat)) / s with q = gout * G. The row
-    sums of gout * xhat and of gout go into ``d_gamma`` and ``d_beta``;
-    ``gout`` is overwritten."""
-    q = np.multiply(gout, G, out=_empty(gout.shape))
+                    s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The input gradient of layer_norm for ``gout`` [rows x d], into
+    ``out``: (q - mean(q) - xhat * mean(q * xhat)) / s with q = gout * G.
+    gout * xhat, whose column sums are G's gradient, is written over xhat
+    (see column_sums)."""
+    q = np.multiply(gout, G, out=out)
     q_mean = _row_mean(q, _empty(s.shape))
     t = np.multiply(q, xhat, out=_empty(gout.shape))
     t_mean = _row_mean(t, _empty(s.shape))
     np.subtract(q, q_mean, out=q)
     np.subtract(q, np.multiply(xhat, t_mean, out=t), out=q)
     np.divide(q, s, out=q)
-    np.add.reduce(gout, axis=0, out=d_beta)
-    np.add.reduce(np.multiply(gout, xhat, out=gout), axis=0, out=d_gamma)
+    np.multiply(gout, xhat, out=xhat)
     return q
+
+
+def column_sums(gout: np.ndarray, gxhat: np.ndarray, d_gamma: np.ndarray,
+                d_beta: np.ndarray) -> None:
+    """A layer norm's parameter gradients over the whole batch: the column
+    sums of gout * xhat (``gxhat``, as layer_norm_grad leaves it) into
+    ``d_gamma`` and of ``gout`` into ``d_beta``. np.add.reduce over axis 0
+    adds the rows in order, so these sums are over the batch at once, never
+    over a part of it."""
+    np.add.reduce(gout, axis=0, out=d_beta)
+    np.add.reduce(gxhat, axis=0, out=d_gamma)
 
 
 def embedding_grad(ids: np.ndarray, gout: np.ndarray, vocab: int) -> np.ndarray:

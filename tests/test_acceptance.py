@@ -439,9 +439,9 @@ def test_10_attention_layernorm_conformance():
             rows = slice(s * n, (s + 1) * n)
             o_values, o_weights = _o_attention(x, raw["wq"][0], raw["wk"][0],
                                                raw["wv"][0])
-            assert np.abs(weights[s] - o_weights).max() < 1e-12
+            assert np.abs(weights[0, s] - o_weights).max() < 1e-12
             assert np.abs(values[0, rows] - o_values).max() < 1e-12
-            assert np.abs(weights[s].sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs(weights[0, s].sum(axis=1) - 1.0).max() < 1e-12
             assert np.abs(out[rows] - _o_block(x, raw)).max() < 1e-12, \
                 f"trial {trial} sequence {s}"
     report("attention weights, block outputs, and softmax rows conform")

@@ -86,14 +86,14 @@ def test_attention_zero_queries_give_uniform_rows():
     zero = np.zeros((1, 6, 3))
     wv = RNG.normal(size=(1, 6, 3))
     _, weights, _ = _attention(x, np.concatenate([zero, zero, wv]), 5)
-    np.testing.assert_allclose(weights[0], np.full((5, 5), 0.2), atol=1e-15)
+    np.testing.assert_allclose(weights[0, 0], np.full((5, 5), 0.2), atol=1e-15)
 
 
 def test_attention_single_token():
     x = RNG.normal(size=(1, 4))
     wqkv = np.stack(rand_mats((4, 2), (4, 2), (4, 2)))
     _, weights, _ = _attention(x, wqkv, 1)
-    np.testing.assert_array_equal(weights[0], [[1.0]])
+    np.testing.assert_array_equal(weights[0, 0], [[1.0]])
 
 
 def test_attention_matches_loop_oracle_three_tokens():
@@ -104,9 +104,9 @@ def test_attention_matches_loop_oracle_three_tokens():
                                         np.stack([wq, wk, wv]), 3)
         for s, x in enumerate(seqs):
             ref_values, ref_weights = loop_attention(x, wq, wk, wv)
-            assert np.max(np.abs(weights[s] - ref_weights)) < 1e-12
+            assert np.max(np.abs(weights[0, s] - ref_weights)) < 1e-12
             assert np.max(np.abs(values[0, 3 * s:3 * s + 3] - ref_values)) < 1e-12
-        assert np.max(np.abs(weights.sum(axis=2) - 1.0)) < 1e-12
+        assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
