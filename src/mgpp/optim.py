@@ -2,7 +2,11 @@
 
 Parameters, gradient and both moment accumulators are flat vectors in the
 layout of ``ParamStore.flat``, so a step is a few vector ops over the whole
-model, run slice by slice so that their temporaries stay small.
+model, run slice by slice so that their temporaries stay small. A step can
+also be taken range by range: ``OptimState.advance`` counts it and takes its
+bias corrections once, then each range of coordinates is updated on its
+own, in any order or on any thread, with the same bits as the whole-vector
+update, since every operation is elementwise.
 
 The decay term never routes through the moment accumulators: parameters are
 scaled by (1 - lr*weight_decay) before the bias-corrected adaptive update, so
@@ -15,16 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamStore
-from .tensor import _empty
-
-# Coordinates per slice of the Adam update: its two temporaries stay at
-# 2 x 128 KB, whatever the model size.
-_CHUNK = 1 << 14
+from .tensor import _CHUNK, _empty
 
 
 class OptimState:
-    """Flat first/second-moment accumulators and the fixed hyperparameters;
-    the learning rate is passed to each step."""
+    """Flat first/second-moment accumulators, the fixed hyperparameters and
+    the step count with its bias corrections; the learning rate is passed to
+    each step."""
 
     def __init__(self, store: ParamStore, *, beta1: float, beta2: float,
                  eps_opt: float, weight_decay: float):
@@ -33,31 +34,49 @@ class OptimState:
         self.eps_opt = float(eps_opt)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
+        self.corrections = (1.0, 1.0)
         self.m = np.zeros_like(store.flat)
         self.v = np.zeros_like(store.flat)
 
+    def advance(self) -> None:
+        """Count a step and take its bias corrections, 1 - beta^t."""
+        self.step_count += 1
+        t = self.step_count
+        self.corrections = (1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t)
+
 
 def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
-               lr: float) -> None:
+               lr: float, span: tuple[int, int] | None = None) -> None:
     """One decoupled-weight-decay adaptive update of ``store.flat`` at rate
     ``lr`` (the caller passes the current rate of its schedule each step).
-    Pruned coordinates are updated like any other; the prune engine re-zeroes
-    them afterwards.
+    With ``span`` = (lo, hi), only coordinates lo..hi are updated, for the
+    step that ``state.advance()`` last counted: a caller that splits a step
+    into ranges counts it once. Pruned coordinates are updated like any
+    other; the prune engine re-zeroes them afterwards.
     """
     if grads.shape != store.flat.shape:
         raise ValueError(f"gradient shape {grads.shape} != {store.flat.shape}")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    if span is None:
+        state.advance()
+        span = (0, grads.size)
+    _adam(store.flat, grads, state, lr, *span,
+          (_empty((_CHUNK,)), _empty((_CHUNK,))))
+
+
+def _adam(flat: np.ndarray, grads: np.ndarray, state: OptimState, lr: float,
+          lo: int, hi: int, tmp: tuple) -> None:
+    """optim_step's update of coordinates lo..hi of ``flat``, with two
+    float64 buffers of _CHUNK for its temporaries."""
+    bc1, bc2 = state.corrections
     if state.weight_decay != 0.0:
-        store.flat *= 1.0 - lr * state.weight_decay
+        flat[lo:hi] *= 1.0 - lr * state.weight_decay
     # In place, slice by slice, in the order of: m = beta1*m + (1-beta1)*g;
     # v = beta2*v + (1-beta2)*(g*g); theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-    for lo in range(0, grads.size, _CHUNK):
-        span = slice(lo, lo + _CHUNK)
-        theta, m, v, g = store.flat[span], state.m[span], state.v[span], grads[span]
-        mhat, vhat = _empty(g.shape), _empty(g.shape)
+    mhat_buf, vhat_buf = tmp
+    for first in range(lo, hi, _CHUNK):
+        span = slice(first, min(first + _CHUNK, hi))
+        theta, m, v, g = flat[span], state.m[span], state.v[span], grads[span]
+        mhat, vhat = mhat_buf[:g.size], vhat_buf[:g.size]
         m *= state.beta1
         m += np.multiply(1.0 - state.beta1, g, out=mhat)
         v *= state.beta2

@@ -12,6 +12,11 @@ Masks are recomputed from scratch at every prune event, so a coordinate
 zeroed at one event can return later if the optimizer pulls it back above the
 cut — pruning here is iterative, not monotone. Between events the current
 mask is re-applied after each optimizer update.
+
+Each step's update tail (_tail) runs over the whole parameter vector or,
+where _tail_parts allows, over its two halves, the second on the worker
+thread of ``tensor``; every operation in it is elementwise or an
+order-free check, so no bit depends on the split.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ import numpy as np
 from .config import comparable_config
 from .data import Split, batch_iterator, generate_dataset
 from .metrics import RunMetrics
-from .optim import OptimState, linear_lr, optim_step
-from .params import ParamStore
-from .prior import MgpConfig, mgp_grad
-from .tensor import _empty
+from .optim import OptimState, _adam, linear_lr, optim_step
+from .params import ParamStore, _remask
+from .prior import _mgp_grad, mgp_grad
+from .tensor import _CHUNK, _cpus, _empty, _run_parts
 from .transformer import evaluate_accuracy, init_params, loss_and_grads
 
 
@@ -82,24 +87,6 @@ def apply_global_prune(store: ParamStore, v: float) -> PruneEvent:
     return PruneEvent(zeroed=k, kept=total - k, threshold=float(threshold))
 
 
-def _add_prior_grads(grads: np.ndarray, store: ParamStore,
-                     mgp: MgpConfig | None, eta: float, n_train: int) -> None:
-    """grads <- grads - (eta/n) * grad(log pi), prunable coordinates only."""
-    if eta == 0.0:
-        return
-    P = store.num_prunable()
-    prior = mgp_grad(store.flat[:P], mgp)
-    grads[:P] -= np.multiply(prior, eta / n_train, out=prior)
-
-
-def _update(store, opt, step: int, loss: float, grads, lr: float) -> None:
-    """Optimizer update, refused for a non-finite loss or gradient."""
-    if not (math.isfinite(loss)
-            and np.isfinite(grads, out=_empty(grads.shape, bool)).all()):
-        raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
-    optim_step(store, grads, opt, lr)
-
-
 def _threshold_pass(store: ParamStore, threshold: float) -> PruneEvent:
     """One-shot structure sparsification: keep the prunable coordinates
     strictly above the threshold; the masks then stay frozen."""
@@ -108,6 +95,83 @@ def _threshold_pass(store: ParamStore, threshold: float) -> PruneEvent:
     store.apply_masks()
     zeroed = store.zeroed_count()
     return PruneEvent(zeroed=zeroed, kept=P - zeroed, threshold=threshold)
+
+
+# the fewest coordinates per half that split the update tail: measured, see
+# the README
+_TAIL_VALUES = 24_576
+
+
+def _tail_parts(size: int, cpus: int) -> list[tuple[int, int]]:
+    """The ranges of the update tail over a parameter vector of ``size``
+    coordinates: its two halves when each holds at least _TAIL_VALUES and
+    the process may run on two or more CPUs, else the whole vector."""
+    half = size // 2
+    if cpus >= 2 and half >= _TAIL_VALUES:
+        return [(0, half), (half, size)]
+    return [(0, size)]
+
+
+# The tail's passes run the first range through the public functions and
+# the worker's through private ones, so code that wraps the public ones (a
+# profiler) sees one thread.
+
+def _prior_and_check(grads: np.ndarray, store: ParamStore, prior, bad: list,
+                     lo: int, hi: int) -> None:
+    """The tail's first pass over coordinates lo..hi: with ``prior`` =
+    (mgp, eta/n), grads <- grads - (eta/n) * grad(log pi) on the prunable
+    ones; then ``lo`` is appended to ``bad`` if a gradient there is not
+    finite."""
+    P = min(hi, store.num_prunable())
+    if prior is not None and lo < P:
+        mgp, scale = prior
+        g = (mgp_grad if lo == 0 else _mgp_grad)(store.flat[lo:P], mgp)
+        grads[lo:P] -= np.multiply(g, scale, out=g)
+    if not np.isfinite(grads[lo:hi], out=_empty((hi - lo,), bool)).all():
+        bad.append(lo)
+
+
+def _update_and_mask(store: ParamStore, grads: np.ndarray, opt: OptimState,
+                     lr: float, remask: bool, tmp: tuple, lo: int,
+                     hi: int) -> None:
+    """The tail's second pass over coordinates lo..hi, for the step that
+    ``opt`` has counted: the optimizer's update, then, with ``remask``, the
+    standing masks on the prunable ones. The worker's range works in
+    ``tmp``, two float64 buffers of _CHUNK from the calling thread's pool."""
+    if lo == 0:
+        optim_step(store, grads, opt, lr, (lo, hi))
+        if remask:
+            store.apply_masks(lo, hi)
+    else:
+        _adam(store.flat, grads, opt, lr, lo, hi, tmp)
+        if remask:
+            _remask(store.flat, store.mask, lo, min(hi, store.num_prunable()),
+                    tmp[0])
+
+
+def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, parts: list,
+          plan, n_train: int, step: int, loss: float,
+          lr: float) -> PruneEvent | None:
+    """A step's update tail over the ranges ``parts``: the prior and the
+    finiteness check, a join, then the optimizer and the standing masks.
+    A non-finite loss or gradient is refused at the join, before any
+    coordinate, moment or step count changes. The prune event or threshold
+    pass that ``plan`` calls for follows on this thread; returns it, or
+    None."""
+    prior = None if plan.eta == 0.0 else (plan.mgp, plan.eta / n_train)
+    bad: list = []
+    _run_parts(_prior_and_check, parts, grads, store, prior, bad)
+    if bad or not math.isfinite(loss):
+        raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
+    opt.advance()
+    remask = plan.prune is None and plan.threshold is None
+    tmp = (_empty((_CHUNK,)), _empty((_CHUNK,))) if len(parts) > 1 else None
+    _run_parts(_update_and_mask, parts, store, grads, opt, lr, remask, tmp)
+    if plan.prune is not None:
+        return apply_global_prune(store, plan.prune)
+    if plan.threshold is not None:
+        return _threshold_pass(store, plan.threshold)
+    return None
 
 
 def _step_stream(split: Split, batch_size: int, seed: int, first_step: int,
@@ -156,6 +220,7 @@ def train(cfg, metrics: RunMetrics | None = None
 
     v = cfg.values
     grads = np.empty_like(store.flat)
+    parts = _tail_parts(grads.size, _cpus())
     record, epoch = None, 0
     for first, last, rule in cfg.phases():
         opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],
@@ -165,17 +230,9 @@ def train(cfg, metrics: RunMetrics | None = None
                 train_split, v["batch_size"], cfg.seed, first, last, epoch):
             plan = rule(step)
             loss = loss_and_grads(store, cfg.model, *batch, grads)
-            _add_prior_grads(grads, store, plan.mgp, plan.eta, n_train)
-            _update(store, opt, step, loss, grads, linear_lr(
-                step - first + 1, last - first + 1, v["optim.lr"],
-                v["optim.lr_floor"]))
-            event = None
-            if plan.prune is not None:
-                event = apply_global_prune(store, plan.prune)
-            elif plan.threshold is not None:
-                event = _threshold_pass(store, plan.threshold)
-            else:
-                store.apply_masks()
+            event = _tail(store, grads, opt, parts, plan, n_train, step, loss,
+                          linear_lr(step - first + 1, last - first + 1,
+                                    v["optim.lr"], v["optim.lr_floor"]))
             # a scheduled sparsity is recorded as planned, else the realized one
             fields = plan.fields
             record = {"step": step, "loss": loss,

@@ -33,21 +33,24 @@ the rule assumes CPython's reference counting. A process keeps its pools:
 buffers are never freed, and each size holds as many buffers as were ever
 live at once in that thread. Other modules take their per-step temporaries
 from the same pool: the prior gradient, the global prune's scores, the
-masks' complement, the divergence check's mask and the optimizer's slices.
+masks' keep-bits, the divergence check's mask and the optimizer's slices.
 
 The worker. ``_submit(fn, *args)`` queues the job ``fn(*args)`` for one
 worker thread, started by the first call; ``_products`` is the job of a few
 matrix products into given arrays. ``_wait()`` returns once every queued
-job is done and re-raises the first error a job raised. numpy releases the
-GIL inside a product and inside its loops over large arrays, so on a second
-core a job overlaps the main thread's work.
+job is done and re-raises the first error a job raised. ``_run_parts``
+runs the first part of some work here and the second on the worker: the
+step's halves of a batch, the update tail's halves of the parameters.
+numpy releases the GIL inside a product and inside its loops over large
+arrays, so on a second core a job overlaps the main thread's work.
 Two rules keep this exact and the pools deterministic:
   * until ``_wait`` returns, neither thread writes into an array that the
     other reads or writes in that time;
   * whatever a job keeps lives in arrays that the main thread holds, and
     every array handed to ``_submit`` stays referenced from the main
     thread's side (``_PENDING``) until ``_wait`` sees its job done. The
-    worker takes a job's temporaries from its own pool, and drops its own
+    worker takes a job's temporaries from its own pool, or from buffers
+    the main thread took from its pool and handed over, and drops its own
     references before it reports a job done.
 So whether a pooled buffer is free never depends on how far the worker has
 got. The worker has no setting: one thread, started lazily, never stopped
@@ -67,6 +70,11 @@ import threading
 import numpy as np
 
 EPS_LN = 1e-12
+
+# Coordinates per slice of a pass over a flat vector (the optimizer's, the
+# masks'): each thread takes a slice's temporaries from buffers of this one
+# size, whatever the model size.
+_CHUNK = 1 << 15
 
 
 class _Pool(threading.local):
@@ -181,6 +189,25 @@ def _wait() -> None:
         error = _ERRORS[0]
         _ERRORS.clear()
         raise error
+
+
+def _run_parts(fn, parts: list, *args) -> None:
+    """``fn(*args, first, end)`` for each part: the first on this thread,
+    the second on the worker. Returns, or raises, once both are done."""
+    for part in parts[1:]:
+        _submit(fn, *args, *part)
+    try:
+        fn(*args, *parts[0])
+    finally:
+        _wait()
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _forget_worker() -> None:

@@ -89,7 +89,6 @@ arrays.
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -97,7 +96,8 @@ import numpy as np
 
 from . import tensor as T
 from .params import ParamStore
-from .tensor import _empty, _filled, _product, _products, _submit, _wait
+from .tensor import (_cpus, _empty, _filled, _product, _products, _run_parts,
+                     _submit, _wait)
 
 
 @dataclass(frozen=True)
@@ -197,25 +197,6 @@ def _parts(bsz: int, n: int, d: int, cpus: int) -> list[tuple[int, int]]:
     if cpus >= 2 and half * n * d >= _PART_VALUES:
         return [(0, half), (half, bsz)]
     return [(0, bsz)]
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:     # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _run_parts(fn, parts: list, *args) -> None:
-    """``fn(*args, first, end)`` for each part: the first on this thread,
-    the second on the worker. Returns, or raises, once both are done."""
-    for part in parts[1:]:
-        _submit(fn, *args, *part)
-    try:
-        fn(*args, *parts[0])
-    finally:
-        _wait()
 
 
 def _part(arrays: tuple, n: int, lo: int, hi: int) -> tuple:

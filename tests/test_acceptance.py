@@ -19,7 +19,7 @@ from mgpp.config import build_config, load_config
 from mgpp.harness import run_experiment
 from mgpp.metrics import load_records
 from mgpp.prior import MgpConfig, mgp_grad, pa_threshold
-from mgpp.prune import _add_prior_grads, train
+from mgpp.prune import _prior_and_check, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.tensor import cross_entropy
@@ -107,7 +107,7 @@ def test_01_objective_gradient_fidelity():
         grads = np.empty_like(store.flat)
         loss_val = loss_and_grads(store, model, tokens, labels, grads)
         assert math.isfinite(loss_val)
-        _add_prior_grads(grads, store, mgp, eta=eta, n_train=n_train)
+        _prior_and_check(grads, store, (mgp, eta / n_train), [], 0, grads.size)
         grads = store.views(grads)
 
         checks = [(name, flat) for name, flat, _ in planted]

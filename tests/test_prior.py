@@ -179,6 +179,15 @@ def test_pooled_kernels_bitwise_equal_plain_expressions(cfg):
         for zero_d in (t, np.array(t), float(t)):
             assert_bitwise(g_fn(zero_d, cfg), g_reference(np.float64(t), cfg))
             assert_bitwise(mgp_grad(zero_d, cfg), mgp_grad_reference(t, cfg))
+    # the lanes that g's keep-bits AND zeroes (NaN, infinite and overflowing
+    # exponents) beside ones it keeps, -0.0 among them; these inputs overflow
+    # or meet inf * 0 on the way, in the kernels and the oracles alike
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300,
+                        -0.0, 0.0, 1e-3, -1e-3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arr in (special, special[::-1], special.reshape(2, 5)[:, ::2]):
+            assert_bitwise(g_fn(arr, cfg), g_reference(arr, cfg))
+            assert_bitwise(mgp_grad(arr, cfg), mgp_grad_reference(arr, cfg))
 
 
 def test_pooled_kernel_results_are_not_overwritten_by_later_calls():

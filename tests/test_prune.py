@@ -18,7 +18,7 @@ from mgpp.metrics import RunMetrics
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
 from mgpp.prune import (apply_global_prune, magnitude_scores, train,
-                        _add_prior_grads)
+                        _prior_and_check)
 from mgpp.schedule import prune_steps
 from mgpp.transformer import init_params, loss_and_grads
 
@@ -176,6 +176,13 @@ def test_non_prunable_tensors_never_touched():
 # ---------------------------------------------------------------------------
 # prior-gradient wiring
 # ---------------------------------------------------------------------------
+
+def _add_prior_grads(grads, store, mgp, eta, n_train):
+    """The update tail's first pass over the whole vector."""
+    bad = []
+    _prior_and_check(grads, store, (mgp, eta / n_train), bad, 0, grads.size)
+    assert bad == []
+
 
 def test_prior_grad_zero_at_pruned_coordinate():
     cfg = MgpConfig(1e-7, 1e-10, 0.1)

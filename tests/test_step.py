@@ -264,12 +264,14 @@ def two_cpus(monkeypatch) -> list:
     """Let the step use two CPUs, whatever this host allows, and record the
     name of each job it queues."""
     monkeypatch.setattr(mgpp.transformer, "_cpus", lambda: 2)
-    submit, jobs = mgpp.transformer._submit, []
+    submit, jobs = mgpp.tensor._submit, []
 
     def recorded(fn, *args):
         jobs.append(fn.__name__)
         submit(fn, *args)
 
+    # the parts go through tensor._run_parts, the products straight to it
+    monkeypatch.setattr(mgpp.tensor, "_submit", recorded)
     monkeypatch.setattr(mgpp.transformer, "_submit", recorded)
     return jobs
 
@@ -334,8 +336,8 @@ def test_a_failing_part_is_raised_by_the_step(monkeypatch, part):
     store = masked_store(cfg, 13)
     rng = np.random.default_rng(13)
     tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
-    submit = mgpp.transformer._submit
-    monkeypatch.setattr(mgpp.transformer, "_submit", lambda fn, *args: submit(
+    submit = mgpp.tensor._submit
+    monkeypatch.setattr(mgpp.tensor, "_submit", lambda fn, *args: submit(
         failing_part if fn.__name__ == part else fn, *args))
     outcome = []
 
@@ -351,7 +353,7 @@ def test_a_failing_part_is_raised_by_the_step(monkeypatch, part):
     assert not thread.is_alive(), "the step hangs on a failed part"
     assert len(outcome) == 1 and isinstance(outcome[0], PartFailed)
     assert_nothing_pending()
-    monkeypatch.setattr(mgpp.transformer, "_submit", submit)
+    monkeypatch.setattr(mgpp.tensor, "_submit", submit)
     assert_step_matches_tape(store, cfg, tokens, labels)
     assert_nothing_pending()
 
