@@ -96,7 +96,11 @@ def _cmd_export_thresholds(args) -> int:
 
 
 def _cmd_export_prior_curve(args) -> int:
-    mgp = _load(args).mgp_config()
+    cfg = _load(args)
+    try:  # a gmp or l2 plan never reads mgp.*, so build_config did not check it
+        mgp = cfg.mgp_config()
+    except ValueError as exc:
+        raise ConfigError(f"mgp: {exc}") from exc
     grid = _parse_range(args.range)
     try:
         rows = penalty_curve(mgp, grid)

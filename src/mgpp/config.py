@@ -260,11 +260,9 @@ def build_config(values: dict) -> ExperimentConfig:
                            seed=merged["seed"], out_dir=merged["out"],
                            values=merged)
 
-    # Fail now, not mid-run: materialize every sub-config, then each phase's
-    # first and last step (pa's widest prior, then its threshold pass)
+    # Fail now, not mid-run: each phase's first and last step (pa's widest
+    # prior, then its threshold pass) build what the plan reads, and only that
     try:
-        cfg.cubic_schedule()
-        cfg.mgp_config()
         for first, last, rule in cfg.phases():
             rule(first)
             rule(last)

@@ -20,16 +20,15 @@ c2 = 0.5/sigma0_sq - 0.5/sigma1_sq. g(theta) is the posterior responsibility
 of the spike component; it crosses 1/2 exactly where c2*theta^2 + c1 = 0,
 which is also the one-shot pruning threshold returned by pa_threshold.
 
-mgp_grad runs once per prior step over every prunable coordinate (or over
-each half of them, where the update tail splits; the worker thread calls
-_mgp_grad), so it computes in place, in arrays from the tensor engine's
-pool (``tensor._empty``), and allocates nothing after the first step. g_fn
-and mgp_grad do the operations of the plain expressions in the same order,
-so their results are bitwise the same. Where c2*theta^2 + c1 is above the
-cutoff, or NaN, g is 0: the exponent is clamped to the cutoff, which
-changes no exponent at or below it and keeps exp finite, and those lanes
-are then ANDed with zero bits, which writes +0.0 without a branch.
-A returned array stays valid for as long as the caller holds it.
+mgp_grad runs once per prior step, on the main thread, over every
+prunable coordinate, so it computes in place, in arrays from the tensor
+engine's pool (``tensor._empty``), and allocates nothing after the first
+step. g_fn and mgp_grad do the operations of the plain expressions in the
+same order, so their results are bitwise the same. Where c2*theta^2 + c1
+is above the cutoff, or NaN, g is 0: the exponent is clamped to the
+cutoff, which changes no exponent at or below it and keeps exp finite, and
+those lanes are then ANDed with zero bits, which writes +0.0 without a
+branch. A returned array stays valid for as long as the caller holds it.
 """
 
 from __future__ import annotations
@@ -79,11 +78,7 @@ def g_fn(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:
     Gives 0 exactly where the exponent would overflow float64 (the limit
     value); even in theta and non-increasing in |theta|.
     """
-    return _g(np.asarray(theta, dtype=np.float64), cfg)
-
-
-def _g(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:
-    """g_fn for a float64 array."""
+    arr = np.asarray(theta, dtype=np.float64)
     u = np.multiply(cfg.c2, arr, out=_empty(arr.shape))
     np.multiply(u, arr, out=u)
     np.add(u, cfg.c1, out=u)
@@ -108,12 +103,8 @@ def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
     Finite for all finite inputs, including |theta| up to 1e3 under extreme
     configs (c2 ~ 5e9), because g underflows to exactly 0 there.
     """
-    return _mgp_grad(np.asarray(theta, dtype=np.float64), cfg)
-
-
-def _mgp_grad(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:
-    """mgp_grad for a float64 array."""
-    g = _g(arr, cfg)
+    arr = np.asarray(theta, dtype=np.float64)
+    g = g_fn(arr, cfg)
     out = np.divide(arr, cfg.sigma0_sq, out=_empty(arr.shape))
     np.multiply(out, g, out=out)
     slab = np.divide(arr, cfg.sigma1_sq, out=_empty(arr.shape))

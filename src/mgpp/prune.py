@@ -13,10 +13,12 @@ zeroed at one event can return later if the optimizer pulls it back above the
 cut — pruning here is iterative, not monotone. Between events the current
 mask is re-applied after each optimizer update.
 
-Each step's update tail (_tail) runs over the whole parameter vector or,
-where _tail_parts allows, over its two halves, the second on the worker
-thread of ``tensor``; every operation in it is elementwise or an
-order-free check, so no bit depends on the split.
+Each step's update tail (_tail) adds the prior's gradient over the
+prunable coordinates and checks the whole gradient on the main thread,
+then runs the update (weight decay, Adam, the re-mask) over the whole
+parameter vector or, where each half is large enough (``tensor._halves``),
+over its two halves, the second on the worker thread of ``tensor``. Every
+operation of the update is elementwise, so no bit depends on the split.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .data import Split, batch_iterator, generate_dataset
 from .metrics import RunMetrics
 from .optim import OptimState, _adam, linear_lr, optim_step
 from .params import ParamStore, _remask
-from .prior import _mgp_grad, mgp_grad
-from .tensor import _CHUNK, _cpus, _empty, _run_parts
+from .prior import mgp_grad
+from .tensor import _CHUNK, _empty, _halves, _run_parts
 from .transformer import evaluate_accuracy, init_params, loss_and_grads
 
 
@@ -97,47 +99,20 @@ def _threshold_pass(store: ParamStore, threshold: float) -> PruneEvent:
     return PruneEvent(zeroed=zeroed, kept=P - zeroed, threshold=threshold)
 
 
-# the fewest coordinates per half that split the update tail: measured, see
-# the README
+# the fewest coordinates per half that split the update: measured, see the
+# README
 _TAIL_VALUES = 24_576
-
-
-def _tail_parts(size: int, cpus: int) -> list[tuple[int, int]]:
-    """The ranges of the update tail over a parameter vector of ``size``
-    coordinates: its two halves when each holds at least _TAIL_VALUES and
-    the process may run on two or more CPUs, else the whole vector."""
-    half = size // 2
-    if cpus >= 2 and half >= _TAIL_VALUES:
-        return [(0, half), (half, size)]
-    return [(0, size)]
-
-
-# The tail's passes run the first range through the public functions and
-# the worker's through private ones, so code that wraps the public ones (a
-# profiler) sees one thread.
-
-def _prior_and_check(grads: np.ndarray, store: ParamStore, prior, bad: list,
-                     lo: int, hi: int) -> None:
-    """The tail's first pass over coordinates lo..hi: with ``prior`` =
-    (mgp, eta/n), grads <- grads - (eta/n) * grad(log pi) on the prunable
-    ones; then ``lo`` is appended to ``bad`` if a gradient there is not
-    finite."""
-    P = min(hi, store.num_prunable())
-    if prior is not None and lo < P:
-        mgp, scale = prior
-        g = (mgp_grad if lo == 0 else _mgp_grad)(store.flat[lo:P], mgp)
-        grads[lo:P] -= np.multiply(g, scale, out=g)
-    if not np.isfinite(grads[lo:hi], out=_empty((hi - lo,), bool)).all():
-        bad.append(lo)
 
 
 def _update_and_mask(store: ParamStore, grads: np.ndarray, opt: OptimState,
                      lr: float, remask: bool, tmp: tuple, lo: int,
                      hi: int) -> None:
-    """The tail's second pass over coordinates lo..hi, for the step that
-    ``opt`` has counted: the optimizer's update, then, with ``remask``, the
-    standing masks on the prunable ones. The worker's range works in
-    ``tmp``, two float64 buffers of _CHUNK from the calling thread's pool."""
+    """The update over coordinates lo..hi, for the step that ``opt`` has
+    counted: the optimizer's, then, with ``remask``, the standing masks on
+    the prunable ones. The first range goes through the public functions
+    and the worker's through private ones, so code that wraps the public
+    ones (a profiler) sees one thread; the worker's works in ``tmp``, two
+    float64 buffers of _CHUNK from the calling thread's pool."""
     if lo == 0:
         optim_step(store, grads, opt, lr, (lo, hi))
         if remask:
@@ -152,16 +127,19 @@ def _update_and_mask(store: ParamStore, grads: np.ndarray, opt: OptimState,
 def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, parts: list,
           plan, n_train: int, step: int, loss: float,
           lr: float) -> PruneEvent | None:
-    """A step's update tail over the ranges ``parts``: the prior and the
-    finiteness check, a join, then the optimizer and the standing masks.
-    A non-finite loss or gradient is refused at the join, before any
-    coordinate, moment or step count changes. The prune event or threshold
-    pass that ``plan`` calls for follows on this thread; returns it, or
-    None."""
-    prior = None if plan.eta == 0.0 else (plan.mgp, plan.eta / n_train)
-    bad: list = []
-    _run_parts(_prior_and_check, parts, grads, store, prior, bad)
-    if bad or not math.isfinite(loss):
+    """A step's update tail: grads <- grads - (eta/n) * grad(log pi) on the
+    prunable coordinates, the finiteness check, then the optimizer and the
+    standing masks over the ranges ``parts``. A non-finite loss or gradient
+    is refused before any coordinate, moment or step count changes. The
+    prune event or threshold pass that ``plan`` calls for follows on this
+    thread; returns it, or None."""
+    if plan.eta != 0.0:
+        P = store.num_prunable()
+        g = mgp_grad(store.flat[:P], plan.mgp)
+        grads[:P] -= np.multiply(g, plan.eta / n_train, out=g)
+        del g       # its buffer is free again before the update
+    if not (math.isfinite(loss)
+            and np.isfinite(grads, out=_empty(grads.shape, bool)).all()):
         raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
     opt.advance()
     remask = plan.prune is None and plan.threshold is None
@@ -220,7 +198,7 @@ def train(cfg, metrics: RunMetrics | None = None
 
     v = cfg.values
     grads = np.empty_like(store.flat)
-    parts = _tail_parts(grads.size, _cpus())
+    parts = _halves(grads.size, 1, _TAIL_VALUES)
     record, epoch = None, 0
     for first, last, rule in cfg.phases():
         opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],

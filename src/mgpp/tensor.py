@@ -40,7 +40,10 @@ worker thread, started by the first call; ``_products`` is the job of a few
 matrix products into given arrays. ``_wait()`` returns once every queued
 job is done and re-raises the first error a job raised. ``_run_parts``
 runs the first part of some work here and the second on the worker: the
-step's halves of a batch, the update tail's halves of the parameters.
+step's halves of a batch, the update's halves of the parameters. One rule,
+``_halves``, says where work splits in two: where each half is large
+enough for the second core to gain more than the handoffs cost, and the
+process may run on two CPUs. Each caller gives its own measured size.
 numpy releases the GIL inside a product and inside its loops over large
 arrays, so on a second core a job overlaps the main thread's work.
 Two rules keep this exact and the pools deterministic:
@@ -208,6 +211,17 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:     # a platform without CPU affinity
         return os.cpu_count() or 1
+
+
+def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
+    """The parts of ``count`` items of ``unit`` values each, as (first, end)
+    ranges for _run_parts: the two halves when each half holds at least
+    ``least`` values and the process may run on two or more CPUs, else the
+    whole range."""
+    half = count // 2
+    if _cpus() >= 2 and half * unit >= least:
+        return [(0, half), (half, count)]
+    return [(0, count)]
 
 
 def _forget_worker() -> None:

@@ -50,18 +50,18 @@ one part the block output gradient's storage takes u~'s gradient and then
 the block input's.
 
 Parts. A step splits its batch into parts, contiguous ranges of whole
-sequences (_parts): its two halves when each half's [rows x d] activation
-holds at least 12,288 values and the process may run on two or more CPUs,
-else one part. Below that size the two threads lose more to handing the
-interpreter lock back and forth than a second core gains. The main thread
-runs part 0 and the worker thread of ``tensor`` part 1, each writing its
-token rows into the full-batch arrays; the work split so is what stays
-within a sequence: the embedding lookup, projections, attention, layer
-norms and FFN of the forward, and the backward's per-row gradients. A
-token row of a product or an elementwise op has the same bits whatever
-rows ride with it (for products this rests on the BLAS kernels; the tests
-check it against the tape at the benchmark's shapes), so parts change no
-bit. Every sum over sequences runs once over the whole batch, since adding
+sequences (``tensor._halves``): its two halves when each half's [rows x d]
+activation holds at least 12,288 values and the process may run on two or
+more CPUs, else one part. Below that size the two threads lose more to
+handing the interpreter lock back and forth than a second core gains. The
+main thread runs part 0 and the worker thread of ``tensor`` part 1, each
+writing its token rows into the full-batch arrays; the work split so is
+what stays within a sequence: the embedding lookup, projections, attention,
+layer norms and FFN of the forward, and the backward's per-row gradients. A
+token row of a product or an elementwise op has the same bits whatever rows
+ride with it (for products this rests on the BLAS kernels; the tests check
+it against the tape at the benchmark's shapes), so parts change no bit.
+Every sum over sequences runs once over the whole batch, since adding
 parts' sums would change its bits: the weight-side products x^T g, the
 layer norms' column sums, the head's products, the mean pooling and
 cross-entropy, and the embedding gradient.
@@ -96,8 +96,8 @@ import numpy as np
 
 from . import tensor as T
 from .params import ParamStore
-from .tensor import (_cpus, _empty, _filled, _product, _products, _run_parts,
-                     _submit, _wait)
+from .tensor import (_empty, _filled, _halves, _product, _products,
+                     _run_parts, _submit, _wait)
 
 
 @dataclass(frozen=True)
@@ -186,17 +186,6 @@ def _views(store: ParamStore, cfg: TransformerConfig,
 # the fewest [rows x d] values per part that take two parts: measured, two
 # parts lost at 8,192 values a part and won at 12,288
 _PART_VALUES = 12_288
-
-
-def _parts(bsz: int, n: int, d: int, cpus: int) -> list[tuple[int, int]]:
-    """The parts of a batch of ``bsz`` length-n sequences, as (first, end)
-    sequence ranges: its two halves when each half's [rows x d] activation
-    holds at least _PART_VALUES values and the process may run on two or
-    more CPUs, else the whole batch."""
-    half = bsz // 2
-    if cpus >= 2 and half * n * d >= _PART_VALUES:
-        return [(0, half), (half, bsz)]
-    return [(0, bsz)]
 
 
 def _part(arrays: tuple, n: int, lo: int, hi: int) -> tuple:
@@ -401,7 +390,7 @@ def forward_logits(store: ParamStore, tokens, cfg: TransformerConfig,
     blocks = _views(store, cfg)[1]
     x = _empty((bsz * n, cfg.d))
     arrays = [_block_arrays(bsz * n, n, w) for w in blocks]
-    _run_parts(_forward_rows, _parts(bsz, n, cfg.d, _cpus()), ids,
+    _run_parts(_forward_rows, _halves(bsz, n * cfg.d, _PART_VALUES), ids,
                store["embed.table"].value, blocks, x, arrays, n)
     for a in arrays:
         if saved is not None:
@@ -421,7 +410,7 @@ def loss_and_grads(store: ParamStore, cfg: TransformerConfig, tokens, labels,
     saved: list = []
     loss, g = T.cross_entropy(forward_logits(store, ids, cfg, saved), labels)
     bsz, n = ids.shape
-    parts = _parts(bsz, n, cfg.d, _cpus())
+    parts = _halves(bsz, n * cfg.d, _PART_VALUES)
     _, blocks, _, grad_blocks, views = _views(store, cfg, grads)
     try:
         pooled = saved.pop()

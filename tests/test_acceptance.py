@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from mgpp.checkpoint import load_checkpoint
-from mgpp.config import build_config, load_config
+from mgpp.config import StepPlan, build_config, load_config
 from mgpp.harness import run_experiment
 from mgpp.metrics import load_records
+from mgpp.optim import OptimState
 from mgpp.prior import MgpConfig, mgp_grad, pa_threshold
-from mgpp.prune import _prior_and_check, train
+from mgpp.prune import _tail, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.tensor import cross_entropy
@@ -107,7 +108,14 @@ def test_01_objective_gradient_fidelity():
         grads = np.empty_like(store.flat)
         loss_val = loss_and_grads(store, model, tokens, labels, grads)
         assert math.isfinite(loss_val)
-        _prior_and_check(grads, store, (mgp, eta / n_train), [], 0, grads.size)
+        # the update tail at a zero learning rate adds the prior's gradient
+        # and leaves the weights where the objective is differenced
+        before = store.flat.copy()
+        opt = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
+                         weight_decay=0.0)
+        _tail(store, grads, opt, [(0, grads.size)], StepPlan(mgp, eta, {}),
+              n_train, 1, loss_val, 0.0)
+        assert store.flat.tobytes() == before.tobytes()
         grads = store.views(grads)
 
         checks = [(name, flat) for name, flat, _ in planted]

@@ -588,6 +588,38 @@ def test_a_pa_prior_that_fails_mid_run_is_refused_up_front(lines, message):
     assert _every_planned_step(values) == "refused"
 
 
+# keys that a method's plan never reads: pa runs no cubic schedule, gmp and
+# l2 no prior
+UNREAD_KEYS = [{"method": "pa", "schedule.delta_t": 0},
+               {"method": "pa", "schedule.v_final": 1.5},
+               {"method": "gmp", "mgp.lambda": 2.0},
+               {"method": "l2", "mgp.sigma0_sq": 1.0}]
+
+
+@pytest.mark.parametrize("values", UNREAD_KEYS,
+                         ids=lambda values: "-".join(map(str, values.values())))
+def test_only_the_keys_a_plan_reads_are_checked(values):
+    assert _every_planned_step(values) == "planned"
+
+
+def test_a_prior_the_plan_reads_is_still_checked():
+    with pytest.raises(ConfigError, match="lam must lie in"):
+        build_config({"method": "mgpp", "mgp.lambda": 2.0})
+
+
+@pytest.mark.parametrize("method, line", [("gmp", "mgp.lambda = 2.0\n"),
+                                          ("l2", "mgp.sigma0_sq = 1.0\n")])
+def test_cli_prior_curve_refuses_an_unread_bad_prior(tmp_path, capsys, method,
+                                                      line):
+    # the run builds; the curve is the first to read the prior
+    cfg_path = micro_config_file(tmp_path, f"method = {method}\n" + line)
+    assert main(["dump-schedule", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["export-prior-curve", str(cfg_path),
+                 "--range=-0.2:0.2:0.1"]) == 1
+    assert capsys.readouterr().err.startswith("mgpp: config error: mgp: ")
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------

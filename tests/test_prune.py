@@ -12,13 +12,13 @@ import pytest
 
 import mgpp.prune
 import mgpp.transformer
-from mgpp.config import build_config
+from mgpp.config import StepPlan, build_config
 from mgpp.data import generate_dataset
 from mgpp.metrics import RunMetrics
+from mgpp.optim import OptimState
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
-from mgpp.prune import (apply_global_prune, magnitude_scores, train,
-                        _prior_and_check)
+from mgpp.prune import _tail, apply_global_prune, magnitude_scores, train
 from mgpp.schedule import prune_steps
 from mgpp.transformer import init_params, loss_and_grads
 
@@ -178,10 +178,14 @@ def test_non_prunable_tensors_never_touched():
 # ---------------------------------------------------------------------------
 
 def _add_prior_grads(grads, store, mgp, eta, n_train):
-    """The update tail's first pass over the whole vector."""
-    bad = []
-    _prior_and_check(grads, store, (mgp, eta / n_train), bad, 0, grads.size)
-    assert bad == []
+    """The update tail over the whole vector at a zero learning rate, which
+    adds the prior's gradient and leaves the weights as they were."""
+    before = store.flat.copy()
+    opt = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
+                     weight_decay=0.0)
+    _tail(store, grads, opt, [(0, grads.size)], StepPlan(mgp, eta, {}),
+          n_train, 1, 0.0, 0.0)
+    assert store.flat.tobytes() == before.tobytes()
 
 
 def test_prior_grad_zero_at_pruned_coordinate():

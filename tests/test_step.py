@@ -14,7 +14,8 @@ import mgpp.tensor
 import mgpp.transformer
 import tape_model
 from mgpp.prune import apply_global_prune
-from mgpp.transformer import (TransformerConfig, _block_views, _cpus, _parts,
+from mgpp.tensor import _cpus, _halves
+from mgpp.transformer import (_PART_VALUES, TransformerConfig, _block_views,
                               evaluate_accuracy, forward_logits, init_params,
                               loss_and_grads)
 
@@ -226,10 +227,11 @@ FORK_SCRIPT = """
 import hashlib, os, signal, sys
 sys.path.insert(0, {src})
 import numpy as np
+import mgpp.tensor as T
 import mgpp.transformer as M
 from mgpp.prune import apply_global_prune
 
-M._cpus = lambda: 2          # two parts, whatever this host allows
+T._cpus = lambda: 2          # two parts, whatever this host allows
 cfg = M.TransformerConfig(d=64, k=16, m_ff=256, H=4, L=2, vocab=4, n_classes=4)
 store = M.init_params(cfg, [3, 1])
 apply_global_prune(store, 0.5)
@@ -263,7 +265,7 @@ DESK = dict(d=32, k=8, m_ff=64, vocab=16)      # the desk model
 def two_cpus(monkeypatch) -> list:
     """Let the step use two CPUs, whatever this host allows, and record the
     name of each job it queues."""
-    monkeypatch.setattr(mgpp.transformer, "_cpus", lambda: 2)
+    monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
     submit, jobs = mgpp.tensor._submit, []
 
     def recorded(fn, *args):
@@ -276,16 +278,23 @@ def two_cpus(monkeypatch) -> list:
     return jobs
 
 
-def test_two_parts_only_where_each_half_is_large():
-    assert _parts(32, 16, 32, 2) == [(0, 32)]               # desk: 8,192 values a half
-    assert _parts(32, 16, 64, 2) == [(0, 16), (16, 32)]     # gmp-wide: 16,384
-    assert _parts(64, 16, 32, 2) == [(0, 32), (32, 64)]     # desk at batch 64
-    assert _parts(33, 16, 64, 2) == [(0, 16), (16, 33)]
-    assert _parts(24, 16, 64, 2) == [(0, 12), (12, 24)]     # 12,288 exactly
-    assert _parts(23, 16, 64, 2) == [(0, 23)]
-    assert _parts(32, 16, 64, 1) == [(0, 32)]               # one CPU allowed
-    assert _parts(64, 16, 32, 1) == [(0, 64)]
+def test_two_parts_only_where_each_half_is_large(monkeypatch):
     assert 1 <= _cpus()
+
+    def parts(bsz, n, d, cpus):
+        # the step's call of the shared rule, on ``cpus`` CPUs
+        monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: cpus)
+        return _halves(bsz, n * d, _PART_VALUES)
+
+    assert _PART_VALUES == 12_288
+    assert parts(32, 16, 32, 2) == [(0, 32)]               # desk: 8,192 values a half
+    assert parts(32, 16, 64, 2) == [(0, 16), (16, 32)]     # gmp-wide: 16,384
+    assert parts(64, 16, 32, 2) == [(0, 32), (32, 64)]     # desk at batch 64
+    assert parts(33, 16, 64, 2) == [(0, 16), (16, 33)]
+    assert parts(24, 16, 64, 2) == [(0, 12), (12, 24)]     # 12,288 exactly
+    assert parts(23, 16, 64, 2) == [(0, 23)]
+    assert parts(32, 16, 64, 1) == [(0, 32)]               # one CPU allowed
+    assert parts(64, 16, 32, 1) == [(0, 64)]
 
 
 @pytest.mark.parametrize("dims, bsz, H, L", [
@@ -331,7 +340,7 @@ def failing_part(*args):
 
 @pytest.mark.parametrize("part", ["_forward_rows", "_backward_rows"])
 def test_a_failing_part_is_raised_by_the_step(monkeypatch, part):
-    monkeypatch.setattr(mgpp.transformer, "_cpus", lambda: 2)
+    monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)
     store = masked_store(cfg, 13)
     rng = np.random.default_rng(13)
@@ -389,7 +398,7 @@ import mgpp.tensor as T
 import mgpp.transformer as M
 from mgpp.prune import apply_global_prune
 
-M._cpus = lambda: 2
+T._cpus = lambda: 2
 sys.setswitchinterval({interval})
 cfg = M.TransformerConfig(H=4, L=2, n_classes=4, **{dims})
 store = M.init_params(cfg, [4, 1])

@@ -1,10 +1,11 @@
-"""The update tail (prior, divergence check, optimizer, re-mask) split into
-two ranges, one on the worker thread, against the same tail in one range
-and against the public functions one after another, bit for bit; its
-refusal of a non-finite step; and the AND re-mask against the branching
-write it replaced."""
+"""The update tail (prior, divergence check, optimizer, re-mask) with its
+update split into two ranges, one on the worker thread, against the same
+tail in one range and against the public functions one after another, bit
+for bit; the prior on the main thread alone; its refusal of a non-finite
+step; and the AND re-mask against the branching write it replaced."""
 
 import os
+import subprocess
 import sys
 import threading
 
@@ -17,9 +18,9 @@ from mgpp.config import StepPlan, build_config
 from mgpp.optim import OptimState, optim_step
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, mgp_grad
-from mgpp.prune import (_TAIL_VALUES, _tail, _tail_parts, _threshold_pass,
+from mgpp.prune import (_TAIL_VALUES, _tail, _threshold_pass,
                         apply_global_prune, train)
-from mgpp.tensor import _cpus
+from mgpp.tensor import _cpus, _halves
 
 MGP = MgpConfig(1e-7, 1e-10, 0.05)
 
@@ -38,6 +39,11 @@ def make_store(n: int, prunable: int, seed: int) -> ParamStore:
 def make_opt(store: ParamStore, weight_decay: float = 0.0) -> OptimState:
     return OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
                       weight_decay=weight_decay)
+
+
+def halves(n: int) -> list:
+    """The two halves of an n-coordinate vector, as (first, end) ranges."""
+    return [(0, n // 2), (n // 2, n)]
 
 
 def state_bytes(store: ParamStore, opt: OptimState) -> tuple:
@@ -100,14 +106,24 @@ def run_reference(n: int, prunable: int, method: str) -> tuple:
 # the rule
 # ---------------------------------------------------------------------------
 
-def test_the_tail_splits_only_where_each_half_is_large():
-    assert _tail_parts(17_280, 2) == [(0, 17_280)]                 # desk
-    assert _tail_parts(99_328, 2) == [(0, 49_664), (49_664, 99_328)]  # gmp-wide
+def tail_parts(monkeypatch, size: int, cpus: int) -> list:
+    """The tail's call of the shared rule, on ``cpus`` CPUs."""
+    monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: cpus)
+    return _halves(size, 1, _TAIL_VALUES)
+
+
+def test_the_tail_splits_only_where_each_half_is_large(monkeypatch):
+    def parts(size, cpus):
+        return tail_parts(monkeypatch, size, cpus)
+
     T = _TAIL_VALUES
-    assert _tail_parts(2 * T, 2) == [(0, T), (T, 2 * T)]           # exactly
-    assert _tail_parts(2 * T - 1, 2) == [(0, 2 * T - 1)]
-    assert _tail_parts(2 * T + 1, 2) == [(0, T), (T, 2 * T + 1)]   # odd
-    assert _tail_parts(99_328, 1) == [(0, 99_328)]                 # one CPU
+    assert T == 24_576
+    assert parts(17_280, 2) == [(0, 17_280)]                 # desk
+    assert parts(99_328, 2) == [(0, 49_664), (49_664, 99_328)]  # gmp-wide
+    assert parts(2 * T, 2) == [(0, T), (T, 2 * T)]           # exactly
+    assert parts(2 * T - 1, 2) == [(0, 2 * T - 1)]
+    assert parts(2 * T + 1, 2) == [(0, T), (T, 2 * T + 1)]   # odd
+    assert parts(99_328, 1) == [(0, 99_328)]                 # one CPU
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +136,32 @@ def test_the_tail_splits_only_where_each_half_is_large():
     (1_001, 700),             # below the rule, split by hand; the half
     (1_001, 300),             # boundary inside or past the prunable ones
 ])
-def test_split_tail_is_bitwise_the_serial_tail(method, n, prunable):
-    halves = [(0, n // 2), (n // 2, n)]
+def test_split_tail_is_bitwise_the_serial_tail(monkeypatch, method, n, prunable):
     if n >= 2 * _TAIL_VALUES:
-        assert _tail_parts(n, 2) == halves
+        assert tail_parts(monkeypatch, n, 2) == halves(n)
     assert n // 2 != prunable
     serial = run_tail(n, prunable, method, [(0, n)])
-    split = run_tail(n, prunable, method, halves)
+    split = run_tail(n, prunable, method, halves(n))
     assert split == serial == run_reference(n, prunable, method)
     assert any(event is not None for event in serial[1]) == (method in ("gmp", "pa"))
 
 
+MICRO = {
+    "task.train": 256, "task.dev": 64, "task.test": 64, "task.length": 8,
+    "task.vocab": 12, "task.classes": 4, "model.d": 8, "model.k": 4,
+    "model.ffn": 16, "model.heads": 2, "model.layers": 2, "epochs": 2,
+    "batch_size": 32, "schedule.t_i": 2, "schedule.t_f": 10,
+    "schedule.delta_t": 2, "seed": 3}
+
+
 def micro_run(monkeypatch, method: str, cpus) -> tuple:
-    """A micro run whose tail splits at 64 coordinates a half, on ``cpus``
+    """A micro run whose update splits at 64 coordinates a half, on ``cpus``
     CPUs (None: those this process may use); its outputs and how many
     tail jobs went to the worker."""
-    cfg = build_config({
-        "method": method, "task.train": 256, "task.dev": 64, "task.test": 64,
-        "task.length": 8, "task.vocab": 12, "task.classes": 4, "model.d": 8,
-        "model.k": 4, "model.ffn": 16, "model.heads": 2, "model.layers": 2,
-        "epochs": 2, "batch_size": 32, "schedule.t_i": 2, "schedule.t_f": 10,
-        "schedule.delta_t": 2, "seed": 3})
+    cfg = build_config(MICRO | {"method": method})
     monkeypatch.setattr(mgpp.prune, "_TAIL_VALUES", 64)
     if cpus is not None:
-        monkeypatch.setattr(mgpp.prune, "_cpus", lambda: cpus)
+        monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: cpus)
     submit, jobs = mgpp.tensor._submit, []
     monkeypatch.setattr(mgpp.tensor, "_submit", lambda fn, *args: (
         jobs.append(fn.__name__), submit(fn, *args)))
@@ -151,8 +169,9 @@ def micro_run(monkeypatch, method: str, cpus) -> tuple:
         metrics, store = train(cfg)
     finally:
         monkeypatch.setattr(mgpp.tensor, "_submit", submit)
-    tail_jobs = [j for j in jobs if j in ("_prior_and_check", "_update_and_mask")]
-    assert len(tail_jobs) in (0, 2 * len(metrics.records))
+    # one job a step: the update's second half
+    tail_jobs = [j for j in jobs if j == "_update_and_mask"]
+    assert len(tail_jobs) in (0, len(metrics.records))
     return ((metrics.records, metrics.final, store.flat.tobytes(),
              store.mask.tobytes()), len(tail_jobs))
 
@@ -195,7 +214,7 @@ def test_split_tail_under_frequent_thread_switches_stays_exact():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert run_tail(n, prunable, "mgpp", _tail_parts(n, 2)) == want
+            assert run_tail(n, prunable, "mgpp", halves(n)) == want
             pools.append(census())
     finally:
         sys.setswitchinterval(interval)
@@ -219,11 +238,72 @@ def test_the_worker_calls_no_public_function(monkeypatch):
     for name in ("mgp_grad", "optim_step"):
         monkeypatch.setattr(mgpp.prune, name, spy(getattr(mgpp.prune, name)))
     monkeypatch.setattr(ParamStore, "apply_masks", spy(ParamStore.apply_masks))
-    _tail(store, np.zeros(n), opt, _tail_parts(n, 2), StepPlan(MGP, 1.0, {}),
+    _tail(store, np.zeros(n), opt, halves(n), StepPlan(MGP, 1.0, {}),
           1000, 1, 0.5, 1e-3)
     assert sorted(name for name, _ in threads) == [
         "apply_masks", "mgp_grad", "optim_step"]
     assert {thread for _, thread in threads} == {threading.current_thread()}
+
+
+def test_the_prior_runs_once_a_step_on_the_main_thread(monkeypatch):
+    # the update splits, the prior does not: one call a step, over exactly
+    # the prunable coordinates, on this thread
+    n, prunable = 2 * _TAIL_VALUES + 1, 2 * _TAIL_VALUES - 99
+    store = make_store(n, prunable, 13)
+    opt = make_opt(store)
+    calls, jobs = [], []
+
+    def spy(theta, cfg):
+        calls.append((theta.ctypes.data, theta.shape, theta.strides,
+                      threading.current_thread()))
+        return mgp_grad(theta, cfg)
+
+    monkeypatch.setattr(mgpp.prune, "mgp_grad", spy)
+    submit = mgpp.tensor._submit
+    monkeypatch.setattr(mgpp.tensor, "_submit", lambda fn, *args: (
+        jobs.append(fn.__name__), submit(fn, *args)))
+    rng = np.random.default_rng(13)
+    for step in range(1, 4):
+        _tail(store, rng.normal(size=n) * 1e-2, opt, halves(n),
+              StepPlan(MGP, 1.0, {}), 1000, step, 0.5, 1e-3)
+    assert calls == [(store.flat.ctypes.data, (prunable,), (8,),
+                      threading.current_thread())] * 3
+    assert jobs == ["_update_and_mask"] * 3
+
+
+POOL_SCRIPT = """
+import sys
+sys.path.insert(0, {src})
+import mgpp.prune as prune
+import mgpp.tensor as T
+from mgpp.config import build_config
+
+T._cpus = lambda: 2          # the update splits, whatever this host allows
+prune._TAIL_VALUES = 64
+submit, jobs = T._submit, []
+T._submit = lambda fn, *args: (jobs.append(fn.__name__), submit(fn, *args))
+metrics, store = prune.train(build_config({values!r}))
+pools = []
+T._submit(lambda: pools.append({{size for size, _ in T._POOL.buffers}}))
+T._wait()
+print((store.num_prunable(), store.flat.size, jobs.count("_update_and_mask"),
+       len(metrics.records), {{size for size, _ in T._POOL.buffers}}, pools[0]))
+"""
+
+
+def test_a_split_mgpp_run_leaves_no_prior_buffer_on_the_worker():
+    # a fresh process, so the worker's pool holds what this run put there
+    out = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT.format(
+            src=repr(mgpp.__path__[0] + "/.."), values=MICRO | {"method": "mgpp"})],
+        timeout=120, capture_output=True, text=True, check=True).stdout
+    P, n, split_jobs, steps, main, worker = eval(out)
+    assert split_jobs == steps > 0
+    # the sizes of the prior's arrays over the prunable coordinates, whole
+    # or cut at the update's half
+    prior_sizes = {P, n // 2, P - n // 2}
+    assert P in main
+    assert not prior_sizes & worker
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +316,7 @@ def test_a_non_finite_step_changes_nothing(where, bad):
     n = 2 * _TAIL_VALUES + 1
     store = make_store(n, n - 500, 11)
     opt = make_opt(store, 0.01)
-    parts = _tail_parts(n, 2)
+    parts = halves(n)
     plan = StepPlan(MGP, 1.0, {})
     rng = np.random.default_rng(11)
     _tail(store, rng.normal(size=n), opt, parts, plan, 1000, 1, 0.5, 1e-3)
