@@ -71,22 +71,33 @@ class RunMetrics:
 
 
 def load_records(path) -> list[dict]:
-    """Parse a metrics JSONL file back into a list of dicts."""
+    """Parse a metrics JSONL file back into a list of dicts; a line that is
+    not a JSON object is refused."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad metrics line") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_no}: metrics line is not a "
+                                 "JSON object")
+            records.append(record)
     return records
 
 
 def final_record(records: list[dict], source="metrics") -> dict:
+    """The one final record, refused if it lacks a field that comparing
+    runs reads."""
     finals = [r for r in records if r.get("final")]
     if len(finals) != 1:
         raise ValueError(f"{source}: expected exactly one final record, "
                          f"found {len(finals)}")
+    missing = [key for key in ("method", "seed", "task", "test_accuracy",
+                               "sparsity") if key not in finals[0]]
+    if missing:
+        raise ValueError(f"{source}: final record lacks {', '.join(missing)}")
     return finals[0]

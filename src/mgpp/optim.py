@@ -2,11 +2,12 @@
 
 Parameters, gradient and both moment accumulators are flat vectors in the
 layout of ``ParamStore.flat``, so a step is a few vector ops over the whole
-model, run slice by slice so that their temporaries stay small. A step can
-also be taken range by range: ``OptimState.advance`` counts it and takes its
-bias corrections once, then each range of coordinates is updated on its
-own, in any order or on any thread, with the same bits as the whole-vector
-update, since every operation is elementwise.
+model, run slice by slice so that their temporaries stay small (two
+buffers from the calling thread's pool). A step can also be taken range by
+range: ``OptimState.advance`` counts it and takes its bias corrections once,
+then each range of coordinates is updated on its own, in any order or on
+any thread, with the same bits as the whole-vector update, since every
+operation is elementwise.
 
 The decay term never routes through the moment accumulators: parameters are
 scaled by (1 - lr*weight_decay) before the bias-corrected adaptive update, so
@@ -59,23 +60,16 @@ def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
     if span is None:
         state.advance()
         span = (0, grads.size)
-    _adam(store.flat, grads, state, lr, *span,
-          (_empty((_CHUNK,)), _empty((_CHUNK,))))
-
-
-def _adam(flat: np.ndarray, grads: np.ndarray, state: OptimState, lr: float,
-          lo: int, hi: int, tmp: tuple) -> None:
-    """optim_step's update of coordinates lo..hi of ``flat``, with two
-    float64 buffers of _CHUNK for its temporaries."""
-    bc1, bc2 = state.corrections
+    lo, hi = span
+    flat, (bc1, bc2) = store.flat, state.corrections
     if state.weight_decay != 0.0:
         flat[lo:hi] *= 1.0 - lr * state.weight_decay
     # In place, slice by slice, in the order of: m = beta1*m + (1-beta1)*g;
     # v = beta2*v + (1-beta2)*(g*g); theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-    mhat_buf, vhat_buf = tmp
+    mhat_buf, vhat_buf = _empty((_CHUNK,)), _empty((_CHUNK,))
     for first in range(lo, hi, _CHUNK):
-        span = slice(first, min(first + _CHUNK, hi))
-        theta, m, v, g = flat[span], state.m[span], state.v[span], grads[span]
+        part = slice(first, min(first + _CHUNK, hi))
+        theta, m, v, g = flat[part], state.m[part], state.v[part], grads[part]
         mhat, vhat = mhat_buf[:g.size], vhat_buf[:g.size]
         m *= state.beta1
         m += np.multiply(1.0 - state.beta1, g, out=mhat)

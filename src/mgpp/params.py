@@ -80,10 +80,21 @@ class ParamStore:
         return self._n_prunable
 
     def apply_masks(self, lo: int = 0, hi: int | None = None) -> None:
-        """Zero the masked coordinates among lo..hi (default: all), in place."""
-        _remask(self.flat, self.mask, lo,
-                self._n_prunable if hi is None else min(hi, self._n_prunable),
-                _empty((_CHUNK,)))
+        """Zero the masked coordinates among lo..hi (default: all), in place:
+        a bitwise AND of the float bits with keep-bits, all ones for a kept
+        coordinate and zero for a masked one, made slice by slice in a
+        pooled buffer. It writes the bytes of ``np.copyto(flat, 0.0,
+        where=~mask)`` without a branch per element; a kept NaN, infinity or
+        -0.0 keeps its bits."""
+        hi = self._n_prunable if hi is None else min(hi, self._n_prunable)
+        bits = self.flat.view(np.int64)
+        keep = _empty((_CHUNK,)).view(np.int64)
+        for first in range(lo, hi, _CHUNK):
+            part = slice(first, min(first + _CHUNK, hi))
+            k = keep[:part.stop - first]
+            np.copyto(k, self.mask[part])   # 1 to keep, 0 to drop
+            np.negative(k, out=k)           # all ones to keep
+            np.bitwise_and(bits[part], k, out=bits[part])
 
     def sparsity(self) -> float:
         """Fraction of prunable coordinates currently masked out."""
@@ -94,20 +105,3 @@ class ParamStore:
         P = self._n_prunable
         return P - int(np.count_nonzero(self.mask[:P]))
 
-
-def _remask(flat: np.ndarray, mask: np.ndarray, lo: int, hi: int,
-            buf: np.ndarray) -> None:
-    """flat[lo:hi] with every coordinate that ``mask`` drops set to +0.0:
-    a bitwise AND of the float bits with keep-bits, all ones for a kept
-    coordinate and zero for a masked one, made slice by slice in ``buf``,
-    a float64 buffer of _CHUNK viewed as integers. It writes the bytes of
-    ``np.copyto(flat, 0.0, where=~mask)`` without a branch per element;
-    a kept NaN, infinity or -0.0 keeps its bits."""
-    bits = flat.view(np.int64)
-    keep = buf.view(np.int64)
-    for first in range(lo, hi, _CHUNK):
-        span = slice(first, min(first + _CHUNK, hi))
-        k = keep[:span.stop - first]
-        np.copyto(k, mask[span])        # 1 to keep, 0 to drop
-        np.negative(k, out=k)           # all ones to keep
-        np.bitwise_and(bits[span], k, out=bits[span])

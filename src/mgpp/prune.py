@@ -15,10 +15,11 @@ mask is re-applied after each optimizer update.
 
 Each step's update tail (_tail) adds the prior's gradient over the
 prunable coordinates and checks the whole gradient on the main thread,
-then runs the update (weight decay, Adam, the re-mask) over the whole
-parameter vector or, where each half is large enough (``tensor._halves``),
-over its two halves, the second on the worker thread of ``tensor``. Every
-operation of the update is elementwise, so no bit depends on the split.
+then runs the update (``optim_step``, then ``ParamStore.apply_masks``) over
+the whole parameter vector or, where each half is large enough
+(``tensor._halves``), over its two halves, the second on the worker thread
+of ``tensor``. Both threads call the same functions, and every operation of
+the update is elementwise, so no bit depends on the split.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 from .config import comparable_config
 from .data import Split, batch_iterator, generate_dataset
 from .metrics import RunMetrics
-from .optim import OptimState, _adam, linear_lr, optim_step
-from .params import ParamStore, _remask
+from .optim import OptimState, linear_lr, optim_step
+from .params import ParamStore
 from .prior import mgp_grad
-from .tensor import _CHUNK, _empty, _halves, _run_parts
+from .tensor import _empty, _halves, _run_parts
 from .transformer import evaluate_accuracy, init_params, loss_and_grads
 
 
@@ -105,23 +106,13 @@ _TAIL_VALUES = 24_576
 
 
 def _update_and_mask(store: ParamStore, grads: np.ndarray, opt: OptimState,
-                     lr: float, remask: bool, tmp: tuple, lo: int,
-                     hi: int) -> None:
+                     lr: float, remask: bool, lo: int, hi: int) -> None:
     """The update over coordinates lo..hi, for the step that ``opt`` has
     counted: the optimizer's, then, with ``remask``, the standing masks on
-    the prunable ones. The first range goes through the public functions
-    and the worker's through private ones, so code that wraps the public
-    ones (a profiler) sees one thread; the worker's works in ``tmp``, two
-    float64 buffers of _CHUNK from the calling thread's pool."""
-    if lo == 0:
-        optim_step(store, grads, opt, lr, (lo, hi))
-        if remask:
-            store.apply_masks(lo, hi)
-    else:
-        _adam(store.flat, grads, opt, lr, lo, hi, tmp)
-        if remask:
-            _remask(store.flat, store.mask, lo, min(hi, store.num_prunable()),
-                    tmp[0])
+    the prunable ones."""
+    optim_step(store, grads, opt, lr, (lo, hi))
+    if remask:
+        store.apply_masks(lo, hi)
 
 
 def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, parts: list,
@@ -143,8 +134,7 @@ def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, parts: list,
         raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
     opt.advance()
     remask = plan.prune is None and plan.threshold is None
-    tmp = (_empty((_CHUNK,)), _empty((_CHUNK,))) if len(parts) > 1 else None
-    _run_parts(_update_and_mask, parts, store, grads, opt, lr, remask, tmp)
+    _run_parts(_update_and_mask, parts, store, grads, opt, lr, remask)
     if plan.prune is not None:
         return apply_global_prune(store, plan.prune)
     if plan.threshold is not None:

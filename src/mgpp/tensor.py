@@ -52,8 +52,7 @@ Two rules keep this exact and the pools deterministic:
   * whatever a job keeps lives in arrays that the main thread holds, and
     every array handed to ``_submit`` stays referenced from the main
     thread's side (``_PENDING``) until ``_wait`` sees its job done. The
-    worker takes a job's temporaries from its own pool, or from buffers
-    the main thread took from its pool and handed over, and drops its own
+    worker takes a job's temporaries from its own pool and drops its own
     references before it reports a job done.
 So whether a pooled buffer is free never depends on how far the worker has
 got. The worker has no setting: one thread, started lazily, never stopped

@@ -534,6 +534,35 @@ def test_compare_needs_final_record(tmp_path):
         compare_runs([path])
 
 
+FINAL = {"step": 2, "final": True, "loss": 0.1, "sparsity": 0.9, "eta": 1.0,
+         "test_accuracy": 0.8, "method": "mgpp", "seed": 0,
+         "task": {"kind": "sparse-motif", "seed": 1}}
+
+
+@pytest.mark.parametrize("lines, refusal", [
+    (["[1, 2]", json.dumps(FINAL)], ":1: metrics line is not a JSON object"),
+    ([json.dumps(FINAL), "3"], ":2: metrics line is not a JSON object"),
+    ([json.dumps({k: v for k, v in FINAL.items() if k != "method"})],
+     ": final record lacks method"),
+    ([json.dumps({k: v for k, v in FINAL.items()
+                  if k not in ("test_accuracy", "seed")})],
+     ": final record lacks seed, test_accuracy"),
+], ids=["array", "number", "no-method", "no-accuracy-or-seed"])
+def test_cli_compare_refuses_a_malformed_metrics_file(tmp_path, lines, refusal):
+    # a runtime error naming the file, not a traceback with the usage code
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from mgpp.cli import main; sys.exit(main(sys.argv[1:]))",
+         "compare", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(Path(mgpp.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == f"mgpp: error: {path}{refusal}\n"
+    assert done.stdout == ""
+
+
 def test_dump_schedule_cubic():
     cfg = build_config(parse_config_text(MICRO))
     header, rows = dump_schedule(cfg)

@@ -1,8 +1,9 @@
 """The update tail (prior, divergence check, optimizer, re-mask) with its
 update split into two ranges, one on the worker thread, against the same
 tail in one range and against the public functions one after another, bit
-for bit; the prior on the main thread alone; its refusal of a non-finite
-step; and the AND re-mask against the branching write it replaced."""
+for bit; both ranges through optim_step and apply_masks; the prior on the
+main thread alone; its refusal of a non-finite step; and the AND re-mask
+against the branching write it replaced."""
 
 import os
 import subprocess
@@ -221,28 +222,43 @@ def test_split_tail_under_frequent_thread_switches_stays_exact():
     assert pools[0] == pools[1] == pools[2]
 
 
-def test_the_worker_calls_no_public_function(monkeypatch):
-    # a profiler that wraps the public functions keeps one call stack, so
-    # the worker's range must go through private ones alone
-    n = 2 * _TAIL_VALUES
+@pytest.mark.parametrize("method", sorted(PLANS))
+def test_both_ranges_update_through_optim_step_and_apply_masks(monkeypatch,
+                                                               method):
+    # one update path on both threads: each range calls optim_step once,
+    # then, on a step that re-masks, apply_masks; a prune or threshold pass
+    # re-masks the whole store on the main thread instead
+    n = 2 * _TAIL_VALUES + 1
+    h = n // 2
     store = make_store(n, n - 50, 7)
-    opt = make_opt(store)
-    threads = []
+    opt = make_opt(store, 0.01 if method == "l2" else 0.0)
+    calls = []
 
-    def spy(fn):
-        def wrapper(*args, **kwargs):
-            threads.append((fn.__name__, threading.current_thread()))
-            return fn(*args, **kwargs)
+    def spy(fn, span):
+        def wrapper(*args):
+            calls.append((fn.__name__, span(args), threading.current_thread()))
+            return fn(*args)
         return wrapper
 
-    for name in ("mgp_grad", "optim_step"):
-        monkeypatch.setattr(mgpp.prune, name, spy(getattr(mgpp.prune, name)))
-    monkeypatch.setattr(ParamStore, "apply_masks", spy(ParamStore.apply_masks))
-    _tail(store, np.zeros(n), opt, halves(n), StepPlan(MGP, 1.0, {}),
-          1000, 1, 0.5, 1e-3)
-    assert sorted(name for name, _ in threads) == [
-        "apply_masks", "mgp_grad", "optim_step"]
-    assert {thread for _, thread in threads} == {threading.current_thread()}
+    monkeypatch.setattr(mgpp.prune, "optim_step",
+                        spy(optim_step, lambda args: args[4]))
+    monkeypatch.setattr(ParamStore, "apply_masks",
+                        spy(ParamStore.apply_masks, lambda args: args[1:]))
+    main = threading.current_thread()
+    rng = np.random.default_rng(7)
+    for step, plan in enumerate(PLANS[method], 1):
+        calls.clear()
+        _tail(store, rng.normal(size=n) * 1e-2, opt, halves(n), plan, 1000,
+              step, 0.5, 1e-3)
+        worker = mgpp.tensor._worker
+        want = [("optim_step", (0, h), main), ("optim_step", (h, n), worker)]
+        if plan.prune is None and plan.threshold is None:
+            want += [("apply_masks", (0, h), main),
+                     ("apply_masks", (h, n), worker)]
+        else:
+            want += [("apply_masks", (), main)]
+        assert worker is not main
+        assert sorted(calls, key=str) == sorted(want, key=str)
 
 
 def test_the_prior_runs_once_a_step_on_the_main_thread(monkeypatch):
