@@ -3,11 +3,7 @@
 Parameters, gradient and both moment accumulators are flat vectors in the
 layout of ``ParamStore.flat``, so a step is a few vector ops over the whole
 model, run slice by slice so that their temporaries stay small (two
-buffers from the calling thread's pool). A step can also be taken range by
-range: ``OptimState.advance`` counts it and takes its bias corrections once,
-then each range of coordinates is updated on its own, in any order or on
-any thread, with the same bits as the whole-vector update, since every
-operation is elementwise.
+pooled buffers).
 
 The decay term never routes through the moment accumulators: parameters are
 scaled by (1 - lr*weight_decay) before the bias-corrected adaptive update, so
@@ -25,8 +21,7 @@ from .tensor import _CHUNK, _empty
 
 class OptimState:
     """Flat first/second-moment accumulators, the fixed hyperparameters and
-    the step count with its bias corrections; the learning rate is passed to
-    each step."""
+    the step count; the learning rate is passed to each step."""
 
     def __init__(self, store: ParamStore, *, beta1: float, beta2: float,
                  eps_opt: float, weight_decay: float):
@@ -35,40 +30,31 @@ class OptimState:
         self.eps_opt = float(eps_opt)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.corrections = (1.0, 1.0)
         self.m = np.zeros_like(store.flat)
         self.v = np.zeros_like(store.flat)
 
-    def advance(self) -> None:
-        """Count a step and take its bias corrections, 1 - beta^t."""
-        self.step_count += 1
-        t = self.step_count
-        self.corrections = (1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t)
-
 
 def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
-               lr: float, span: tuple[int, int] | None = None) -> None:
+               lr: float) -> None:
     """One decoupled-weight-decay adaptive update of ``store.flat`` at rate
     ``lr`` (the caller passes the current rate of its schedule each step).
-    With ``span`` = (lo, hi), only coordinates lo..hi are updated, for the
-    step that ``state.advance()`` last counted: a caller that splits a step
-    into ranges counts it once. Pruned coordinates are updated like any
-    other; the prune engine re-zeroes them afterwards.
+    Pruned coordinates are updated like any other; the prune engine
+    re-zeroes them afterwards.
     """
     if grads.shape != store.flat.shape:
         raise ValueError(f"gradient shape {grads.shape} != {store.flat.shape}")
-    if span is None:
-        state.advance()
-        span = (0, grads.size)
-    lo, hi = span
-    flat, (bc1, bc2) = store.flat, state.corrections
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    flat = store.flat
     if state.weight_decay != 0.0:
-        flat[lo:hi] *= 1.0 - lr * state.weight_decay
+        flat *= 1.0 - lr * state.weight_decay
     # In place, slice by slice, in the order of: m = beta1*m + (1-beta1)*g;
     # v = beta2*v + (1-beta2)*(g*g); theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
     mhat_buf, vhat_buf = _empty((_CHUNK,)), _empty((_CHUNK,))
-    for first in range(lo, hi, _CHUNK):
-        part = slice(first, min(first + _CHUNK, hi))
+    for first in range(0, flat.size, _CHUNK):
+        part = slice(first, first + _CHUNK)
         theta, m, v, g = flat[part], state.m[part], state.v[part], grads[part]
         mhat, vhat = mhat_buf[:g.size], vhat_buf[:g.size]
         m *= state.beta1

@@ -6,7 +6,7 @@ bool vector of the same length (True = keep). Each ``Param.value`` and
 ``Param.mask`` is a reshaped view into these two vectors, so ``flat[:P]``,
 with P = ``num_prunable()``, is the global coordinate order used for
 magnitude ranking, and the prior, the optimizer and the masks each act on
-the whole model, or on a range of it, in a few vector operations.
+the whole model in a few vector operations.
 """
 
 from __future__ import annotations
@@ -79,18 +79,17 @@ class ParamStore:
     def num_prunable(self) -> int:
         return self._n_prunable
 
-    def apply_masks(self, lo: int = 0, hi: int | None = None) -> None:
-        """Zero the masked coordinates among lo..hi (default: all), in place:
-        a bitwise AND of the float bits with keep-bits, all ones for a kept
-        coordinate and zero for a masked one, made slice by slice in a
-        pooled buffer. It writes the bytes of ``np.copyto(flat, 0.0,
+    def apply_masks(self) -> None:
+        """Zero the masked coordinates, in place: a bitwise AND of the float
+        bits with keep-bits, all ones for a kept coordinate and zero for a
+        masked one, made slice by slice in a pooled buffer. It writes the bytes of ``np.copyto(flat, 0.0,
         where=~mask)`` without a branch per element; a kept NaN, infinity or
         -0.0 keeps its bits."""
-        hi = self._n_prunable if hi is None else min(hi, self._n_prunable)
+        P = self._n_prunable
         bits = self.flat.view(np.int64)
         keep = _empty((_CHUNK,)).view(np.int64)
-        for first in range(lo, hi, _CHUNK):
-            part = slice(first, min(first + _CHUNK, hi))
+        for first in range(0, P, _CHUNK):
+            part = slice(first, min(first + _CHUNK, P))
             k = keep[:part.stop - first]
             np.copyto(k, self.mask[part])   # 1 to keep, 0 to drop
             np.negative(k, out=k)           # all ones to keep

@@ -20,7 +20,7 @@ c2 = 0.5/sigma0_sq - 0.5/sigma1_sq. g(theta) is the posterior responsibility
 of the spike component; it crosses 1/2 exactly where c2*theta^2 + c1 = 0,
 which is also the one-shot pruning threshold returned by pa_threshold.
 
-mgp_grad runs once per prior step, on the main thread, over every
+mgp_grad runs once per prior step, in the main process, over every
 prunable coordinate, so it computes in place, in arrays from the tensor
 engine's pool (``tensor._empty``), and allocates nothing after the first
 step. g_fn and mgp_grad do the operations of the plain expressions in the

@@ -13,13 +13,10 @@ zeroed at one event can return later if the optimizer pulls it back above the
 cut — pruning here is iterative, not monotone. Between events the current
 mask is re-applied after each optimizer update.
 
-Each step's update tail (_tail) adds the prior's gradient over the
-prunable coordinates and checks the whole gradient on the main thread,
-then runs the update (``optim_step``, then ``ParamStore.apply_masks``) over
-the whole parameter vector or, where each half is large enough
-(``tensor._halves``), over its two halves, the second on the worker thread
-of ``tensor``. Both threads call the same functions, and every operation of
-the update is elementwise, so no bit depends on the split.
+Each step's update tail (_tail) runs in this process, whole: it adds the
+prior's gradient over the prunable coordinates, checks the whole gradient,
+then updates (``optim_step``) and re-masks (``ParamStore.apply_masks``) the
+whole parameter vector.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
 from .prior import mgp_grad
-from .tensor import _empty, _halves, _run_parts
+from .tensor import _empty
 from .transformer import evaluate_accuracy, init_params, loss_and_grads
 
 
@@ -100,30 +97,13 @@ def _threshold_pass(store: ParamStore, threshold: float) -> PruneEvent:
     return PruneEvent(zeroed=zeroed, kept=P - zeroed, threshold=threshold)
 
 
-# the fewest coordinates per half that split the update: measured, see the
-# README
-_TAIL_VALUES = 24_576
-
-
-def _update_and_mask(store: ParamStore, grads: np.ndarray, opt: OptimState,
-                     lr: float, remask: bool, lo: int, hi: int) -> None:
-    """The update over coordinates lo..hi, for the step that ``opt`` has
-    counted: the optimizer's, then, with ``remask``, the standing masks on
-    the prunable ones."""
-    optim_step(store, grads, opt, lr, (lo, hi))
-    if remask:
-        store.apply_masks(lo, hi)
-
-
-def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, parts: list,
-          plan, n_train: int, step: int, loss: float,
-          lr: float) -> PruneEvent | None:
+def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, plan,
+          n_train: int, step: int, loss: float, lr: float) -> PruneEvent | None:
     """A step's update tail: grads <- grads - (eta/n) * grad(log pi) on the
-    prunable coordinates, the finiteness check, then the optimizer and the
-    standing masks over the ranges ``parts``. A non-finite loss or gradient
-    is refused before any coordinate, moment or step count changes. The
-    prune event or threshold pass that ``plan`` calls for follows on this
-    thread; returns it, or None."""
+    prunable coordinates, the finiteness check, then the optimizer, and
+    then the prune event or threshold pass that ``plan`` calls for, or else
+    the standing masks. A non-finite loss or gradient is refused before any
+    coordinate, moment or step count changes. Returns the event, or None."""
     if plan.eta != 0.0:
         P = store.num_prunable()
         g = mgp_grad(store.flat[:P], plan.mgp)
@@ -132,13 +112,12 @@ def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, parts: list,
     if not (math.isfinite(loss)
             and np.isfinite(grads, out=_empty(grads.shape, bool)).all()):
         raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
-    opt.advance()
-    remask = plan.prune is None and plan.threshold is None
-    _run_parts(_update_and_mask, parts, store, grads, opt, lr, remask)
+    optim_step(store, grads, opt, lr)
     if plan.prune is not None:
         return apply_global_prune(store, plan.prune)
     if plan.threshold is not None:
         return _threshold_pass(store, plan.threshold)
+    store.apply_masks()
     return None
 
 
@@ -188,7 +167,6 @@ def train(cfg, metrics: RunMetrics | None = None
 
     v = cfg.values
     grads = np.empty_like(store.flat)
-    parts = _halves(grads.size, 1, _TAIL_VALUES)
     record, epoch = None, 0
     for first, last, rule in cfg.phases():
         opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],
@@ -198,7 +176,7 @@ def train(cfg, metrics: RunMetrics | None = None
                 train_split, v["batch_size"], cfg.seed, first, last, epoch):
             plan = rule(step)
             loss = loss_and_grads(store, cfg.model, *batch, grads)
-            event = _tail(store, grads, opt, parts, plan, n_train, step, loss,
+            event = _tail(store, grads, opt, plan, n_train, step, loss,
                           linear_lr(step - first + 1, last - first + 1,
                                     v["optim.lr"], v["optim.lr_floor"]))
             # a scheduled sparsity is recorded as planned, else the realized one

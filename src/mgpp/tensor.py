@@ -1,5 +1,5 @@
-"""Float64 kernels of the training step, the buffer pools they draw from,
-and the worker thread that runs a share of the step.
+"""Float64 kernels of the training step, the buffer pool they draw from,
+and the worker process that runs a share of the step.
 
 Every kernel computes with ``out=`` in the operation order of a plain numpy
 expression, so its results are bitwise that expression's. Three take a
@@ -18,76 +18,116 @@ Numerical stabilizers used throughout:
     normalize to the offset vector instead of dividing by zero.
 
 The pool. Every large array of a step, with the exceptions named at
-embedding_grad and cross_entropy, is a view of a buffer from a pool
-(``_empty``). Each thread has a pool of its own, so which buffer a thread
-gets never depends on how far another thread has got. A training step asks
-for the same shapes each time, so after the first step it reuses buffers
-instead of allocating and page-faulting fresh ones. A pool is keyed by
-element count and dtype, not shape, so arrays of equal size share buffers.
-A buffer is handed out only when nothing else references it: numpy points
-every view, and every view of a view, at the buffer that owns the data, so
-``sys.getrefcount`` counts each live view. The count that means "free" is
-measured at import by the code that tests it, since the interpreter's own
-references vary between CPython versions (3.14 borrows stack references);
-the rule assumes CPython's reference counting. A process keeps its pools:
-buffers are never freed, and each size holds as many buffers as were ever
-live at once in that thread. Other modules take their per-step temporaries
-from the same pool: the prior gradient, the global prune's scores, the
-masks' keep-bits, the divergence check's mask and the optimizer's slices.
+embedding_grad and cross_entropy, is a view of a buffer from the pool
+(``_empty``). A training step asks for the same shapes each time, so after
+the first step it reuses buffers instead of allocating and page-faulting
+fresh ones. The pool is keyed by element count and dtype, not shape, so
+arrays of equal size share buffers. A buffer is handed out only when
+nothing else references it: numpy points every view, and every view of a
+view, at the buffer that owns the data, so ``sys.getrefcount`` counts each
+live view. The count that means "free" is measured at import by the code
+that tests it, since the interpreter's own references vary between CPython
+versions (3.14 borrows stack references); the rule assumes CPython's
+reference counting. A process keeps its pool: buffers are never freed, and
+each size holds as many buffers as were ever live at once. Other modules
+take their per-step temporaries from the same pool: the prior gradient,
+the global prune's scores, the masks' keep-bits, the divergence check's
+mask and the optimizer's slices. Each buffer lies on pages of its own in
+an arena, an ``os.memfd_create`` file mapped whole, which the worker
+process maps too.
 
-The worker. ``_submit(fn, *args)`` queues the job ``fn(*args)`` for one
-worker thread, started by the first call; ``_products`` is the job of a few
-matrix products into given arrays. ``_wait()`` returns once every queued
-job is done and re-raises the first error a job raised. ``_run_parts``
-runs the first part of some work here and the second on the worker: the
-step's halves of a batch, the update's halves of the parameters. One rule,
-``_halves``, says where work splits in two: where each half is large
-enough for the second core to gain more than the handoffs cost, and the
-process may run on two CPUs. Each caller gives its own measured size.
-numpy releases the GIL inside a product and inside its loops over large
-arrays, so on a second core a job overlaps the main thread's work.
-Two rules keep this exact and the pools deterministic:
-  * until ``_wait`` returns, neither thread writes into an array that the
+The worker. ``_run_parts`` runs the first part of some work here and the
+second in one worker process, forked by the first job: the halves of a
+training step's batch. One rule, ``_halves``, says where work splits in
+two: where each half is large enough for the second core to gain more than
+the handoffs cost, and the process may run on two CPUs; the caller gives
+its measured size. ``_submit(fn, *args)`` queues the job ``fn(*args)``:
+``fn`` goes by name (pickle), and every array in ``args`` as its place in
+the pool (arena, offset, dtype, shape, strides), so both processes compute
+in the same memory; an arena's file descriptor goes along the first time a
+job names it (``socket.send_fds``). A job that names an array outside the
+pool, or a function that pickle cannot name, is refused before it is
+queued. ``_wait()`` returns once every queued job is done and re-raises the
+first error a job raised, with its type and message. Two rules keep this
+exact and the pool deterministic:
+  * until ``_wait`` returns, neither process writes into an array that the
     other reads or writes in that time;
-  * whatever a job keeps lives in arrays that the main thread holds, and
-    every array handed to ``_submit`` stays referenced from the main
-    thread's side (``_PENDING``) until ``_wait`` sees its job done. The
-    worker takes a job's temporaries from its own pool and drops its own
-    references before it reports a job done.
-So whether a pooled buffer is free never depends on how far the worker has
-got. The worker has no setting: one thread, started lazily, never stopped
-(it is a daemon and idles on its queue). A forked child has no worker, as
-fork copies only the thread that calls it, so the child forgets the
-parent's worker, queues and pools, and its first job starts a new worker.
+  * every array handed to ``_submit`` stays referenced here (``_PENDING``)
+    until ``_wait`` sees its job done, and whatever a job keeps lives in
+    those arrays; the worker takes a job's temporaries from its own pool.
+Long-lived arrays (parameters, gradients, moments) stay private to their
+process; a job reads the parameters through a pooled mirror (see
+``transformer``).
+
+No worker outlives its parent's run: it ignores SIGINT and leaves through
+``os._exit`` when its job pipe reaches end of file, which closing or losing
+the parent's end gives it, and the parent reaps it at exit. A worker that
+is gone makes the waiting job raise an error that names it; the next job
+forks a new one. A forked child (the worker among them) closes its
+parent's end of the pipe and drops the parent's pool, whose memory it
+would share.
 """
 
 from __future__ import annotations
 
+import atexit
+import io
 import math
+import mmap
 import os
-import queue
+import pickle
 import sys
-import threading
 
 import numpy as np
+
+# socket, signal and traceback are imported where the worker needs them:
+# a process that never forks one does not spend its start-up loading them
 
 EPS_LN = 1e-12
 
 # Coordinates per slice of a pass over a flat vector (the optimizer's, the
-# masks'): each thread takes a slice's temporaries from buffers of this one
-# size, whatever the model size.
+# masks'): a slice's temporaries come from buffers of this one size,
+# whatever the model size.
 _CHUNK = 1 << 15
 
+# (element count, dtype) -> the pooled buffers of that size, in creation
+# order
+_POOL: dict[tuple[int, type], list[np.ndarray]] = {}
+# The pool's memory: arenas, each one memfd mapped whole, in creation order
+# (memfd, mapping), and the first free byte of the last one. A new buffer
+# takes the next whole pages of the last arena, or starts a new arena.
+_ARENAS: list[tuple[int, mmap.mmap]] = []
+_ARENA_END = 0
+# Bytes of address space per arena; only the pages a buffer touches take
+# memory. A run's pool fits in one, so the pool holds two file descriptors
+# (its own and the mapping's), where a file per buffer would hold two per
+# buffer: thousands in one run of the test suite.
+_ARENA_BYTES = 1 << 28
+# id of each pooled buffer -> (its arena, its byte offset there, the
+# address of its first byte)
+_SHARED: dict[int, tuple[int, int, int]] = {}
+# Whether arenas are files a worker can map (Linux); elsewhere the pool is
+# private memory and every step runs in one part.
+_SHAREABLE = hasattr(os, "memfd_create")
 
-class _Pool(threading.local):
-    """Each thread's own buffers: (element count, dtype) -> buffers of that
-    size, in creation order."""
 
-    def __init__(self):
-        self.buffers: dict[tuple[int, type], list[np.ndarray]] = {}
-
-
-_POOL = _Pool()
+def _new_buffer(size: int, dtype) -> np.ndarray:
+    """A buffer of ``size`` elements, on pages of its own in an arena."""
+    global _ARENA_END
+    nbytes = size * np.dtype(dtype).itemsize
+    span = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    if not _ARENAS or _ARENA_END + span > len(_ARENAS[-1][1]):
+        length = max(_ARENA_BYTES, span)
+        fd = os.memfd_create("mgpp-pool", os.MFD_CLOEXEC) if _SHAREABLE else -1
+        if _SHAREABLE:
+            os.ftruncate(fd, length)
+        _ARENAS.append((fd, mmap.mmap(fd, length)))
+        _ARENA_END = 0
+    offset = _ARENA_END
+    _ARENA_END += span
+    buf = np.frombuffer(_ARENAS[-1][1], dtype, size, offset)
+    _SHARED[id(buf)] = len(_ARENAS) - 1, offset, buf.ctypes.data
+    return buf
 
 
 def _first_free(bufs: list, free: int, refcount=sys.getrefcount):
@@ -106,17 +146,17 @@ def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized array of ``shape``: a view of a pooled buffer that
     nothing else references, or of a new one added to the pool."""
     size = math.prod(shape)
-    bufs = _POOL.buffers.setdefault((size, dtype), [])
+    bufs = _POOL.setdefault((size, dtype), [])
     buf = _first_free(bufs, _FREE)
     if buf is None:
-        buf = np.empty(size, dtype)
+        buf = _new_buffer(size, dtype)
         bufs.append(buf)
     return buf.reshape(shape)
 
 
-def _filled(shape: tuple, value: np.ndarray) -> np.ndarray:
+def _filled(shape: tuple, value: np.ndarray, dtype=np.float64) -> np.ndarray:
     """A pooled array of ``shape`` holding ``value``, broadcast."""
-    out = _empty(shape)
+    out = _empty(shape, dtype)
     np.copyto(out, value)
     return out
 
@@ -142,60 +182,202 @@ def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
     return out
 
 
-def _products(*triples) -> None:
-    """``np.matmul(x, y, out=out)`` for each (x, y, out), in order."""
-    for x, y, out in triples:
-        np.matmul(x, y, out=out)
-
-
 # ---------------------------------------------------------------------------
 # the worker
 # ---------------------------------------------------------------------------
 
-_JOBS: queue.SimpleQueue = queue.SimpleQueue()   # (fn, args) of each job
-_DONE: queue.SimpleQueue = queue.SimpleQueue()   # one token per finished job
-_PENDING: list[tuple] = []   # every queued job, until _wait
-_ERRORS: list[BaseException] = []
-_worker: threading.Thread | None = None
+_worker: tuple[int, socket.socket] | None = None   # its pid and our pipe end
+_SENT = 0                    # how many arenas the worker maps, in order
+_PENDING: list[tuple] = []   # the arguments of every queued job, until _wait
 
 
-def _work() -> None:
-    """The worker's loop: run each job, keep an error for _wait, drop the
-    job's arrays and report the job done."""
+class _Job(pickle.Pickler):
+    """Pickles a job, naming each array by its place in the pool: (its
+    arena, byte offset, dtype, shape, strides), which the worker turns back
+    into a view (_view). ``arenas`` is one more than the last arena named."""
+
+    def __init__(self, file):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.arenas = 0
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, np.ndarray):
+            return NotImplemented
+        buf = obj.base if isinstance(obj.base, np.ndarray) else obj
+        key = id(buf)
+        if key not in _SHARED:
+            raise ValueError("a job's arrays must be views of pooled buffers")
+        arena, offset, address = _SHARED[key]
+        self.arenas = max(self.arenas, arena + 1)
+        # a C-contiguous view of all of a buffer starts at its first byte
+        if obj.size != buf.size or not obj.flags.c_contiguous:
+            offset += obj.ctypes.data - address
+        return _view, (arena, offset, obj.dtype.char, obj.shape, obj.strides)
+
+
+# in the worker: the arenas it maps, in order, and each view a job named
+_MAPS: list[mmap.mmap] = []
+_MAPPED: dict[tuple, np.ndarray] = {}
+
+
+def _view(*where) -> np.ndarray:
+    """In the worker, the array that a job names (see _Job); each view is
+    made once, as a step names the same arrays each time."""
+    view = _MAPPED.get(where)
+    if view is None:
+        arena, offset, char, shape, strides = where
+        view = _MAPPED[where] = np.ndarray(shape, char, _MAPS[arena], offset, strides)
+    return view
+
+
+def _error_message(exc: BaseException) -> bytes:
+    """A job's error, pickled, with its traceback in the worker as a note;
+    an error that does not survive pickling goes as a RuntimeError with its
+    type and message."""
+    import traceback
+    note = (f"raised in the worker process {os.getpid()}:\n"
+            + "".join(traceback.format_exception(exc)))
+    exc.add_note(note)
+    try:
+        message = pickle.dumps(exc)
+        pickle.loads(message)
+        return message
+    except Exception:
+        error = RuntimeError(f"{type(exc).__name__}: {exc}")
+        error.add_note(note)
+        return pickle.dumps(error)
+
+
+def _serve(sock: socket.socket) -> None:
+    """The worker's loop: map each arena it is sent, run each job, reply
+    b"ok" or its error. Leaves the process at the pipe's end."""
+    import socket
     while True:
-        fn, args = _JOBS.get()
         try:
+            # a message carries at most 253 descriptors on Linux, which
+            # are 63 GiB of arenas
+            message, fds, _, _ = socket.recv_fds(sock, 1 << 16, 253)
+        except OSError:
+            message = b""
+        if not message:
+            os._exit(0)
+        for fd in fds:
+            _MAPS.append(mmap.mmap(fd, os.fstat(fd).st_size))
+            os.close(fd)
+        try:
+            fn, args = pickle.loads(message)
             fn(*args)
-        except BaseException as exc:   # re-raised by _wait on the main thread
-            _ERRORS.append(exc)
+            reply = b"ok"
+        except BaseException as exc:     # re-raised by _wait in the parent
+            reply = _error_message(exc)
         fn = args = None
-        _DONE.put(None)
+        try:
+            sock.send(reply)
+        except OSError:
+            os._exit(0)
+
+
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on one thread in this process, and so in the worker it
+    forks. Two processes that each keep a BLAS thread pool on the same cores
+    spin against each other: with two BLAS threads on a 2-core VM a
+    two-part gmp-wide step took 82 ms, against 4.2 ms with one. Another
+    BLAS, whose threads this does not set, should be pinned to one thread by
+    its environment variable."""
+    import ctypes
+    libraries = {line.split()[-1] for line in open("/proc/self/maps")
+                 if "openblas" in line.rsplit("/", 1)[-1]}
+    for path in libraries:
+        blas = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(blas, name):
+                getattr(blas, name)(1)
+                break
+
+
+def _start() -> None:
+    """Fork the worker, joined to this process by a socket pair."""
+    import signal
+    import socket
+    global _worker
+    _one_blas_thread()
+    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            ours.close()
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            _serve(theirs)
+        finally:
+            os._exit(1)
+    theirs.close()
+    _worker = pid, ours
+
+
+def _stop() -> int | None:
+    """Close our end of the job pipe, so the worker leaves, and reap it;
+    returns its wait status, or None without a worker."""
+    global _worker, _SENT
+    if _worker is None:
+        return None
+    pid, sock = _worker
+    _worker = None
+    sock.close()
+    _SENT = 0
+    _PENDING.clear()
+    return os.waitpid(pid, 0)[1]
+
+
+atexit.register(_stop)
+
+
+def _lost() -> None:
+    """Reap a worker that is gone with jobs queued, and say so."""
+    pid = _worker[0]
+    code = os.waitstatus_to_exitcode(_stop())
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+    raise RuntimeError(f"the worker process {pid} {how} with jobs queued")
 
 
 def _submit(fn, *args) -> None:
-    """Queue ``fn(*args)`` for the worker."""
-    global _worker
+    """Queue ``fn(*args)`` for the worker, forking it at the first job."""
+    global _SENT
+    import socket
+    file = io.BytesIO()
+    job = _Job(file)
+    job.dump((fn, args))
     if _worker is None:
-        _worker = threading.Thread(target=_work, name="mgpp-worker", daemon=True)
-        _worker.start()
-    _PENDING.append((fn, args))
-    _JOBS.put((fn, args))
+        _start()
+    new = [fd for fd, _ in _ARENAS[_SENT:job.arenas]]
+    try:
+        socket.send_fds(_worker[1], [file.getvalue()], new)
+    except OSError:
+        _lost()
+    _SENT = max(_SENT, job.arenas)
+    _PENDING.append(args)
 
 
 def _wait() -> None:
     """Block until every queued job is done; raise the first error."""
+    error = None
     while _PENDING:
-        _DONE.get()          # jobs finish in queue order
-        del _PENDING[0]
-    if _ERRORS:
-        error = _ERRORS[0]
-        _ERRORS.clear()
+        try:
+            reply = _worker[1].recv(1 << 16)
+        except OSError:
+            reply = b""
+        if not reply:
+            _lost()
+        del _PENDING[0]          # jobs finish in queue order
+        if reply != b"ok" and error is None:
+            error = pickle.loads(reply)
+    if error is not None:
         raise error
 
 
 def _run_parts(fn, parts: list, *args) -> None:
-    """``fn(*args, first, end)`` for each part: the first on this thread,
-    the second on the worker. Returns, or raises, once both are done."""
+    """``fn(*args, first, end)`` for each part: the first here, the second
+    in the worker. Returns, or raises, once both are done."""
     for part in parts[1:]:
         _submit(fn, *args, *part)
     try:
@@ -215,28 +397,33 @@ def _cpus() -> int:
 def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
     """The parts of ``count`` items of ``unit`` values each, as (first, end)
     ranges for _run_parts: the two halves when each half holds at least
-    ``least`` values and the process may run on two or more CPUs, else the
-    whole range."""
+    ``least`` values and the process may run on two or more CPUs (and share
+    its pool with a worker), else the whole range."""
     half = count // 2
-    if _cpus() >= 2 and half * unit >= least:
+    if _SHAREABLE and _cpus() >= 2 and half * unit >= least:
         return [(0, half), (half, count)]
     return [(0, count)]
 
 
-def _forget_worker() -> None:
-    """In a forked child: the worker thread was not copied, so the next
-    job starts a new one on new queues, and every thread starts a new pool
-    (a buffer the parent's worker held would otherwise never be free)."""
-    global _JOBS, _DONE, _worker, _POOL
-    _JOBS, _DONE = queue.SimpleQueue(), queue.SimpleQueue()
-    _PENDING.clear()
-    _ERRORS.clear()
+def _forget_parent() -> None:
+    """In a forked child: close the parent's end of its job pipe and drop
+    the parent's pool, whose memory the child would share with it."""
+    global _worker, _SENT, _ARENA_END
+    if _worker is not None:
+        _worker[1].close()
     _worker = None
-    _POOL = _Pool()
+    _SENT = 0
+    _PENDING.clear()
+    for fd, _ in _ARENAS:
+        if fd >= 0:
+            os.close(fd)
+    _ARENAS.clear()
+    _ARENA_END = 0
+    _SHARED.clear()
+    _POOL.clear()
 
 
-if hasattr(os, "register_at_fork"):     # no fork, nothing to reset
-    os.register_at_fork(after_in_child=_forget_worker)
+os.register_at_fork(after_in_child=_forget_parent)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +529,39 @@ def embedding_grad(ids: np.ndarray, gout: np.ndarray, vocab: int) -> np.ndarray:
     return grad.astype(np.float64, copy=False).reshape(vocab, d)
 
 
-def cross_entropy(z: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """The batch mean of -log softmax(z)[label] for logits ``z`` [B x C],
-    in log space via max-subtracted log-sum-exp, and its gradient wrt z, a
-    fresh [B x C] array."""
-    if z.ndim != 2:
-        raise ValueError(f"cross_entropy expects [B x C] logits, got {z.shape}")
-    bsz, n_classes = z.shape
+def _labels(labels, bsz: int, n_classes: int) -> np.ndarray:
+    """``labels`` as an array, checked as the labels of ``bsz`` rows of
+    logits over ``n_classes``."""
     labels = np.asarray(labels)
     if labels.shape != (bsz,):
         raise ValueError(f"expected {bsz} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise IndexError(f"label out of range [0, {n_classes})")
-    rows = np.arange(bsz)
+    return labels
+
+
+def _mean_nll(z: np.ndarray, labels: np.ndarray) -> float:
+    """The batch mean of -log softmax(z)[label], in log space via
+    max-subtracted log-sum-exp."""
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
-    loss = (m[:, 0] + np.log(e.sum(axis=1)) - z[rows, labels]).mean()
+    return float((m[:, 0] + np.log(e.sum(axis=1)) - z[np.arange(len(z)), labels]).mean())
+
+
+def cross_entropy_grad(z: np.ndarray, labels: np.ndarray, scale: float) -> np.ndarray:
+    """The gradient wrt z of -log softmax(z)[label], row by row, times
+    ``scale``, a fresh array: with scale = 1/B on some rows of a batch of B,
+    their rows of the batch mean's gradient."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    p[rows, labels] -= 1.0
-    return float(loss), (1.0 / bsz) * p
+    p[np.arange(len(z)), labels] -= 1.0
+    return scale * p
+
+
+def cross_entropy(z: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """The batch mean of -log softmax(z)[label] for logits ``z`` [B x C]
+    and its gradient wrt z, a fresh [B x C] array."""
+    if z.ndim != 2:
+        raise ValueError(f"cross_entropy expects [B x C] logits, got {z.shape}")
+    labels = _labels(labels, *z.shape)
+    return _mean_nll(z, labels), cross_entropy_grad(z, labels, 1.0 / len(z))

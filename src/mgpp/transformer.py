@@ -15,24 +15,25 @@ The classifier mean-pools the final block output over positions and applies
 one bias-free linear map; it is excluded from pruning, as are the embedding
 table and all LayerNorm parameters.
 
-One forward path, forward_logits, serves training and evaluation alike: it
-runs a whole batch of sequences with the B*n token rows stacked into one
+One forward path (_forward_rows) serves training and evaluation alike: it
+runs a batch of sequences with the B*n token rows stacked into one
 [B*n x d] matrix. Each block stores its H heads as a leading axis (Wq, Wk,
 Wv [H x d x k], Wc [H x k x d]), so every head runs in the same ops, and
 the attention scores [H x B x n x n] are batched over heads and sequences
 together. Wq, Wk and Wv lie side by side in the parameter buffer, so the
 three projections are one product with their [3H x d x k] stack; numpy
 multiplies each slice of a stack on its own, so that is bitwise three
-products. The parameters' views, and a gradient vector's, are built once
-per store and vector (_views).
+products. The step reads the parameters from a mirror, a pooled copy of
+``store.flat`` made at each forward, and builds the gradient in a pooled
+vector, which it then copies into the caller's; their views are built once
+per store (_views).
 
-The training step, loss_and_grads, is planned by hand. Its forward appends
-to a list, per block, only the arrays that the block's backward reads, and
-the backward pops them in reverse; evaluation runs the same forward and
-keeps nothing. The backward does the floating-point operations of the
-autodiff tape that trained the model before it (the tests keep that tape as
-the oracle), in the tape's order, so the loss and every gradient are
-bitwise the tape's:
+The training step, loss_and_grads, is planned by hand. Its backward reads,
+per block, only the arrays of the forward that it needs; evaluation
+(forward_logits) runs the same forward and keeps nothing. The backward does
+the floating-point operations of the autodiff tape that trained the model
+before it (the tests keep that tape as the oracle), in the tape's order, so
+the loss and every gradient are bitwise the tape's:
   * a sum over heads adds the per-head products in head order (_product);
   * a gradient with several consumers is its first delta plus the later
     ones in reverse order of use: a block input's is
@@ -41,54 +42,38 @@ bitwise the tape's:
   * both inputs of a residual add read the one output gradient, and the
     head sum's gradient is a broadcast view of it (the tape made copies,
     which hold the same bits);
-  * every parameter gradient is written straight into its view of the flat
+  * every parameter gradient is written straight into its view of the
     gradient vector.
 Where an array is written does not change its bits, so the backward also
 reuses storage the tape did not: the gradients of Q, K and V go over the
-saved qkv stack, a layer norm's gout * xhat goes over its xhat, and with
-one part the block output gradient's storage takes u~'s gradient and then
-the block input's.
+saved qkv stack, and a layer norm's gout * xhat goes over its xhat.
 
 Parts. A step splits its batch into parts, contiguous ranges of whole
 sequences (``tensor._halves``): its two halves when each half's [rows x d]
-activation holds at least 12,288 values and the process may run on two or
-more CPUs, else one part. Below that size the two threads lose more to
-handing the interpreter lock back and forth than a second core gains. The
-main thread runs part 0 and the worker thread of ``tensor`` part 1, each
-writing its token rows into the full-batch arrays; the work split so is
-what stays within a sequence: the embedding lookup, projections, attention,
-layer norms and FFN of the forward, and the backward's per-row gradients. A
-token row of a product or an elementwise op has the same bits whatever rows
-ride with it (for products this rests on the BLAS kernels; the tests check
-it against the tape at the benchmark's shapes), so parts change no bit.
-Every sum over sequences runs once over the whole batch, since adding
-parts' sums would change its bits: the weight-side products x^T g, the
-layer norms' column sums, the head's products, the mean pooling and
-cross-entropy, and the embedding gradient.
-
-With one part the weight-side products go to the worker as the backward
-reaches them: x^T g for Wq|Wk|Wv in one stacked call, values^T g for Wc,
-u~^T g and r^T g for the FFN, and pooled^T g for the head. The main thread
-writes into no array that a queued product reads. The tape adds in place
-into two gradients that a queued product reads, the FFN's residual
-gradient and the block input's sum, so there the same np.add writes into
-other storage: that of the block output's gradient, which no product
-reads. The main thread waits for the FFN's products before the attention's
-larger temporaries are taken, so the ReLU output and its gradient are free
-by then, and for the rest before the next block's backward and before the
-step returns; a product's error is raised there.
-
-With two parts a block's backward joins twice: once its parts are done,
-the two threads share out its sums over the batch, each taking whole ones,
-and the next block waits for them, so one block's arrays are freed before
-the next block's are taken. The layer norms' sums read the block output's
-gradient after the parts, so u~'s gradient and the block input's take new
-arrays.
+activation holds at least 8,192 values and the process may run on two or
+more CPUs, else one part. Far below that size the handoffs to the worker
+process of ``tensor`` cost more than the second core gains, and a little
+below it the BLAS gives a row other bits at other row counts. This process
+runs part 0 and the worker part 1, each writing its token rows into the
+full-batch arrays, and all that stays within a sequence is split so
+(_step_rows): the forward, with the mean over positions and the head, the
+cross-entropy's gradient wrt each row's logits (the batch mean's is each
+row's over B), and the backward's per-row gradients. A token row of a
+product or an elementwise op has the same bits whatever rows ride with it
+(for products this rests on the BLAS kernels; the tests check it against
+the tape at the benchmark's shapes), so parts change no bit. Every sum over
+sequences runs once over the whole batch, since adding parts' sums would
+change its bits: the loss, the weight-side products x^T g, the layer norms'
+column sums, the head's product and the embedding gradient. Once both
+parts are done, the two processes share these out, each taking whole ones
+(_sums). A one-part step runs the same functions here, one after the
+other.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -96,8 +81,7 @@ import numpy as np
 
 from . import tensor as T
 from .params import ParamStore
-from .tensor import (_empty, _filled, _halves, _product, _products,
-                     _run_parts, _submit, _wait)
+from .tensor import _empty, _filled, _halves, _product, _run_parts
 
 
 @dataclass(frozen=True)
@@ -164,28 +148,31 @@ def _block_views(store: ParamStore, buf: np.ndarray,
     return blocks
 
 
-# store -> [cfg, block views of its flat vector, the last gradient vector
-# given, block views of that vector, its views by name]
+# store -> [cfg, its mirror, the mirror's block views and views by name,
+# the pooled gradient vector, its block views and views by name]
 _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# a forked child would share its parent's mirrors and gradient vectors
+os.register_at_fork(after_in_child=_VIEWS.clear)
 
 
-def _views(store: ParamStore, cfg: TransformerConfig,
-           grads: np.ndarray | None = None) -> list:
-    """The step's parameter views (see _VIEWS), built once per store and
-    per gradient vector: a store keeps the views of its flat vector and of
-    the last gradient vector it was given, and that vector with them."""
+def _views(store: ParamStore, cfg: TransformerConfig) -> list:
+    """The step's views (see _VIEWS), built once per store: of the mirror,
+    a pooled vector that each forward fills with ``store.flat``, so that
+    the worker reads the parameters, and of the pooled vector in which
+    loss_and_grads builds the gradient."""
     views = _VIEWS.get(store)
     if views is None or views[0] != cfg:
-        views = _VIEWS[store] = [cfg, _block_views(store, store.flat, cfg),
-                                 None, None, None]
-    if grads is not None and views[2] is not grads:
-        views[2:] = grads, _block_views(store, grads, cfg), store.views(grads)
+        mirror, grads = _empty(store.flat.shape), _empty(store.flat.shape)
+        views = _VIEWS[store] = [cfg, mirror, _block_views(store, mirror, cfg),
+                                 store.views(mirror), grads,
+                                 _block_views(store, grads, cfg), store.views(grads)]
     return views
 
 
-# the fewest [rows x d] values per part that take two parts: measured, two
-# parts lost at 8,192 values a part and won at 12,288
-_PART_VALUES = 12_288
+# the fewest [rows x d] values per part that take two parts: two parts won
+# from 3,072 values a part, but below 5,120 they changed bits, so this is
+# the smallest size that the tests check (see the README)
+_PART_VALUES = 8_192
 
 
 def _part(arrays: tuple, n: int, lo: int, hi: int) -> tuple:
@@ -255,14 +242,19 @@ def _block(x: np.ndarray, w: tuple, n: int, a: tuple | None = None) -> np.ndarra
 
 
 def _forward_rows(ids: np.ndarray, table: np.ndarray, blocks: list,
-                  x: np.ndarray, arrays: list, n: int, lo: int, hi: int) -> None:
+                  head: np.ndarray, x: np.ndarray, arrays: list, pooled: np.ndarray,
+                  logits: np.ndarray, n: int, lo: int, hi: int) -> None:
     """The sequences lo..hi of ``ids`` through the embedding, into their rows
-    of x, and through every block, into their rows of its arrays."""
+    of x, through every block, into their rows of its arrays, and through
+    the mean over positions and the head, into their rows of ``pooled`` and
+    ``logits``."""
     x = x[lo * n:hi * n]
     # ids are checked, so "clip" never clips; "raise" would buffer out
     np.take(table, ids[lo:hi], axis=0, out=x.reshape(hi - lo, n, -1), mode="clip")
     for w, a in zip(blocks, arrays):
         x = _block(x, w, n, _part(a, n, lo, hi))
+    np.mean(x.reshape(hi - lo, n, -1), axis=1, out=pooled[lo:hi])
+    np.matmul(pooled[lo:hi], head, out=logits[lo:hi])
 
 
 def _attention_backward(g_values: np.ndarray, weights: np.ndarray,
@@ -294,42 +286,8 @@ def _input_grad(g: np.ndarray, g_proj: np.ndarray, wqkv: np.ndarray,
     return np.add(out, _product(g_proj[:heads], w_t[:heads], 1), out=out)
 
 
-def _block_backward(g: np.ndarray, saved: list, w: tuple, gw: tuple) -> np.ndarray:
-    """One part: the gradient of a block's input, written over g, its
-    output's gradient. Pops the block's arrays off ``saved``; the parameter
-    gradients go into the views ``gw``, the weight-side ones through the
-    worker."""
-    wqkv, wc, w1, w2, g1, b1, g2, b2 = w
-    g_wqkv, g_wc, g_w1, g_w2, g_g1, g_b1, g_g2, g_b2 = gw
-    qkv, weights, values, x, xhat1, s1, ut, r, xhat2, s2 = saved.pop()
-    # z = LN(u~ + z~): both inputs of the add read its gradient
-    q = T.layer_norm_grad(g, g2, xhat2, s2, _empty(g.shape))
-    T.column_sums(g, xhat2, g_g2, g_b2)
-    g_r = _product(q, w2.T)
-    np.multiply(g_r, np.greater(r, 0.0, out=_empty(r.shape, bool)), out=g_r)
-    _submit(_products, (r.T, q, g_w2), (ut.T, g_r, g_w1))
-    # u~'s gradient, the residual's plus the FFN's, goes over g: the W2
-    # product reads q
-    np.add(q, _product(g_r, w1.T), out=g)
-    q = T.layer_norm_grad(g, g1, xhat1, s1, _empty(g.shape))
-    T.column_sums(g, xhat1, g_g1, g_b1)
-    # u = sum over h of values[h] @ Wc[h]: a broadcast view of its gradient
-    # is each head's
-    g_heads = np.broadcast_to(q, (wc.shape[0],) + q.shape)
-    g_values = _product(g_heads, wc.transpose(0, 2, 1))
-    # the FFN's arrays are free before the attention's larger temporaries
-    # are taken
-    del xhat2, s2, ut, r, g_r, xhat1, s1
-    _wait()
-    _submit(_products, (values.transpose(0, 2, 1), g_heads, g_wc))
-    g_proj = _attention_backward(g_values, weights, qkv)
-    _submit(_products, (x.T, g_proj, g_wqkv))
-    # x's gradient goes over g: the Wc product reads q
-    return _input_grad(q, g_proj, wqkv, g)
-
-
-def _backward_rows(g: np.ndarray, a: tuple, w: tuple, out: tuple, n: int,
-                   lo: int, hi: int) -> None:
+def _block_rows(g: np.ndarray, a: tuple, w: tuple, out: tuple, n: int,
+                lo: int, hi: int) -> None:
     """A block's gradients on the sequences lo..hi that stay within a
     sequence, from g, its output's gradient, and its saved arrays ``a``,
     into their rows of ``out``: LN2's input gradient, the ReLU's output
@@ -350,85 +308,127 @@ def _backward_rows(g: np.ndarray, a: tuple, w: tuple, out: tuple, n: int,
     _input_grad(q1, _attention_backward(g_values, weights, qkv), wqkv, g_x)
 
 
-def _block_backward_parts(g: np.ndarray, saved: list, w: tuple, gw: tuple,
-                          n: int, parts: list) -> np.ndarray:
-    """Two parts: the gradient of a block's input, in a new array, from g,
-    its output's gradient. Each thread takes a part's sequence-local
-    gradients (_backward_rows); then each takes whole sums over the batch,
-    the worker W2's and Wq|Wk|Wv's, this thread W1's, Wc's and the
-    layer norms'. Pops the block's arrays off ``saved``."""
-    a = saved.pop()
-    rows, d = g.shape
-    out = (_empty((rows, d)), _empty((rows, w[2].shape[1])), _empty((rows, d)),
-           _empty((rows, d)), _empty((rows, d)))
-    _run_parts(_backward_rows, parts, g, a, w, out, n)
+def _block_sums(g: np.ndarray, a: tuple, out: tuple, gw: tuple, first: int,
+                end: int) -> None:
+    """A block's sums over the whole batch numbered first..end, into their
+    views ``gw``: 0 is W2's and Wq|Wk|Wv's products, 1 W1's and Wc's and
+    the layer norms' column sums. Reads g, the block output's gradient, its
+    saved arrays ``a`` and the gradients of _backward_rows, ``out``."""
     qkv, weights, values, x, xhat1, s1, ut, r, xhat2, s2 = a
     q2, g_r, g_ut, q1, g_x = out
     g_wqkv, g_wc, g_w1, g_w2, g_g1, g_b1, g_g2, g_b2 = gw
-    heads = w[1].shape[0]
-    _submit(_products, (r.T, q2, g_w2), (x.T, qkv, g_wqkv))
-    _products((ut.T, g_r, g_w1),
-              (values.transpose(0, 2, 1), np.broadcast_to(q1, (heads,) + q1.shape), g_wc))
-    T.column_sums(g, xhat2, g_g2, g_b2)
-    T.column_sums(g_ut, xhat1, g_g1, g_b1)
-    return g_x
+    if first == 0:
+        np.matmul(r.T, q2, out=g_w2)
+        np.matmul(x.T, qkv, out=g_wqkv)
+    if end == 2:
+        np.matmul(ut.T, g_r, out=g_w1)
+        np.matmul(values.transpose(0, 2, 1),
+                  np.broadcast_to(q1, (g_wc.shape[0],) + q1.shape), out=g_wc)
+        T.column_sums(g, xhat2, g_g2, g_b2)
+        T.column_sums(g_ut, xhat1, g_g1, g_b1)
 
 
-def forward_logits(store: ParamStore, tokens, cfg: TransformerConfig,
-                   saved: list | None = None) -> np.ndarray:
-    """Logits [B x n_classes] for a batch of token sequences [B x n]. With a
-    list ``saved``, appends what loss_and_grads' backward pops: each
-    block's arrays, then the pooled features."""
-    ids = np.asarray(tokens)
-    if ids.ndim != 2:
-        raise ValueError(f"forward_logits expects [B x n] tokens, got shape {ids.shape}")
-    if not np.issubdtype(ids.dtype, np.integer):
+def _backward_rows(g: np.ndarray, saved: list, blocks: list, outs: list, n: int,
+                   lo: int, hi: int) -> None:
+    """Every block's gradients on the sequences lo..hi that stay within a
+    sequence (_block_rows), from the top block down: g is the top block
+    output's gradient, and each block's input gradient, the last of its
+    ``outs``, is the output gradient of the block below."""
+    for a, w, out in zip(reversed(saved), reversed(blocks), reversed(outs)):
+        _block_rows(g, a, w, out, n, lo, hi)
+        g = out[-1]
+
+
+def _sums(g: np.ndarray, saved: list, outs: list, grad_blocks: list,
+          ends: tuple, first: int, end: int) -> None:
+    """The step's sums over the batch numbered first..end, once every part
+    of _step_rows is done: every block's (_block_sums), and with sum 1 the
+    head's and the embedding's, from ``ends`` = (ids, pooled, g_logits,
+    and their gradient views, the head's and the table's)."""
+    for a, out, gw in zip(reversed(saved), reversed(outs), reversed(grad_blocks)):
+        _block_sums(g, a, out, gw, first, end)
+        g = out[-1]
+    if end == 2:
+        ids, pooled, g_logits, g_head, g_table = ends
+        np.matmul(pooled.T, g_logits, out=g_head)
+        g_table[...] = T.embedding_grad(ids, g, len(g_table))
+
+
+def _step_rows(forward: tuple, labels: np.ndarray, g_logits: np.ndarray,
+               g: np.ndarray, saved: list, outs: list, n: int, lo: int,
+               hi: int) -> None:
+    """A training step on the sequences lo..hi but for its sums over the
+    batch: the forward (_forward_rows on the arrays ``forward``), their rows
+    of the batch-mean cross-entropy's gradient wrt the logits, into
+    ``g_logits``, the head's input gradient spread over their positions,
+    into their rows of g, and the backward (_backward_rows)."""
+    _, _, blocks, head, *_, logits = forward
+    _forward_rows(*forward, n, lo, hi)
+    g_logits[lo:hi] = T.cross_entropy_grad(logits[lo:hi], labels[lo:hi],
+                                           1.0 / len(labels))
+    # pooled is the mean over positions: each gets 1/n of its gradient
+    g_pooled = np.matmul(g_logits[lo:hi], head.T, out=_empty((hi - lo, head.shape[0])))
+    np.divide(g_pooled, n, out=g_pooled)
+    np.copyto(g[lo * n:hi * n].reshape(hi - lo, n, -1), g_pooled[:, None, :])
+    _backward_rows(g, saved, blocks, outs, n, lo, hi)
+
+
+def _forward_arrays(store: ParamStore, tokens, cfg: TransformerConfig) -> tuple:
+    """A batch of token sequences [B x n], checked, and the arrays of its
+    forward (see _forward_rows): its ids, the views of the mirror, filled
+    with ``store.flat``, and new arrays for the rest. Returns (B, n, the
+    arrays)."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ValueError(f"forward_logits expects [B x n] tokens, got shape {tokens.shape}")
+    if not np.issubdtype(tokens.dtype, np.integer):
         raise ValueError("token ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab):
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
         raise ValueError(f"token id out of range [0, {cfg.vocab})")
-    bsz, n = ids.shape
-    blocks = _views(store, cfg)[1]
-    x = _empty((bsz * n, cfg.d))
-    arrays = [_block_arrays(bsz * n, n, w) for w in blocks]
-    _run_parts(_forward_rows, _halves(bsz, n * cfg.d, _PART_VALUES), ids,
-               store["embed.table"].value, blocks, x, arrays, n)
-    for a in arrays:
-        if saved is not None:
-            saved.append(a[:3] + (x,) + a[3:-1])
-        x = a[-1]
-    pooled = np.mean(x.reshape(bsz, n, cfg.d), axis=1, out=_empty((bsz, cfg.d)))
-    if saved is not None:
-        saved.append(pooled)
-    return _product(pooled, store["head.w"].value)
+    bsz, n = tokens.shape
+    _, mirror, blocks, named, *_ = _views(store, cfg)
+    np.copyto(mirror, store.flat)
+    ids = _empty(tokens.shape, tokens.dtype.type)
+    np.copyto(ids, tokens)
+    rows = bsz * n
+    return bsz, n, (ids, named["embed.table"], blocks, named["head.w"],
+                    _empty((rows, cfg.d)), [_block_arrays(rows, n, w) for w in blocks],
+                    _empty((bsz, cfg.d)), _empty((bsz, cfg.n_classes)))
+
+
+def forward_logits(store: ParamStore, tokens, cfg: TransformerConfig) -> np.ndarray:
+    """Logits [B x n_classes] for a batch of token sequences [B x n], in a
+    pooled array."""
+    bsz, n, forward = _forward_arrays(store, tokens, cfg)
+    _run_parts(_forward_rows, _halves(bsz, n * cfg.d, _PART_VALUES), *forward, n)
+    return forward[-1]
 
 
 def loss_and_grads(store: ParamStore, cfg: TransformerConfig, tokens, labels,
                    grads: np.ndarray) -> float:
     """The batch's mean cross-entropy; its gradient overwrites ``grads``, a
     vector laid out like ``store.flat``. No job is pending on return."""
-    ids = np.asarray(tokens)
-    saved: list = []
-    loss, g = T.cross_entropy(forward_logits(store, ids, cfg, saved), labels)
-    bsz, n = ids.shape
+    bsz, n, forward = _forward_arrays(store, tokens, cfg)
+    labels = T._labels(labels, bsz, cfg.n_classes)
+    ids, _, blocks, _, x, arrays, pooled, logits = forward
+    *_, pooled_grads, grad_blocks, grad_named = _views(store, cfg)
+    # what each block's backward reads: its arrays, with its input for its
+    # output
+    saved = [a[:3] + (a_in,) + a[3:-1]
+             for a, a_in in zip(arrays, [x] + [a[-1] for a in arrays[:-1]])]
+    rows = bsz * n
+    outs = [(_empty((rows, cfg.d)), _empty((rows, cfg.m_ff)), _empty((rows, cfg.d)),
+             _empty((rows, cfg.d)), _empty((rows, cfg.d))) for _ in blocks]
+    g_logits, g = _empty((bsz, cfg.n_classes)), _empty((rows, cfg.d))
     parts = _halves(bsz, n * cfg.d, _PART_VALUES)
-    _, blocks, _, grad_blocks, views = _views(store, cfg, grads)
-    try:
-        pooled = saved.pop()
-        _submit(_products, (pooled.T, g, views["head.w"]))
-        # pooled is the mean over positions: each gets 1/n of its gradient
-        g = _product(g, store["head.w"].value.T)
-        np.divide(g, n, out=g)
-        g = _filled((bsz, n, cfg.d), g[:, None, :]).reshape(bsz * n, cfg.d)
-        for w, gw in zip(reversed(blocks), reversed(grad_blocks)):
-            _wait()
-            if len(parts) == 1:
-                g = _block_backward(g, saved, w, gw)
-            else:
-                g = _block_backward_parts(g, saved, w, gw, n, parts)
-        views["embed.table"][...] = T.embedding_grad(ids, g, cfg.vocab)
-    finally:
-        _wait()
-    return loss
+    _run_parts(_step_rows, parts, forward, _filled(labels.shape, labels, labels.dtype.type),
+               g_logits, g, saved, outs, n)
+    # two parts share out the sums whole: the worker takes sum 0
+    _run_parts(_sums, [(0, 2)] if len(parts) == 1 else [(1, 2), (0, 1)],
+               g, saved, outs, grad_blocks,
+               (ids, pooled, g_logits, grad_named["head.w"], grad_named["embed.table"]))
+    np.copyto(grads, pooled_grads)
+    return T._mean_nll(logits, labels)
 
 
 def evaluate_accuracy(store: ParamStore, cfg: TransformerConfig, tokens,

@@ -113,8 +113,8 @@ def test_01_objective_gradient_fidelity():
         before = store.flat.copy()
         opt = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
                          weight_decay=0.0)
-        _tail(store, grads, opt, [(0, grads.size)], StepPlan(mgp, eta, {}),
-              n_train, 1, loss_val, 0.0)
+        _tail(store, grads, opt, StepPlan(mgp, eta, {}), n_train, 1, loss_val,
+              0.0)
         assert store.flat.tobytes() == before.tobytes()
         grads = store.views(grads)
 

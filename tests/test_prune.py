@@ -178,13 +178,12 @@ def test_non_prunable_tensors_never_touched():
 # ---------------------------------------------------------------------------
 
 def _add_prior_grads(grads, store, mgp, eta, n_train):
-    """The update tail over the whole vector at a zero learning rate, which
-    adds the prior's gradient and leaves the weights as they were."""
+    """The update tail at a zero learning rate, which adds the prior's
+    gradient and leaves the weights as they were."""
     before = store.flat.copy()
     opt = OptimState(store, beta1=0.9, beta2=0.999, eps_opt=1e-8,
                      weight_decay=0.0)
-    _tail(store, grads, opt, [(0, grads.size)], StepPlan(mgp, eta, {}),
-          n_train, 1, 0.0, 0.0)
+    _tail(store, grads, opt, StepPlan(mgp, eta, {}), n_train, 1, 0.0, 0.0)
     assert store.flat.tobytes() == before.tobytes()
 
 
@@ -438,16 +437,23 @@ def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
     # dev and test included, holds more sequences than a training step; the
     # last dev window overlaps the one before, so every pass is a full batch
     seen = {"step": [], "eval": []}
+    kind = ["step"]
+    arrays, forward = mgpp.transformer._forward_arrays, mgpp.transformer.forward_logits
 
-    forward = mgpp.transformer.forward_logits
+    def recorded(store, tokens, model_cfg):
+        # every forward lays out its arrays here, a step's and evaluation's
+        seen[kind[0]].append(np.asarray(tokens).shape[0])
+        return arrays(store, tokens, model_cfg)
 
-    def recorded(store, tokens, model_cfg, saved=None):
-        # a training step keeps the arrays its backward reads; evaluation not
-        kind = "eval" if saved is None else "step"
-        seen[kind].append(np.asarray(tokens).shape[0])
-        return forward(store, tokens, model_cfg, saved)
+    def evaluation(*args):
+        kind[0] = "eval"
+        try:
+            return forward(*args)
+        finally:
+            kind[0] = "step"
 
-    monkeypatch.setattr(mgpp.transformer, "forward_logits", recorded)
+    monkeypatch.setattr(mgpp.transformer, "_forward_arrays", recorded)
+    monkeypatch.setattr(mgpp.transformer, "forward_logits", evaluation)
     cfg = build_config(micro_pairs(**{"batch_size": 8, "task.dev": 44}))
     train(cfg)
     assert len(seen["step"]) == cfg.total_steps

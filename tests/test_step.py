@@ -1,7 +1,7 @@
 """The planned training step against the tape oracle, bit for bit, in one
-part and in two, and the worker thread that runs a share of it."""
+part and in two, and the worker process that runs a share of it."""
 
-import hashlib
+import os
 import subprocess
 import sys
 import threading
@@ -18,6 +18,10 @@ from mgpp.tensor import _cpus, _halves
 from mgpp.transformer import (_PART_VALUES, TransformerConfig, _block_views,
                               evaluate_accuracy, forward_logits, init_params,
                               loss_and_grads)
+
+
+WIDE = dict(d=64, k=16, m_ff=256, vocab=4)     # the gmp-wide model
+DESK = dict(d=32, k=8, m_ff=64, vocab=16)      # the desk model
 
 
 def model(H, L):
@@ -105,55 +109,49 @@ def test_stacked_projections_are_the_store_tensors():
 # the worker
 # ---------------------------------------------------------------------------
 
+MAIN = os.getpid()
+
+
 class ProductFailed(Exception):
     pass
 
 
-class Failing:
-    """An operand whose product raises, inside the worker."""
-
-    def __array_ufunc__(self, *args, **kwargs):
-        raise ProductFailed("weight-side product failed")
-
-
-class Slow:
-    """An operand whose product waits, then computes as given."""
-
-    def __init__(self, array):
-        self.array = array
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        time.sleep(0.2)
-        inputs = [self.array if x is self else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
+def in_the_worker(fn, alter):
+    """``fn``, which runs ``alter(fn, *args)`` in its place in the worker
+    process."""
+    def job(*args):
+        if os.getpid() == MAIN:
+            return fn(*args)
+        return alter(fn, *args)
+    return job
 
 
-def altered_job(monkeypatch, which: int, alter):
-    """Make the step's job number ``which`` run ``alter(x)`` in place of its
-    first product's left operand."""
-    submit, jobs = mgpp.transformer._submit, []
+def failing(fn, *args):
+    raise ProductFailed("weight-side product failed")
 
-    def altered(fn, *products):
-        jobs.append(products)
-        if len(jobs) == which:
-            (x, y, out), *rest = products
-            products = ((alter(x), y, out), *rest)
-        submit(fn, *products)
 
-    monkeypatch.setattr(mgpp.transformer, "_submit", altered)
-    return jobs
+def slow(fn, *args):
+    time.sleep(0.2)
+    return fn(*args)
+
+
+def fresh_worker(monkeypatch, name: str, alter):
+    """Make ``mgpp.transformer``'s function ``name`` run ``alter`` in the
+    worker. The worker forks at the next job, so it sees the change; the
+    one after the test forks again, without it."""
+    mgpp.tensor._stop()
+    monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
+    monkeypatch.setattr(mgpp.transformer, name,
+                        in_the_worker(getattr(mgpp.transformer, name), alter))
+    mgpp.tensor._start()
 
 
 def assert_nothing_pending():
-    assert mgpp.tensor._PENDING == [] and mgpp.tensor._ERRORS == []
-    assert mgpp.tensor._JOBS.empty() and mgpp.tensor._DONE.empty()
+    assert mgpp.tensor._PENDING == []
 
 
-def test_a_failing_product_is_raised_by_the_step(monkeypatch):
-    cfg = model(4, 2)
-    store = masked_store(cfg, 5)
-    (tokens, labels), _ = batches(cfg, 5, 6)
-    jobs = altered_job(monkeypatch, 3, lambda x: Failing())
+def step_outcome(store, cfg, tokens, labels) -> list:
+    """The step's error, run on a thread that must finish within a minute."""
     outcome = []
 
     def step():
@@ -165,57 +163,82 @@ def test_a_failing_product_is_raised_by_the_step(monkeypatch):
     thread = threading.Thread(target=step, daemon=True)
     thread.start()
     thread.join(timeout=60)
-    assert not thread.is_alive(), "the step hangs on a failed product"
-    assert len(jobs) >= 3
+    assert not thread.is_alive(), "the step hangs on a failed job"
+    return outcome
+
+
+def test_a_failing_product_is_raised_by_the_step(monkeypatch):
+    # the worker's share of the sums over the batch raises: the error comes
+    # back with its type and message, and the next step is exact
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)
+    store = masked_store(cfg, 5)
+    rng = np.random.default_rng(5)
+    tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
+    fresh_worker(monkeypatch, "_block_sums", failing)
+    try:
+        outcome = step_outcome(store, cfg, tokens, labels)
+    finally:
+        monkeypatch.undo()
+        mgpp.tensor._stop()
     assert len(outcome) == 1 and isinstance(outcome[0], ProductFailed)
+    assert str(outcome[0]) == "weight-side product failed"
+    assert any("raised in the worker process" in note
+               for note in outcome[0].__notes__)
     assert_nothing_pending()
-    monkeypatch.undo()
     assert_step_matches_tape(store, cfg, tokens, labels)
     assert_nothing_pending()
 
 
 def test_the_step_returns_after_its_last_product(monkeypatch):
-    cfg = model(4, 2)
+    # the worker's share of the sums, W2's and Wq|Wk|Wv's products, comes
+    # 0.2 s late: the step waits for it
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)
     store = masked_store(cfg, 7)
-    (tokens, labels), _ = batches(cfg, 5, 8)
-    # the last job is block 0's Wq|Wk|Wv product
-    jobs = altered_job(monkeypatch, 3 * cfg.L + 1, Slow)
-    assert_step_matches_tape(store, cfg, tokens, labels)
-    assert len(jobs) == 3 * cfg.L + 1
-    assert_nothing_pending()
-
-
-def test_steps_under_frequent_thread_switches_stay_exact():
-    # the interpreter lock changes hands every microsecond, so the worker's
-    # reference drops interleave with the pool's free checks everywhere
-    cfg = model(4, 2)
-    store = masked_store(cfg, 9)
-    data = batches(cfg, 5, 10)
-    want = [tape_model.loss_and_grads(store, cfg, *batch) for batch in data]
-    pool = lambda: {key: len(bufs) for key, bufs in mgpp.tensor._POOL.buffers.items()}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    rng = np.random.default_rng(7)
+    tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
+    fresh_worker(monkeypatch, "_block_sums", slow)
     try:
-        for round_ in range(20):
-            for (tokens, labels), (want_loss, want_grads) in zip(data, want):
-                grads = np.full_like(store.flat, np.nan)
-                loss = loss_and_grads(store, cfg, tokens, labels, grads)
-                assert loss == want_loss and grads.tobytes() == want_grads.tobytes()
-            if round_ == 0:
-                warm = pool()
-        assert pool() == warm
+        assert_step_matches_tape(store, cfg, tokens, labels)
+        assert_nothing_pending()
     finally:
-        sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        mgpp.tensor._stop()
+
+
+def test_repeated_two_part_steps_stay_exact(monkeypatch):
+    # twenty rounds of two batches, each step against the tape, with the
+    # pool as the first round left it
+    jobs = two_cpus(monkeypatch)
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)
+    store = masked_store(cfg, 9)
+    rng = np.random.default_rng(9)
+    data = [(rng.integers(0, 4, size=(bsz, 16)), rng.integers(0, 4, size=bsz))
+            for bsz in (32, 24)]
+    want = [tape_model.loss_and_grads(store, cfg, *batch) for batch in data]
+    pool = lambda: {key: len(bufs) for key, bufs in mgpp.tensor._POOL.items()}
+    for round_ in range(20):
+        for (tokens, labels), (want_loss, want_grads) in zip(data, want):
+            grads = np.full_like(store.flat, np.nan)
+            loss = loss_and_grads(store, cfg, tokens, labels, grads)
+            assert loss == want_loss and grads.tobytes() == want_grads.tobytes()
+        if round_ == 0:
+            warm = pool()
+    assert pool() == warm
+    assert jobs.count("_step_rows") == 40
 
 
 def test_importing_the_package_starts_no_thread():
-    code = ("import threading, mgpp, mgpp.tensor, mgpp.transformer; "
-            "assert threading.active_count() == 1, threading.enumerate()")
+    # nor a process: the worker forks at the first job
+    code = ("import os, threading, mgpp, mgpp.tensor, mgpp.transformer; "
+            "assert threading.active_count() == 1, threading.enumerate(); "
+            "assert mgpp.tensor._worker is None; "
+            "assert not open(f'/proc/{os.getpid()}/task/{os.getpid()}/children').read()")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_a_forked_child_runs_its_own_steps():
-    # the child inherits the parent's worker state but not its thread
+    # the child drops the parent's pool and mirror, which it would share
+    # with the parent, and forks a worker of its own
     code = FORK_SCRIPT.format(src=repr(mgpp.__path__[0] + "/.."))
     done = subprocess.run([sys.executable, "-c", code], timeout=120,
                           capture_output=True, text=True)
@@ -239,12 +262,16 @@ rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
 grads = np.empty_like(store.flat)
 M.loss_and_grads(store, cfg, tokens, labels, grads)
+parent_worker = T._worker[0]
 read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)         # a hung child dies instead of hanging the test
+    assert T._worker is None and not T._POOL
     M.loss_and_grads(store, cfg, tokens, labels, grads)
+    assert T._worker[0] != parent_worker
     os.write(write, hashlib.sha256(grads.tobytes()).hexdigest().encode())
+    T._stop()
     os._exit(0)
 M.loss_and_grads(store, cfg, tokens, labels, grads)
 _, status = os.waitpid(pid, 0)
@@ -258,10 +285,6 @@ print("same bytes" if child == hashlib.sha256(grads.tobytes()).hexdigest() else 
 # two parts
 # ---------------------------------------------------------------------------
 
-WIDE = dict(d=64, k=16, m_ff=256, vocab=4)     # the gmp-wide model
-DESK = dict(d=32, k=8, m_ff=64, vocab=16)      # the desk model
-
-
 def two_cpus(monkeypatch) -> list:
     """Let the step use two CPUs, whatever this host allows, and record the
     name of each job it queues."""
@@ -272,9 +295,7 @@ def two_cpus(monkeypatch) -> list:
         jobs.append(fn.__name__)
         submit(fn, *args)
 
-    # the parts go through tensor._run_parts, the products straight to it
     monkeypatch.setattr(mgpp.tensor, "_submit", recorded)
-    monkeypatch.setattr(mgpp.transformer, "_submit", recorded)
     return jobs
 
 
@@ -286,21 +307,22 @@ def test_two_parts_only_where_each_half_is_large(monkeypatch):
         monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: cpus)
         return _halves(bsz, n * d, _PART_VALUES)
 
-    assert _PART_VALUES == 12_288
-    assert parts(32, 16, 32, 2) == [(0, 32)]               # desk: 8,192 values a half
+    assert _PART_VALUES == 8_192
+    assert parts(32, 16, 32, 2) == [(0, 16), (16, 32)]     # desk: 8,192 exactly
+    assert parts(31, 16, 32, 2) == [(0, 31)]
     assert parts(32, 16, 64, 2) == [(0, 16), (16, 32)]     # gmp-wide: 16,384
-    assert parts(64, 16, 32, 2) == [(0, 32), (32, 64)]     # desk at batch 64
     assert parts(33, 16, 64, 2) == [(0, 16), (16, 33)]
-    assert parts(24, 16, 64, 2) == [(0, 12), (12, 24)]     # 12,288 exactly
-    assert parts(23, 16, 64, 2) == [(0, 23)]
+    assert parts(16, 16, 64, 2) == [(0, 8), (8, 16)]
+    assert parts(15, 16, 64, 2) == [(0, 15)]
     assert parts(32, 16, 64, 1) == [(0, 32)]               # one CPU allowed
-    assert parts(64, 16, 32, 1) == [(0, 64)]
+    assert parts(32, 16, 32, 1) == [(0, 32)]
 
 
 @pytest.mark.parametrize("dims, bsz, H, L", [
     (WIDE, 32, 4, 2), (WIDE, 33, 4, 2), (WIDE, 32, 1, 2), (WIDE, 32, 4, 1),
-    (DESK, 64, 4, 2),
-], ids=["gmp-wide", "gmp-wide-33", "gmp-wide-H1", "gmp-wide-L1", "desk-64"])
+    (WIDE, 16, 4, 2), (DESK, 64, 4, 2), (DESK, 32, 4, 2),
+], ids=["gmp-wide", "gmp-wide-33", "gmp-wide-H1", "gmp-wide-L1", "gmp-wide-16",
+        "desk-64", "desk"])
 def test_two_part_step_is_bitwise_the_tape(monkeypatch, dims, bsz, H, L):
     jobs = two_cpus(monkeypatch)
     cfg = TransformerConfig(H=H, L=L, n_classes=4, **dims)
@@ -308,10 +330,10 @@ def test_two_part_step_is_bitwise_the_tape(monkeypatch, dims, bsz, H, L):
     rng = np.random.default_rng([bsz, H, L])
     tokens = rng.integers(0, cfg.vocab, size=(bsz, 16))
     labels = rng.integers(0, 4, size=bsz)
-    for _ in range(2):      # the second step reuses both threads' buffers
+    for _ in range(2):      # the second step reuses both processes' buffers
         assert_step_matches_tape(store, cfg, tokens, labels)
-    assert jobs.count("_forward_rows") == 2
-    assert jobs.count("_backward_rows") == 2 * L
+    # a step's two jobs: its part 1, then its share of the sums
+    assert jobs == ["_step_rows", "_sums"] * 2
 
 
 def test_evaluate_accuracy_with_two_parts_is_the_tape_argmax(monkeypatch):
@@ -327,66 +349,57 @@ def test_evaluate_accuracy_with_two_parts_is_the_tape_argmax(monkeypatch):
     assert 0 < hits.sum() < 45
     # windows of 32 in two parts each, the last overlapping the one before
     assert evaluate_accuracy(store, cfg, tokens, labels, 32) == hits.mean()
-    assert jobs.count("_forward_rows") == 3
+    assert jobs == ["_forward_rows"] * 3
 
 
 class PartFailed(Exception):
     pass
 
 
-def failing_part(*args):
+def failing_part(fn, *args):
     raise PartFailed("part 1 failed")
 
 
 @pytest.mark.parametrize("part", ["_forward_rows", "_backward_rows"])
 def test_a_failing_part_is_raised_by_the_step(monkeypatch, part):
-    monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
+    # the forward, or the backward, of the worker's part raises
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)
     store = masked_store(cfg, 13)
     rng = np.random.default_rng(13)
     tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
-    submit = mgpp.tensor._submit
-    monkeypatch.setattr(mgpp.tensor, "_submit", lambda fn, *args: submit(
-        failing_part if fn.__name__ == part else fn, *args))
-    outcome = []
-
-    def step():
-        try:
-            loss_and_grads(store, cfg, tokens, labels, np.empty_like(store.flat))
-        except BaseException as exc:
-            outcome.append(exc)
-
-    thread = threading.Thread(target=step, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), "the step hangs on a failed part"
+    fresh_worker(monkeypatch, part, failing_part)
+    try:
+        outcome = step_outcome(store, cfg, tokens, labels)
+    finally:
+        monkeypatch.undo()
+        mgpp.tensor._stop()
     assert len(outcome) == 1 and isinstance(outcome[0], PartFailed)
+    assert str(outcome[0]) == "part 1 failed"
     assert_nothing_pending()
-    monkeypatch.setattr(mgpp.tensor, "_submit", submit)
     assert_step_matches_tape(store, cfg, tokens, labels)
     assert_nothing_pending()
 
 
 @pytest.mark.parametrize("dims", ["WIDE", "DESK"], ids=["gmp-wide", "desk"])
 def test_each_pool_is_set_by_the_first_step_alone(dims):
-    # two identical runs, one with the interpreter lock changing hands every
-    # microsecond, hold the same buffers and the same gradient bytes
+    # two identical runs hold the same buffers, in both processes, after
+    # every step, and the same gradient bytes
     runs = [subprocess.run(
         [sys.executable, "-c", CENSUS_SCRIPT.format(
-            src=repr(mgpp.__path__[0] + "/.."), dims=globals()[dims],
-            interval=interval)],
+            src=repr(mgpp.__path__[0] + "/.."), dims=globals()[dims])],
         timeout=120, capture_output=True, text=True, check=True).stdout
-        for interval in (0.005, 1e-6)]
+        for _ in range(2)]
     assert runs[0] == runs[1]
-    census, grads = eval(runs[0])
-    assert all(after == census[0] for after in census[1:])
-    main, worker = census[0]
-    if dims == "DESK":
-        # one part: the worker takes no temporaries, and the FFN's arrays are
-        # free before the attention's larger ones are taken
-        assert worker == {} and main[32768, "float64"] == 5
-    else:
-        assert worker and main
+    lines = runs[0].splitlines()
+    worker = [eval(line) for line in lines[:-1]]
+    main, grads = eval(lines[-1])
+    assert len(main) == len(worker) == 6
+    assert all(after == main[0] for after in main[1:])
+    assert all(after == worker[0] for after in worker[1:])
+    # the worker's pool holds only temporaries of its part; the step's
+    # arrays are this process's
+    values = lambda pool: sum(size * count for (size, _), count in pool.items())
+    assert 0 < 4 * values(worker[0]) < values(main[0])
     assert len(set(grads)) == 2
 
 
@@ -399,7 +412,6 @@ import mgpp.transformer as M
 from mgpp.prune import apply_global_prune
 
 T._cpus = lambda: 2
-sys.setswitchinterval({interval})
 cfg = M.TransformerConfig(H=4, L=2, n_classes=4, **{dims})
 store = M.init_params(cfg, [4, 1])
 apply_global_prune(store, 0.5)
@@ -410,21 +422,21 @@ data = [(rng.integers(0, cfg.vocab, size=(32, 16)), rng.integers(0, 4, size=32))
 
 def counts():
     return {{(size, dtype.__name__): len(bufs)
-             for (size, dtype), bufs in T._POOL.buffers.items()}}
+             for (size, dtype), bufs in T._POOL.items()}}
 
 
 def census():
-    worker = []
-    T._submit(lambda: worker.append(counts()))
-    T._wait()
-    return counts(), worker[0]
+    # a job: the worker prints its pool, a line before this process's
+    print(counts(), flush=True)
 
 
 grads = np.empty_like(store.flat)
 pools, digests = [], []
 for step in range(6):
     M.loss_and_grads(store, cfg, *data[step % 2], grads)
-    pools.append(census())
+    T._submit(census)
+    T._wait()
+    pools.append(counts())
     digests.append(hashlib.sha256(grads.tobytes()).hexdigest())
 print((pools, digests))
 """

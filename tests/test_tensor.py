@@ -647,7 +647,7 @@ def test_pool_never_hands_out_a_referenced_buffer(derive):
 
 def test_pool_stops_growing_after_the_second_step():
     def snapshot():
-        bufs = [b for group in mgpp.tensor._POOL.buffers.values() for b in group]
+        bufs = [b for group in mgpp.tensor._POOL.values() for b in group]
         return len(bufs), sum(b.nbytes for b in bufs)
 
     class Snapshots(RunMetrics):
