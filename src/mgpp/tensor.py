@@ -118,8 +118,9 @@ def _new_buffer(size: int, dtype) -> np.ndarray:
     span = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
     if not _ARENAS or _ARENA_END + span > len(_ARENAS[-1][1]):
         length = max(_ARENA_BYTES, span)
-        fd = os.memfd_create("mgpp-pool", os.MFD_CLOEXEC) if _SHAREABLE else -1
+        fd = -1                  # an anonymous mapping, private to this process
         if _SHAREABLE:
+            fd = os.memfd_create("mgpp-pool", os.MFD_CLOEXEC)
             os.ftruncate(fd, length)
         _ARENAS.append((fd, mmap.mmap(fd, length)))
         _ARENA_END = 0
