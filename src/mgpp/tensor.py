@@ -18,7 +18,7 @@ Numerical stabilizers used throughout:
     normalize to the offset vector instead of dividing by zero.
 
 The pool. Every large array of a step, with the exceptions named at
-embedding_grad and cross_entropy, is a view of a buffer from the pool
+embedding_grad and cross_entropy_grad, is a view of a buffer from the pool
 (``_empty``). A training step asks for the same shapes each time, so after
 the first step it reuses buffers instead of allocating and page-faulting
 fresh ones. The pool is keyed by element count and dtype, not shape, so
@@ -33,8 +33,7 @@ each size holds as many buffers as were ever live at once. Other modules
 take their per-step temporaries from the same pool: the prior gradient,
 the global prune's scores, the masks' keep-bits, the divergence check's
 mask and the optimizer's slices. Each buffer lies on pages of its own in
-an arena, an ``os.memfd_create`` file mapped whole, which the worker
-process maps too.
+an arena, an anonymous shared mapping.
 
 The worker. ``_run_parts`` runs the first part of some work here and the
 second in one worker process, forked by the first job: the halves of a
@@ -44,12 +43,12 @@ the handoffs cost, and the process may run on two CPUs; the caller gives
 its measured size. ``_submit(fn, *args)`` queues the job ``fn(*args)``:
 ``fn`` goes by name (pickle), and every array in ``args`` as its place in
 the pool (arena, offset, dtype, shape, strides), so both processes compute
-in the same memory; an arena's file descriptor goes along the first time a
-job names it (``socket.send_fds``). A job that names an array outside the
-pool, or a function that pickle cannot name, is refused before it is
-queued. ``_wait()`` returns once every queued job is done and re-raises the
-first error a job raised, with its type and message. Two rules keep this
-exact and the pool deterministic:
+in the same memory. The worker inherits the arenas at fork; a job that
+names a later one forks a new worker once the queued jobs are done. A job
+that names an array outside the pool, or a function that pickle cannot
+name, is refused before it is queued. ``_wait()`` returns once every
+queued job is done and re-raises the first error a job raised, with its
+type and message. Two rules keep this exact and the pool deterministic:
   * until ``_wait`` returns, neither process writes into an array that the
     other reads or writes in that time;
   * every array handed to ``_submit`` stays referenced here (``_PENDING``)
@@ -65,7 +64,7 @@ the parent's end gives it, and the parent reaps it at exit. A worker that
 is gone makes the waiting job raise an error that names it; the next job
 forks a new one. A forked child (the worker among them) closes its
 parent's end of the pipe and drops the parent's pool, whose memory it
-would share.
+would share; the worker keeps the arenas themselves, which its jobs name.
 """
 
 from __future__ import annotations
@@ -93,22 +92,19 @@ _CHUNK = 1 << 15
 # (element count, dtype) -> the pooled buffers of that size, in creation
 # order
 _POOL: dict[tuple[int, type], list[np.ndarray]] = {}
-# The pool's memory: arenas, each one memfd mapped whole, in creation order
-# (memfd, mapping), and the first free byte of the last one. A new buffer
-# takes the next whole pages of the last arena, or starts a new arena.
-_ARENAS: list[tuple[int, mmap.mmap]] = []
+# The pool's memory: its arenas, anonymous shared mappings, in creation
+# order, and the first free byte of the last, where the next buffer starts.
+_ARENAS: list[mmap.mmap] = []
 _ARENA_END = 0
 # Bytes of address space per arena; only the pages a buffer touches take
-# memory. A run's pool fits in one, so the pool holds two file descriptors
-# (its own and the mapping's), where a file per buffer would hold two per
-# buffer: thousands in one run of the test suite.
+# memory. A run's pool fits in one, so a run forks its worker once.
 _ARENA_BYTES = 1 << 28
 # id of each pooled buffer -> (its arena, its byte offset there, the
 # address of its first byte)
 _SHARED: dict[int, tuple[int, int, int]] = {}
-# Whether arenas are files a worker can map (Linux); elsewhere the pool is
-# private memory and every step runs in one part.
-_SHAREABLE = hasattr(os, "memfd_create")
+# Whether a step may split, forking a worker: on Linux, where
+# _one_blas_thread finds OpenBLAS; elsewhere every step runs in one part.
+_SHAREABLE = sys.platform.startswith("linux")
 
 
 def _new_buffer(size: int, dtype) -> np.ndarray:
@@ -116,17 +112,12 @@ def _new_buffer(size: int, dtype) -> np.ndarray:
     global _ARENA_END
     nbytes = size * np.dtype(dtype).itemsize
     span = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-    if not _ARENAS or _ARENA_END + span > len(_ARENAS[-1][1]):
-        length = max(_ARENA_BYTES, span)
-        fd = -1                  # an anonymous mapping, private to this process
-        if _SHAREABLE:
-            fd = os.memfd_create("mgpp-pool", os.MFD_CLOEXEC)
-            os.ftruncate(fd, length)
-        _ARENAS.append((fd, mmap.mmap(fd, length)))
+    if not _ARENAS or _ARENA_END + span > len(_ARENAS[-1]):
+        _ARENAS.append(mmap.mmap(-1, max(_ARENA_BYTES, span)))
         _ARENA_END = 0
     offset = _ARENA_END
     _ARENA_END += span
-    buf = np.frombuffer(_ARENAS[-1][1], dtype, size, offset)
+    buf = np.frombuffer(_ARENAS[-1], dtype, size, offset)
     _SHARED[id(buf)] = len(_ARENAS) - 1, offset, buf.ctypes.data
     return buf
 
@@ -187,8 +178,8 @@ def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
 # the worker
 # ---------------------------------------------------------------------------
 
-_worker: tuple[int, socket.socket] | None = None   # its pid and our pipe end
-_SENT = 0                    # how many arenas the worker maps, in order
+# its pid, our pipe end and how many arenas it inherited
+_worker: tuple[int, socket.socket, int] | None = None
 _PENDING: list[tuple] = []   # the arguments of every queued job, until _wait
 
 
@@ -216,7 +207,7 @@ class _Job(pickle.Pickler):
         return _view, (arena, offset, obj.dtype.char, obj.shape, obj.strides)
 
 
-# in the worker: the arenas it maps, in order, and each view a job named
+# in the worker: the arenas it inherited, in order, and each view a job named
 _MAPS: list[mmap.mmap] = []
 _MAPPED: dict[tuple, np.ndarray] = {}
 
@@ -249,31 +240,43 @@ def _error_message(exc: BaseException) -> bytes:
         return pickle.dumps(error)
 
 
-def _serve(sock: socket.socket) -> None:
-    """The worker's loop: map each arena it is sent, run each job, reply
-    b"ok" or its error. Leaves the process at the pipe's end."""
-    import socket
-    while True:
+def _send(sock: socket.socket, message: bytes) -> None:
+    """Send one message: its length in 8 bytes, then its bytes."""
+    sock.sendall(len(message).to_bytes(8, "little") + message)
+
+
+def _receive(sock: socket.socket) -> bytes:
+    """One message that _send sent, or b"" where the pipe ends or fails."""
+    data, size = bytearray(), 8
+    while len(data) < size:
         try:
-            # a message carries at most 253 descriptors on Linux, which
-            # are 63 GiB of arenas
-            message, fds, _, _ = socket.recv_fds(sock, 1 << 16, 253)
+            chunk = sock.recv(size - len(data))
         except OSError:
-            message = b""
+            chunk = b""
+        if not chunk:
+            return b""
+        data += chunk
+        if len(data) == 8:       # the length, then the message
+            size += int.from_bytes(data, "little")
+    return data[8:]
+
+
+def _serve(sock: socket.socket) -> None:
+    """The worker's loop: run each job, reply b"ok" or its error. Leaves
+    the process at the pipe's end."""
+    while True:
+        message = _receive(sock)
         if not message:
             os._exit(0)
-        for fd in fds:
-            _MAPS.append(mmap.mmap(fd, os.fstat(fd).st_size))
-            os.close(fd)
         try:
             fn, args = pickle.loads(message)
             fn(*args)
             reply = b"ok"
         except BaseException as exc:     # re-raised by _wait in the parent
             reply = _error_message(exc)
-        fn = args = None
+        fn = args = message = None
         try:
-            sock.send(reply)
+            _send(sock, reply)
         except OSError:
             os._exit(0)
 
@@ -298,34 +301,36 @@ def _one_blas_thread() -> None:
 
 
 def _start() -> None:
-    """Fork the worker, joined to this process by a socket pair."""
+    """Fork the worker, joined to this process by a socket pair; it keeps
+    the arenas it inherits."""
     import signal
     import socket
     global _worker
     _one_blas_thread()
-    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    ours, theirs = socket.socketpair()
+    arenas = list(_ARENAS)       # the child's _forget_parent drops _ARENAS
     pid = os.fork()
     if pid == 0:
         try:
             ours.close()
             signal.signal(signal.SIGINT, signal.SIG_IGN)
+            _MAPS.extend(arenas)
             _serve(theirs)
         finally:
             os._exit(1)
     theirs.close()
-    _worker = pid, ours
+    _worker = pid, ours, len(arenas)
 
 
 def _stop() -> int | None:
     """Close our end of the job pipe, so the worker leaves, and reap it;
     returns its wait status, or None without a worker."""
-    global _worker, _SENT
+    global _worker
     if _worker is None:
         return None
-    pid, sock = _worker
+    pid, sock, _ = _worker
     _worker = None
     sock.close()
-    _SENT = 0
     _PENDING.clear()
     return os.waitpid(pid, 0)[1]
 
@@ -342,20 +347,21 @@ def _lost() -> None:
 
 
 def _submit(fn, *args) -> None:
-    """Queue ``fn(*args)`` for the worker, forking it at the first job."""
-    global _SENT
-    import socket
+    """Queue ``fn(*args)`` for the worker, forking it at the first job, and
+    again, once the queued jobs are done, at a job that names an arena made
+    since it forked."""
     file = io.BytesIO()
     job = _Job(file)
     job.dump((fn, args))
+    if _worker is not None and job.arenas > _worker[2]:
+        _wait()
+        _stop()
     if _worker is None:
         _start()
-    new = [fd for fd, _ in _ARENAS[_SENT:job.arenas]]
     try:
-        socket.send_fds(_worker[1], [file.getvalue()], new)
+        _send(_worker[1], file.getvalue())
     except OSError:
         _lost()
-    _SENT = max(_SENT, job.arenas)
     _PENDING.append(args)
 
 
@@ -363,10 +369,7 @@ def _wait() -> None:
     """Block until every queued job is done; raise the first error."""
     error = None
     while _PENDING:
-        try:
-            reply = _worker[1].recv(1 << 16)
-        except OSError:
-            reply = b""
+        reply = _receive(_worker[1])
         if not reply:
             _lost()
         del _PENDING[0]          # jobs finish in queue order
@@ -398,8 +401,8 @@ def _cpus() -> int:
 def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
     """The parts of ``count`` items of ``unit`` values each, as (first, end)
     ranges for _run_parts: the two halves when each half holds at least
-    ``least`` values and the process may run on two or more CPUs (and share
-    its pool with a worker), else the whole range."""
+    ``least`` values and the process may run on two or more CPUs (and fork
+    a worker), else the whole range."""
     half = count // 2
     if _SHAREABLE and _cpus() >= 2 and half * unit >= least:
         return [(0, half), (half, count)]
@@ -409,15 +412,11 @@ def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
 def _forget_parent() -> None:
     """In a forked child: close the parent's end of its job pipe and drop
     the parent's pool, whose memory the child would share with it."""
-    global _worker, _SENT, _ARENA_END
+    global _worker, _ARENA_END
     if _worker is not None:
         _worker[1].close()
     _worker = None
-    _SENT = 0
     _PENDING.clear()
-    for fd, _ in _ARENAS:
-        if fd >= 0:
-            os.close(fd)
     _ARENAS.clear()
     _ARENA_END = 0
     _SHARED.clear()
@@ -558,11 +557,3 @@ def cross_entropy_grad(z: np.ndarray, labels: np.ndarray, scale: float) -> np.nd
     p[np.arange(len(z)), labels] -= 1.0
     return scale * p
 
-
-def cross_entropy(z: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """The batch mean of -log softmax(z)[label] for logits ``z`` [B x C]
-    and its gradient wrt z, a fresh [B x C] array."""
-    if z.ndim != 2:
-        raise ValueError(f"cross_entropy expects [B x C] logits, got {z.shape}")
-    labels = _labels(labels, *z.shape)
-    return _mean_nll(z, labels), cross_entropy_grad(z, labels, 1.0 / len(z))

@@ -1,12 +1,15 @@
 """The transformer on the tape (``tape.py``): the forward pass that trained
 the model before the step was planned by hand, kept as the oracle that the
-planned step in ``mgpp.transformer`` must match bit for bit."""
+planned step in ``mgpp.transformer`` must match bit for bit. Beside it,
+``cross_entropy``: the batch loss of any logits and its gradient, from the
+step's own pieces, as an objective that finite differences can probe."""
 
 import math
 
 import numpy as np
 
 import tape as T
+from mgpp.tensor import _labels, _mean_nll, cross_entropy_grad
 from tape import Graph, Tensor, backward_pass
 
 
@@ -73,3 +76,12 @@ def loss_and_grads(store, cfg, tokens, labels) -> tuple[float, np.ndarray]:
     for name, view in store.views(grads).items():
         view[...] = leaf_grads[bound[name].id]
     return float(loss.data), grads
+
+
+def cross_entropy(z: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """The batch mean of -log softmax(z)[label] for logits ``z`` [B x C]
+    and its gradient wrt z, a fresh [B x C] array."""
+    if z.ndim != 2:
+        raise ValueError(f"cross_entropy expects [B x C] logits, got {z.shape}")
+    labels = _labels(labels, *z.shape)
+    return _mean_nll(z, labels), cross_entropy_grad(z, labels, 1.0 / len(z))

@@ -23,11 +23,11 @@ from mgpp.prior import MgpConfig, mgp_grad, pa_threshold
 from mgpp.prune import _tail, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
-from mgpp.tensor import cross_entropy
 from mgpp.transformer import (TransformerConfig, _attention, _block,
                               forward_logits, init_params, loss_and_grads)
 
 from prior_oracle import neg_log_prior
+from tape_model import cross_entropy
 
 DESK_N_TRAIN = 8000
 

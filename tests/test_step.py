@@ -336,6 +336,21 @@ def test_two_part_step_is_bitwise_the_tape(monkeypatch, dims, bsz, H, L):
     assert jobs == ["_step_rows", "_sums"] * 2
 
 
+def test_a_deep_model_steps_in_two_parts_as_in_one(monkeypatch):
+    # a 96-block step's two jobs are 72 and 67 KB, past 64 KiB
+    cfg = TransformerConfig(H=4, L=96, n_classes=4, **DESK)
+    store = masked_store(cfg, 96)
+    rng = np.random.default_rng(96)
+    tokens, labels = rng.integers(0, 16, size=(32, 16)), rng.integers(0, 4, size=32)
+    jobs, steps = two_cpus(monkeypatch), []
+    for cpus in (1, 2):
+        monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: cpus)
+        grads = np.full_like(store.flat, np.nan)
+        steps.append((loss_and_grads(store, cfg, tokens, labels, grads), grads.tobytes()))
+    assert jobs == ["_step_rows", "_sums"]
+    assert steps[0] == steps[1]
+
+
 def test_evaluate_accuracy_with_two_parts_is_the_tape_argmax(monkeypatch):
     jobs = two_cpus(monkeypatch)
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)

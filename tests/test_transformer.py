@@ -9,7 +9,6 @@ import pytest
 
 import tape as T
 import tape_model
-from mgpp.tensor import cross_entropy
 from mgpp.transformer import (TransformerConfig, _attention, _block,
                               _block_views, evaluate_accuracy, forward_logits,
                               init_params, loss_and_grads, param_layout)
@@ -253,7 +252,7 @@ def test_model_gradient_matches_finite_differences():
 
         def f(x):
             store[name].value[...] = x
-            return cross_entropy(forward_logits(store, tokens, cfg), labels)[0]
+            return tape_model.cross_entropy(forward_logits(store, tokens, cfg), labels)[0]
 
         fd = finite_diff_grad(f, base, 1e-5)
         store[name].value[...] = base

@@ -86,6 +86,19 @@ def test_an_error_in_a_job_is_raised_here_with_its_type_and_message():
     assert mgpp.tensor._PENDING == []
 
 
+def long_failing_job(size):
+    raise JobFailed("x" * size)
+
+
+def test_an_error_of_any_size_is_raised_here_whole():
+    # the reply, some 200 KB, comes whole
+    _submit(long_failing_job, 100_000)
+    with pytest.raises(JobFailed) as info:
+        _wait()
+    assert str(info.value) == "x" * 100_000
+    assert mgpp.tensor._PENDING == []
+
+
 def test_a_killed_worker_is_named_instead_of_hanging():
     a = _empty((7,))
     _submit(np.copyto, a, 1.0)
@@ -105,14 +118,15 @@ def test_a_killed_worker_is_named_instead_of_hanging():
 
 
 def test_a_job_may_name_buffers_in_several_arenas():
-    # a fresh process with 64 KiB arenas: 250 one-page buffers fill 16 of
-    # them, and a buffer larger than an arena takes one of its own; the
-    # first job names only the last arena, so the worker maps all before it
+    # a fresh process with 64 KiB arenas: a first job forks the worker with
+    # one arena; 249 more one-page buffers fill 15 more, and a buffer larger
+    # than an arena takes one of its own. The next job names them, so it
+    # forks a new worker, which inherits all 17
     code = ARENAS_SCRIPT.format(src=repr(mgpp.__path__[0] + "/.."))
     done = subprocess.run([sys.executable, "-c", code], timeout=60,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["17", "17", "250", "True"]
+    assert done.stdout.split() == ["1", "17", "True", "17", "250", "True"]
 
 
 ARENAS_SCRIPT = """
@@ -122,7 +136,12 @@ import numpy as np
 import mgpp.tensor as T
 
 T._ARENA_BYTES = 1 << 16
-arrays = [T._empty((3,)) for _ in range(250)]
+arrays = [T._empty((3,))]
+T._submit(np.copyto, arrays[0], 1.0)
+T._wait()
+first = T._worker[0]
+print(T._worker[2])
+arrays += [T._empty((3,)) for _ in range(249)]
 large = T._empty((20_000,))
 
 
@@ -132,11 +151,9 @@ def fill(arrays, large):
     large[...] = 7.0
 
 
-T._submit(np.copyto, large, 1.0)
-T._wait()
-print(len(T._ARENAS), T._SENT)
 T._submit(fill, arrays, large)
 T._wait()
+print(len(T._ARENAS), T._worker[0] != first, T._worker[2])
 print(sum(int(a[0] == i) for i, a in enumerate(arrays)), bool((large == 7.0).all()))
 """
 
@@ -193,15 +210,14 @@ elif "{end}" == "interrupt":
 
 
 def test_without_shareable_memory_the_step_runs_in_one_part():
-    # where os.memfd_create is missing, the pool is private memory and no
-    # worker forks; the step's bytes are the two-part step's
+    # off Linux no worker forks; the step's bytes are the two-part step's
     runs = [subprocess.run(
         [sys.executable, "-c", SHAREABLE_SCRIPT.format(
             src=repr(mgpp.__path__[0] + "/.."), shareable=shareable)],
         timeout=60, capture_output=True, text=True, check=True).stdout.split()
         for shareable in (False, True)]
-    assert runs[0][1:] == ["None", "-1"]
-    assert runs[1][1:] != ["None", "-1"]
+    assert runs[0][1:] == ["True"]
+    assert runs[1][1:] == ["False"]
     assert runs[0][0] == runs[1][0]
 
 
@@ -220,7 +236,7 @@ rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
 grads = np.empty_like(store.flat)
 M.loss_and_grads(store, cfg, tokens, labels, grads)
-print(hashlib.sha256(grads.tobytes()).hexdigest(), T._worker, T._ARENAS[0][0])
+print(hashlib.sha256(grads.tobytes()).hexdigest(), T._worker is None)
 """
 
 
