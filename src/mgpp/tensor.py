@@ -40,20 +40,21 @@ second in one worker process, forked by the first job: the halves of a
 training step's batch. One rule, ``_halves``, says where work splits in
 two: where each half is large enough for the second core to gain more than
 the handoffs cost, and the process may run on two CPUs; the caller gives
-its measured size. ``_submit(fn, *args)`` queues the job ``fn(*args)``:
-``fn`` goes by name (pickle), and every array in ``args`` as its place in
-the pool (arena, offset, dtype, shape, strides), so both processes compute
-in the same memory. The worker inherits the arenas at fork; a job that
-names a later one forks a new worker once the queued jobs are done. A job
-that names an array outside the pool, or a function that pickle cannot
-name, is refused before it is queued. ``_wait()`` returns once every
-queued job is done and re-raises the first error a job raised, with its
-type and message. Two rules keep this exact and the pool deterministic:
+its measured size. A job's arguments are registered once
+(``_register(*args)``, which returns their key) and reach the worker by
+fork, with the arenas they lie in; a job is then only a function, which
+goes by name (pickle), a key and some ints: ``_submit(fn, key, *ints)``
+queues ``fn(*args, *ints)``. A job whose key was registered after the
+worker forked waits for the queued jobs, then forks a fresh worker.
+Registering an array outside the pool, or queueing a function that pickle
+cannot name, is refused. ``_wait()`` returns once every queued job is done
+and re-raises the first error a job raised, with its type and message.
+Two rules keep this exact and the pool deterministic:
   * until ``_wait`` returns, neither process writes into an array that the
     other reads or writes in that time;
-  * every array handed to ``_submit`` stays referenced here (``_PENDING``)
-    until ``_wait`` sees its job done, and whatever a job keeps lives in
-    those arrays; the worker takes a job's temporaries from its own pool.
+  * a registered array stays referenced here until its key is released
+    (``_release``), and whatever a job keeps lives in those arrays; the
+    worker takes a job's temporaries from its own pool.
 Long-lived arrays (parameters, gradients, moments) stay private to their
 process; a job reads the parameters through a pooled mirror (see
 ``transformer``).
@@ -63,14 +64,15 @@ No worker outlives its parent's run: it ignores SIGINT and leaves through
 the parent's end gives it, and the parent reaps it at exit. A worker that
 is gone makes the waiting job raise an error that names it; the next job
 forks a new one. A forked child (the worker among them) closes its
-parent's end of the pipe and drops the parent's pool, whose memory it
-would share; the worker keeps the arenas themselves, which its jobs name.
+parent's end of the pipe and drops the parent's pool and registered
+arguments, whose memory it would share; the worker keeps the arguments it
+inherited, and with them their arenas.
 """
 
 from __future__ import annotations
 
 import atexit
-import io
+import itertools
 import math
 import mmap
 import os
@@ -97,11 +99,8 @@ _POOL: dict[tuple[int, type], list[np.ndarray]] = {}
 _ARENAS: list[mmap.mmap] = []
 _ARENA_END = 0
 # Bytes of address space per arena; only the pages a buffer touches take
-# memory. A run's pool fits in one, so a run forks its worker once.
+# memory. A run's pool fits in one.
 _ARENA_BYTES = 1 << 28
-# id of each pooled buffer -> (its arena, its byte offset there, the
-# address of its first byte)
-_SHARED: dict[int, tuple[int, int, int]] = {}
 # Whether a step may split, forking a worker: on Linux, where
 # _one_blas_thread finds OpenBLAS; elsewhere every step runs in one part.
 _SHAREABLE = sys.platform.startswith("linux")
@@ -117,9 +116,7 @@ def _new_buffer(size: int, dtype) -> np.ndarray:
         _ARENA_END = 0
     offset = _ARENA_END
     _ARENA_END += span
-    buf = np.frombuffer(_ARENAS[-1], dtype, size, offset)
-    _SHARED[id(buf)] = len(_ARENAS) - 1, offset, buf.ctypes.data
-    return buf
+    return np.frombuffer(_ARENAS[-1], dtype, size, offset)
 
 
 def _first_free(bufs: list, free: int, refcount=sys.getrefcount):
@@ -144,13 +141,6 @@ def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
         buf = _new_buffer(size, dtype)
         bufs.append(buf)
     return buf.reshape(shape)
-
-
-def _filled(shape: tuple, value: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """A pooled array of ``shape`` holding ``value``, broadcast."""
-    out = _empty(shape, dtype)
-    np.copyto(out, value)
-    return out
 
 
 def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
@@ -178,48 +168,41 @@ def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
 # the worker
 # ---------------------------------------------------------------------------
 
-# its pid, our pipe end and how many arenas it inherited
-_worker: tuple[int, socket.socket, int] | None = None
-_PENDING: list[tuple] = []   # the arguments of every queued job, until _wait
+# its pid, our pipe end and the keys it inherited
+_worker: tuple[int, socket.socket, frozenset] | None = None
+_PENDING = 0                 # how many queued jobs are not yet done
+# key -> the arguments of the jobs that name it (_register)
+_ARGS: dict[int, tuple] = {}
+_KEYS = itertools.count()
 
 
-class _Job(pickle.Pickler):
-    """Pickles a job, naming each array by its place in the pool: (its
-    arena, byte offset, dtype, shape, strides), which the worker turns back
-    into a view (_view). ``arenas`` is one more than the last arena named."""
-
-    def __init__(self, file):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.arenas = 0
-
-    def reducer_override(self, obj):
-        if not isinstance(obj, np.ndarray):
-            return NotImplemented
+def _check_pooled(obj) -> None:
+    """Refuse an array in ``obj``, or in the tuples and lists it nests,
+    that is not a view of a pooled buffer."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            _check_pooled(item)
+    elif isinstance(obj, np.ndarray):
         buf = obj.base if isinstance(obj.base, np.ndarray) else obj
-        key = id(buf)
-        if key not in _SHARED:
+        if not any(buf is pooled for bufs in _POOL.values() for pooled in bufs):
             raise ValueError("a job's arrays must be views of pooled buffers")
-        arena, offset, address = _SHARED[key]
-        self.arenas = max(self.arenas, arena + 1)
-        # a C-contiguous view of all of a buffer starts at its first byte
-        if obj.size != buf.size or not obj.flags.c_contiguous:
-            offset += obj.ctypes.data - address
-        return _view, (arena, offset, obj.dtype.char, obj.shape, obj.strides)
 
 
-# in the worker: the arenas it inherited, in order, and each view a job named
-_MAPS: list[mmap.mmap] = []
-_MAPPED: dict[tuple, np.ndarray] = {}
+def _register(*args) -> int:
+    """Keep ``args`` for the jobs that name them, and return their key: a
+    job ``fn`` with the key and ints ``ints`` runs ``fn(*args, *ints)``.
+    The arrays in ``args`` must be views of pooled buffers."""
+    _check_pooled(args)
+    key = next(_KEYS)
+    _ARGS[key] = args
+    return key
 
 
-def _view(*where) -> np.ndarray:
-    """In the worker, the array that a job names (see _Job); each view is
-    made once, as a step names the same arrays each time."""
-    view = _MAPPED.get(where)
-    if view is None:
-        arena, offset, char, shape, strides = where
-        view = _MAPPED[where] = np.ndarray(shape, char, _MAPS[arena], offset, strides)
-    return view
+def _release(*keys: int) -> None:
+    """Drop the arguments of those ``keys`` still here (a forked child holds
+    none), so the pool gets their buffers back."""
+    for key in keys:
+        _ARGS.pop(key, None)
 
 
 def _error_message(exc: BaseException) -> bytes:
@@ -261,20 +244,20 @@ def _receive(sock: socket.socket) -> bytes:
     return data[8:]
 
 
-def _serve(sock: socket.socket) -> None:
-    """The worker's loop: run each job, reply b"ok" or its error. Leaves
-    the process at the pipe's end."""
+def _serve(sock: socket.socket, args: dict) -> None:
+    """The worker's loop: run each job on the arguments ``args`` holds for
+    its key, reply b"ok" or its error. Leaves the process at the pipe's
+    end."""
     while True:
         message = _receive(sock)
         if not message:
             os._exit(0)
         try:
-            fn, args = pickle.loads(message)
-            fn(*args)
+            fn, key, ints = pickle.loads(message)
+            fn(*args[key], *ints)
             reply = b"ok"
         except BaseException as exc:     # re-raised by _wait in the parent
             reply = _error_message(exc)
-        fn = args = message = None
         try:
             _send(sock, reply)
         except OSError:
@@ -289,8 +272,9 @@ def _one_blas_thread() -> None:
     BLAS, whose threads this does not set, should be pinned to one thread by
     its environment variable."""
     import ctypes
-    libraries = {line.split()[-1] for line in open("/proc/self/maps")
-                 if "openblas" in line.rsplit("/", 1)[-1]}
+    with open("/proc/self/maps") as maps:
+        libraries = {line.split()[-1] for line in maps
+                     if "openblas" in line.rsplit("/", 1)[-1]}
     for path in libraries:
         blas = ctypes.CDLL(path)
         for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
@@ -302,36 +286,35 @@ def _one_blas_thread() -> None:
 
 def _start() -> None:
     """Fork the worker, joined to this process by a socket pair; it keeps
-    the arenas it inherits."""
+    the registered arguments it inherits, and with them their arenas."""
     import signal
     import socket
     global _worker
     _one_blas_thread()
     ours, theirs = socket.socketpair()
-    arenas = list(_ARENAS)       # the child's _forget_parent drops _ARENAS
+    args = dict(_ARGS)           # the child's _forget_parent drops _ARGS
     pid = os.fork()
     if pid == 0:
         try:
             ours.close()
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            _MAPS.extend(arenas)
-            _serve(theirs)
+            _serve(theirs, args)
         finally:
             os._exit(1)
     theirs.close()
-    _worker = pid, ours, len(arenas)
+    _worker = pid, ours, frozenset(args)
 
 
 def _stop() -> int | None:
     """Close our end of the job pipe, so the worker leaves, and reap it;
     returns its wait status, or None without a worker."""
-    global _worker
+    global _worker, _PENDING
     if _worker is None:
         return None
     pid, sock, _ = _worker
     _worker = None
     sock.close()
-    _PENDING.clear()
+    _PENDING = 0
     return os.waitpid(pid, 0)[1]
 
 
@@ -346,46 +329,47 @@ def _lost() -> None:
     raise RuntimeError(f"the worker process {pid} {how} with jobs queued")
 
 
-def _submit(fn, *args) -> None:
-    """Queue ``fn(*args)`` for the worker, forking it at the first job, and
-    again, once the queued jobs are done, at a job that names an arena made
-    since it forked."""
-    file = io.BytesIO()
-    job = _Job(file)
-    job.dump((fn, args))
-    if _worker is not None and job.arenas > _worker[2]:
+def _submit(fn, key: int, *ints: int) -> None:
+    """Queue ``fn(*args, *ints)`` for the worker, with the arguments
+    ``args`` registered under ``key``. Forks the worker at the first job,
+    and again, once the queued jobs are done, at a key it did not inherit."""
+    global _PENDING
+    message = pickle.dumps((fn, key, ints), pickle.HIGHEST_PROTOCOL)
+    if _worker is not None and key not in _worker[2]:
         _wait()
         _stop()
     if _worker is None:
         _start()
     try:
-        _send(_worker[1], file.getvalue())
+        _send(_worker[1], message)
     except OSError:
         _lost()
-    _PENDING.append(args)
+    _PENDING += 1
 
 
 def _wait() -> None:
     """Block until every queued job is done; raise the first error."""
+    global _PENDING
     error = None
     while _PENDING:
         reply = _receive(_worker[1])
         if not reply:
             _lost()
-        del _PENDING[0]          # jobs finish in queue order
+        _PENDING -= 1
         if reply != b"ok" and error is None:
             error = pickle.loads(reply)
     if error is not None:
         raise error
 
 
-def _run_parts(fn, parts: list, *args) -> None:
-    """``fn(*args, first, end)`` for each part: the first here, the second
-    in the worker. Returns, or raises, once both are done."""
+def _run_parts(fn, parts: list, key: int) -> None:
+    """``fn(*args, first, end)`` for each part, with the arguments ``args``
+    registered under ``key``: the first part here, the second in the
+    worker. Returns, or raises, once both are done."""
     for part in parts[1:]:
-        _submit(fn, *args, *part)
+        _submit(fn, key, *part)
     try:
-        fn(*args, *parts[0])
+        fn(*_ARGS[key], *parts[0])
     finally:
         _wait()
 
@@ -411,16 +395,17 @@ def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
 
 def _forget_parent() -> None:
     """In a forked child: close the parent's end of its job pipe and drop
-    the parent's pool, whose memory the child would share with it."""
-    global _worker, _ARENA_END
+    the parent's pool and registered arguments, whose memory the child
+    would share with it."""
+    global _worker, _PENDING, _ARENA_END
     if _worker is not None:
         _worker[1].close()
     _worker = None
-    _PENDING.clear()
+    _PENDING = 0
     _ARENAS.clear()
     _ARENA_END = 0
-    _SHARED.clear()
     _POOL.clear()
+    _ARGS.clear()
 
 
 os.register_at_fork(after_in_child=_forget_parent)

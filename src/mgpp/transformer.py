@@ -25,8 +25,10 @@ three projections are one product with their [3H x d x k] stack; numpy
 multiplies each slice of a stack on its own, so that is bitwise three
 products. The step reads the parameters from a mirror, a pooled copy of
 ``store.flat`` made at each forward, and builds the gradient in a pooled
-vector, which it then copies into the caller's; their views are built once
-per store (_views).
+vector, which it then copies into the caller's. Its arrays, and the
+arguments of its jobs for the worker, are built and registered once per
+store, model and batch shape (_views), and released with the store;
+evaluation at the training batch's shape uses the step's forward arrays.
 
 The training step, loss_and_grads, is planned by hand. Its backward reads,
 per block, only the arrays of the forward that it needs; evaluation
@@ -81,7 +83,7 @@ import numpy as np
 
 from . import tensor as T
 from .params import ParamStore
-from .tensor import _empty, _filled, _halves, _product, _run_parts
+from .tensor import _empty, _halves, _product, _run_parts
 
 
 @dataclass(frozen=True)
@@ -148,27 +150,6 @@ def _block_views(store: ParamStore, buf: np.ndarray,
     return blocks
 
 
-# store -> [cfg, its mirror, the mirror's block views and views by name,
-# the pooled gradient vector, its block views and views by name]
-_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# a forked child would share its parent's mirrors and gradient vectors
-os.register_at_fork(after_in_child=_VIEWS.clear)
-
-
-def _views(store: ParamStore, cfg: TransformerConfig) -> list:
-    """The step's views (see _VIEWS), built once per store: of the mirror,
-    a pooled vector that each forward fills with ``store.flat``, so that
-    the worker reads the parameters, and of the pooled vector in which
-    loss_and_grads builds the gradient."""
-    views = _VIEWS.get(store)
-    if views is None or views[0] != cfg:
-        mirror, grads = _empty(store.flat.shape), _empty(store.flat.shape)
-        views = _VIEWS[store] = [cfg, mirror, _block_views(store, mirror, cfg),
-                                 store.views(mirror), grads,
-                                 _block_views(store, grads, cfg), store.views(grads)]
-    return views
-
-
 # the fewest [rows x d] values per part that take two parts: two parts won
 # from 3,072 values a part, but below 5,120 they changed bits, so this is
 # the smallest size that the tests check (see the README)
@@ -185,11 +166,10 @@ def _part(arrays: tuple, n: int, lo: int, hi: int) -> tuple:
             *[a[rows] for a in rest])
 
 
-def _attention(x: np.ndarray, wqkv: np.ndarray, n: int,
-               out: tuple | None = None) -> tuple:
+def _attention(x: np.ndarray, wqkv: np.ndarray, n: int, out: tuple) -> tuple:
     """All H heads over a batch of length-n sequences, x [B*n x d], with the
     stacked projections wqkv [3H x d x k], into ``out`` (qkv, weights,
-    values) or new arrays.
+    values; the first three of _block_arrays).
 
     Returns (values [H x B*n x k], weights [H x B x n x n], qkv
     [3H x B*n x k]) with, for head h and sequence s, weights[h, s, i, j] =
@@ -198,9 +178,6 @@ def _attention(x: np.ndarray, wqkv: np.ndarray, n: int,
     """
     heads, k_dim = wqkv.shape[0] // 3, wqkv.shape[2]
     rows = x.shape[0]
-    if out is None:
-        out = (_empty((3 * heads, rows, k_dim)), _empty((heads, rows // n, n, n)),
-               _empty((heads, rows, k_dim)))
     qkv, weights, values = out
     _product(x, wqkv, out=qkv)
     # splitting axes of a view gives a view, never a copy
@@ -224,14 +201,13 @@ def _block_arrays(rows: int, n: int, w: tuple) -> tuple:
             _empty((rows, 1)), _empty((rows, d)))
 
 
-def _block(x: np.ndarray, w: tuple, n: int, a: tuple | None = None) -> np.ndarray:
+def _block(x: np.ndarray, w: tuple, n: int, a: tuple) -> np.ndarray:
     """One block on x [B*n x d] with its parameter views ``w`` (see
-    _block_views), into its arrays ``a`` (see _block_arrays) or new ones.
-    Returns the output."""
+    _block_views), into its arrays ``a`` (see _block_arrays). Returns the
+    output."""
     wqkv, wc, w1, w2, g1, b1, g2, b2 = w
-    qkv, weights, values, u, s1, ut, r, zt, s2, out = \
-        _block_arrays(x.shape[0], n, w) if a is None else a
-    _attention(x, wqkv, n, (qkv, weights, values))
+    qkv, weights, values, u, s1, ut, r, zt, s2, out = a
+    _attention(x, wqkv, n, a[:3])
     _product(values, wc, 1, u)                  # the sum over heads
     T.layer_norm(np.add(x, u, out=u), g1, b1, ut, s1)
     _product(ut, w1, out=r)
@@ -373,11 +349,48 @@ def _step_rows(forward: tuple, labels: np.ndarray, g_logits: np.ndarray,
     _backward_rows(g, saved, blocks, outs, n, lo, hi)
 
 
-def _forward_arrays(store: ParamStore, tokens, cfg: TransformerConfig) -> tuple:
-    """A batch of token sequences [B x n], checked, and the arrays of its
-    forward (see _forward_rows): its ids, the views of the mirror, filled
-    with ``store.flat``, and new arrays for the rest. Returns (B, n, the
-    arrays)."""
+# store -> {(cfg, B, n): the step's arrays for that model and batch shape}
+_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# a forked child would share its parent's arrays
+os.register_at_fork(after_in_child=_VIEWS.clear)
+
+
+def _step_arrays(store: ParamStore, cfg: TransformerConfig, bsz: int, n: int) -> tuple:
+    """The pooled arrays of a step on B = ``bsz`` sequences of length n,
+    with its jobs' arguments registered (tensor._register) until the store
+    dies: (ids, labels, logits, the mirror, the gradient vector, the keys
+    of _forward_rows', _step_rows' and _sums' arguments)."""
+    mirror, grads = _empty(store.flat.shape), _empty(store.flat.shape)
+    blocks, named = _block_views(store, mirror, cfg), store.views(mirror)
+    rows = bsz * n
+    ids, labels = _empty((bsz, n), np.intp), _empty((bsz,), np.intp)
+    x, pooled = _empty((rows, cfg.d)), _empty((bsz, cfg.d))
+    logits = _empty((bsz, cfg.n_classes))
+    arrays = [_block_arrays(rows, n, w) for w in blocks]
+    forward = (ids, named["embed.table"], blocks, named["head.w"], x, arrays,
+               pooled, logits)
+    # what each block's backward reads: its arrays, with its input for its
+    # output
+    saved = [a[:3] + (a_in,) + a[3:-1]
+             for a, a_in in zip(arrays, [x] + [a[-1] for a in arrays[:-1]])]
+    outs = [(_empty((rows, cfg.d)), _empty((rows, cfg.m_ff)), _empty((rows, cfg.d)),
+             _empty((rows, cfg.d)), _empty((rows, cfg.d))) for _ in blocks]
+    g_logits, g = _empty((bsz, cfg.n_classes)), _empty((rows, cfg.d))
+    grad_named = store.views(grads)
+    keys = (T._register(*forward, n),
+            T._register(forward, labels, g_logits, g, saved, outs, n),
+            T._register(g, saved, outs, _block_views(store, grads, cfg),
+                        (ids, pooled, g_logits, grad_named["head.w"],
+                         grad_named["embed.table"])))
+    weakref.finalize(store, T._release, *keys)
+    return ids, labels, logits, mirror, grads, keys
+
+
+def _views(store: ParamStore, tokens, cfg: TransformerConfig) -> tuple:
+    """The step's arrays (_step_arrays) for a batch of token sequences
+    [B x n], checked, built once per store, model and batch shape, with its
+    ids holding ``tokens`` and its mirror, from which both processes read
+    the parameters, holding ``store.flat``."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError(f"forward_logits expects [B x n] tokens, got shape {tokens.shape}")
@@ -385,48 +398,36 @@ def _forward_arrays(store: ParamStore, tokens, cfg: TransformerConfig) -> tuple:
         raise ValueError("token ids must be integers")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
         raise ValueError(f"token id out of range [0, {cfg.vocab})")
-    bsz, n = tokens.shape
-    _, mirror, blocks, named, *_ = _views(store, cfg)
+    views, shape = _VIEWS.setdefault(store, {}), (cfg,) + tokens.shape
+    if shape not in views:
+        views[shape] = _step_arrays(store, cfg, *tokens.shape)
+    ids, _, _, mirror, *_ = views[shape]
     np.copyto(mirror, store.flat)
-    ids = _empty(tokens.shape, tokens.dtype.type)
     np.copyto(ids, tokens)
-    rows = bsz * n
-    return bsz, n, (ids, named["embed.table"], blocks, named["head.w"],
-                    _empty((rows, cfg.d)), [_block_arrays(rows, n, w) for w in blocks],
-                    _empty((bsz, cfg.d)), _empty((bsz, cfg.n_classes)))
+    return views[shape]
 
 
 def forward_logits(store: ParamStore, tokens, cfg: TransformerConfig) -> np.ndarray:
-    """Logits [B x n_classes] for a batch of token sequences [B x n], in a
-    pooled array."""
-    bsz, n, forward = _forward_arrays(store, tokens, cfg)
-    _run_parts(_forward_rows, _halves(bsz, n * cfg.d, _PART_VALUES), *forward, n)
-    return forward[-1]
+    """Logits [B x n_classes] for a batch of token sequences [B x n], a new
+    array."""
+    ids, _, logits, *_, keys = _views(store, tokens, cfg)
+    bsz, n = ids.shape
+    _run_parts(_forward_rows, _halves(bsz, n * cfg.d, _PART_VALUES), keys[0])
+    return logits.copy()
 
 
 def loss_and_grads(store: ParamStore, cfg: TransformerConfig, tokens, labels,
                    grads: np.ndarray) -> float:
     """The batch's mean cross-entropy; its gradient overwrites ``grads``, a
     vector laid out like ``store.flat``. No job is pending on return."""
-    bsz, n, forward = _forward_arrays(store, tokens, cfg)
+    ids, pooled_labels, logits, _, pooled_grads, keys = _views(store, tokens, cfg)
+    bsz, n = ids.shape
     labels = T._labels(labels, bsz, cfg.n_classes)
-    ids, _, blocks, _, x, arrays, pooled, logits = forward
-    *_, pooled_grads, grad_blocks, grad_named = _views(store, cfg)
-    # what each block's backward reads: its arrays, with its input for its
-    # output
-    saved = [a[:3] + (a_in,) + a[3:-1]
-             for a, a_in in zip(arrays, [x] + [a[-1] for a in arrays[:-1]])]
-    rows = bsz * n
-    outs = [(_empty((rows, cfg.d)), _empty((rows, cfg.m_ff)), _empty((rows, cfg.d)),
-             _empty((rows, cfg.d)), _empty((rows, cfg.d))) for _ in blocks]
-    g_logits, g = _empty((bsz, cfg.n_classes)), _empty((rows, cfg.d))
+    np.copyto(pooled_labels, labels)
     parts = _halves(bsz, n * cfg.d, _PART_VALUES)
-    _run_parts(_step_rows, parts, forward, _filled(labels.shape, labels, labels.dtype.type),
-               g_logits, g, saved, outs, n)
+    _run_parts(_step_rows, parts, keys[1])
     # two parts share out the sums whole: the worker takes sum 0
-    _run_parts(_sums, [(0, 2)] if len(parts) == 1 else [(1, 2), (0, 1)],
-               g, saved, outs, grad_blocks,
-               (ids, pooled, g_logits, grad_named["head.w"], grad_named["embed.table"]))
+    _run_parts(_sums, [(0, 2)] if len(parts) == 1 else [(1, 2), (0, 1)], keys[2])
     np.copyto(grads, pooled_grads)
     return T._mean_nll(logits, labels)
 

@@ -30,7 +30,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mgpp.tensor import EPS_LN, _empty, _filled, _product, _row_max, _row_mean
+from mgpp.tensor import EPS_LN, _empty, _product, _row_max, _row_mean
+
+
+def _filled(shape: tuple, value: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """A pooled array of ``shape`` holding ``value``, broadcast."""
+    out = _empty(shape, dtype)
+    np.copyto(out, value)
+    return out
 
 
 class Tensor:

@@ -24,7 +24,8 @@ from mgpp.prune import _tail, train
 from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
                            sparsity_at)
 from mgpp.transformer import (TransformerConfig, _attention, _block,
-                              forward_logits, init_params, loss_and_grads)
+                              _block_arrays, forward_logits, init_params,
+                              loss_and_grads)
 
 from prior_oracle import neg_log_prior
 from tape_model import cross_entropy
@@ -438,10 +439,10 @@ def test_10_attention_layernorm_conformance():
         }
         xt = seqs.reshape(bsz * n, d)
         wqkv = np.concatenate([raw["wq"], raw["wk"], raw["wv"]])
-        values, weights, _ = _attention(xt, wqkv, n)
-        out = _block(xt, (wqkv, np.asarray(raw["wc"]), raw["w1"], raw["w2"],
-                          raw["gamma1"], raw["beta1"], raw["gamma2"],
-                          raw["beta2"]), n)
+        w = (wqkv, np.asarray(raw["wc"]), raw["w1"], raw["w2"],
+             raw["gamma1"], raw["beta1"], raw["gamma2"], raw["beta2"])
+        values, weights, _ = _attention(xt, wqkv, n, _block_arrays(bsz * n, n, w)[:3])
+        out = _block(xt, w, n, _block_arrays(bsz * n, n, w))
 
         for s, x in enumerate(seqs):
             rows = slice(s * n, (s + 1) * n)

@@ -438,12 +438,12 @@ def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
     # last dev window overlaps the one before, so every pass is a full batch
     seen = {"step": [], "eval": []}
     kind = ["step"]
-    arrays, forward = mgpp.transformer._forward_arrays, mgpp.transformer.forward_logits
+    views, forward = mgpp.transformer._views, mgpp.transformer.forward_logits
 
     def recorded(store, tokens, model_cfg):
-        # every forward lays out its arrays here, a step's and evaluation's
+        # every forward takes its arrays here, a step's and evaluation's
         seen[kind[0]].append(np.asarray(tokens).shape[0])
-        return arrays(store, tokens, model_cfg)
+        return views(store, tokens, model_cfg)
 
     def evaluation(*args):
         kind[0] = "eval"
@@ -452,7 +452,7 @@ def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
         finally:
             kind[0] = "step"
 
-    monkeypatch.setattr(mgpp.transformer, "_forward_arrays", recorded)
+    monkeypatch.setattr(mgpp.transformer, "_views", recorded)
     monkeypatch.setattr(mgpp.transformer, "forward_logits", evaluation)
     cfg = build_config(micro_pairs(**{"batch_size": 8, "task.dev": 44}))
     train(cfg)

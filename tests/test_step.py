@@ -2,6 +2,7 @@
 part and in two, and the worker process that runs a share of it."""
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -147,7 +148,7 @@ def fresh_worker(monkeypatch, name: str, alter):
 
 
 def assert_nothing_pending():
-    assert mgpp.tensor._PENDING == []
+    assert mgpp.tensor._PENDING == 0
 
 
 def step_outcome(store, cfg, tokens, labels) -> list:
@@ -395,6 +396,70 @@ def test_a_failing_part_is_raised_by_the_step(monkeypatch, part):
     assert_nothing_pending()
 
 
+# ---------------------------------------------------------------------------
+# the registered arguments
+# ---------------------------------------------------------------------------
+
+def desk_batch(seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 16, size=(32, 16)), rng.integers(0, 4, size=32)
+
+
+def test_a_deleted_store_gives_its_arrays_back(monkeypatch):
+    # each store's step registers its arguments; once the store is gone,
+    # so are they, and the next store's step takes the same buffers again
+    two_cpus(monkeypatch)
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
+    before, buffers = set(mgpp.tensor._ARGS), []
+    for seed in range(5):
+        store = masked_store(cfg, seed)
+        loss_and_grads(store, cfg, *desk_batch(seed), np.empty_like(store.flat))
+        assert len(mgpp.tensor._ARGS) == len(before) + 3
+        del store
+        assert set(mgpp.tensor._ARGS) == before
+        buffers.append(sum(map(len, mgpp.tensor._POOL.values())))
+    assert buffers == buffers[:1] * 5
+
+
+def test_one_batch_shape_registers_its_arguments_once(monkeypatch):
+    # ten steps and an evaluation, all at the training batch's shape
+    two_cpus(monkeypatch)
+    register, keys = mgpp.tensor._register, []
+
+    def recorded(*args):
+        keys.append(register(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(mgpp.tensor, "_register", recorded)
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
+    store = masked_store(cfg, 3)
+    for step in range(10):
+        loss_and_grads(store, cfg, *desk_batch(step), np.empty_like(store.flat))
+        if step % 5 == 4:
+            evaluate_accuracy(store, cfg, *desk_batch(step + 100), 32)
+    assert len(keys) == 3
+
+
+def test_a_queued_job_carries_only_a_key_and_ints(monkeypatch):
+    jobs = two_cpus(monkeypatch)
+    send, messages = mgpp.tensor._send, []
+
+    def recorded(sock, message):
+        messages.append(message)
+        send(sock, message)
+
+    monkeypatch.setattr(mgpp.tensor, "_send", recorded)
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
+    store = masked_store(cfg, 4)
+    loss_and_grads(store, cfg, *desk_batch(4), np.empty_like(store.flat))
+    forward_logits(store, desk_batch(5)[0], cfg)
+    assert jobs == ["_step_rows", "_sums", "_forward_rows"]
+    for message, name in zip(messages, jobs, strict=True):
+        fn, key, ints = pickle.loads(message)
+        assert fn.__name__ == name
+        assert [type(v) for v in (key, *ints)] == [int] * 3
+
+
 @pytest.mark.parametrize("dims", ["WIDE", "DESK"], ids=["gmp-wide", "desk"])
 def test_each_pool_is_set_by_the_first_step_alone(dims):
     # two identical runs hold the same buffers, in both processes, after
@@ -447,9 +512,10 @@ def census():
 
 grads = np.empty_like(store.flat)
 pools, digests = [], []
+census_key = T._register()   # before the step's keys: its worker runs it
 for step in range(6):
     M.loss_and_grads(store, cfg, *data[step % 2], grads)
-    T._submit(census)
+    T._submit(census, census_key)
     T._wait()
     pools.append(counts())
     digests.append(hashlib.sha256(grads.tobytes()).hexdigest())

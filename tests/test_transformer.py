@@ -10,8 +10,9 @@ import pytest
 import tape as T
 import tape_model
 from mgpp.transformer import (TransformerConfig, _attention, _block,
-                              _block_views, evaluate_accuracy, forward_logits,
-                              init_params, loss_and_grads, param_layout)
+                              _block_arrays, _block_views, evaluate_accuracy,
+                              forward_logits, init_params, loss_and_grads,
+                              param_layout)
 from tape import Graph
 
 from finite_diff import finite_diff_grad
@@ -76,6 +77,19 @@ def block0(store, cfg=TINY):
     return _block_views(store, store.flat, cfg)[0]
 
 
+def attention(x, wqkv, n):
+    """_attention on x [B*n x d], into new arrays."""
+    heads3, _, k_dim = wqkv.shape
+    return _attention(x, wqkv, n, (np.empty((heads3, len(x), k_dim)),
+                                   np.empty((heads3 // 3, len(x) // n, n, n)),
+                                   np.empty((heads3 // 3, len(x), k_dim))))
+
+
+def block(x, w, n):
+    """_block on x [B*n x d], into its arrays."""
+    return _block(x, w, n, _block_arrays(len(x), n, w))
+
+
 # ---------------------------------------------------------------------------
 # _attention: the heads over a batch of sequences stacked as [B*n x d]
 # ---------------------------------------------------------------------------
@@ -84,14 +98,14 @@ def test_attention_zero_queries_give_uniform_rows():
     x = RNG.normal(size=(5, 6))
     zero = np.zeros((1, 6, 3))
     wv = RNG.normal(size=(1, 6, 3))
-    _, weights, _ = _attention(x, np.concatenate([zero, zero, wv]), 5)
+    _, weights, _ = attention(x, np.concatenate([zero, zero, wv]), 5)
     np.testing.assert_allclose(weights[0, 0], np.full((5, 5), 0.2), atol=1e-15)
 
 
 def test_attention_single_token():
     x = RNG.normal(size=(1, 4))
     wqkv = np.stack(rand_mats((4, 2), (4, 2), (4, 2)))
-    _, weights, _ = _attention(x, wqkv, 1)
+    _, weights, _ = attention(x, wqkv, 1)
     np.testing.assert_array_equal(weights[0, 0], [[1.0]])
 
 
@@ -99,8 +113,8 @@ def test_attention_matches_loop_oracle_three_tokens():
     for _ in range(5):
         seqs = RNG.normal(size=(2, 3, 6))
         wq, wk, wv = rand_mats((6, 4), (6, 4), (6, 4))
-        values, weights, _ = _attention(seqs.reshape(6, 6),
-                                        np.stack([wq, wk, wv]), 3)
+        values, weights, _ = attention(seqs.reshape(6, 6),
+                                       np.stack([wq, wk, wv]), 3)
         for s, x in enumerate(seqs):
             ref_values, ref_weights = loop_attention(x, wq, wk, wv)
             assert np.max(np.abs(weights[0, s] - ref_weights)) < 1e-12
@@ -115,7 +129,7 @@ def test_attention_matches_loop_oracle_three_tokens():
 def test_block_output_shape_and_finiteness():
     store = init_params(TINY, [7, 1])
     x = RNG.normal(size=(5, TINY.d)) * 10
-    out = _block(x, block0(store), 5)
+    out = block(x, block0(store), 5)
     assert out.shape == (5, TINY.d)
     assert np.isfinite(out).all()
 
@@ -126,7 +140,7 @@ def test_block_zero_weights_collapse_to_double_layernorm():
         if ".attn." in name or ".ffn." in name:
             store[name].value[:] = 0.0
     x = RNG.normal(size=(4, TINY.d))
-    out = _block(x, block0(store), 4)
+    out = block(x, block0(store), 4)
     ones, zeros = np.ones(TINY.d), np.zeros(TINY.d)
     expect = np.stack([
         loop_layer_norm(loop_layer_norm(row, ones, zeros), ones, zeros)
@@ -138,7 +152,7 @@ def test_block_matches_loop_oracle_two_heads():
     cfg = TransformerConfig(d=6, k=3, m_ff=10, H=2, L=1, vocab=5, n_classes=2)
     store = init_params(cfg, [99, 1])
     seqs = RNG.normal(size=(3, 2, 6))
-    out = _block(seqs.reshape(6, 6), block0(store, cfg), 2)
+    out = block(seqs.reshape(6, 6), block0(store, cfg), 2)
 
     heads = [(store["block0.attn.wq"].value[h],
               store["block0.attn.wk"].value[h],

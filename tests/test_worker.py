@@ -7,12 +7,13 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import mgpp.tensor
-from mgpp.tensor import _empty, _submit, _wait
+from mgpp.tensor import _empty, _register, _submit, _wait
 
 
 class JobFailed(Exception):
@@ -37,53 +38,59 @@ def test_a_job_writes_into_pooled_arrays_through_any_view():
     a, out = _empty((6, 8)), _empty((6, 8))
     a[...] = np.arange(48.0).reshape(6, 8)
     out[...] = 0.0
-    # whole, strided, transposed and broadcast views, each named by its
-    # place in its buffer
-    _submit(np.multiply, a[1:4, ::2], 2.0, out[1:4, ::2])
-    _submit(np.add, a.T[:3], np.broadcast_to(a[0, :6], (3, 6)), out.T[5:])
+    # whole, strided, transposed and broadcast views, which the worker
+    # inherits at fork
+    _submit(np.multiply, _register(a[1:4, ::2], 2.0, out[1:4, ::2]))
+    _submit(np.add, _register(a.T[:3], np.broadcast_to(a[0, :6], (3, 6)), out.T[5:]))
     _wait()
     want = np.zeros((6, 8))
     want[1:4, ::2] = 2.0 * a[1:4, ::2]
     want.T[5:] = a.T[:3] + a[0, :6]
     assert out.tobytes() == want.tobytes()
-    assert mgpp.tensor._PENDING == []
+    assert mgpp.tensor._PENDING == 0
 
 
 def test_a_job_naming_an_array_outside_the_pool_is_refused():
     pooled = _empty((5,))
+    registered = set(mgpp.tensor._ARGS)
     for args in [(np.zeros(5), 1.0, pooled),            # a private array
                  (pooled, 1.0, np.zeros(5)[1:]),        # a view of one
-                 (pooled, 1.0, np.zeros(5).view(np.ma.MaskedArray))]:
+                 (pooled, 1.0, np.zeros(5).view(np.ma.MaskedArray)),
+                 ((pooled, [np.zeros(5)]), 1.0)]:       # nested
         with pytest.raises(ValueError, match="pooled buffers"):
-            _submit(np.add, *args)
+            _register(*args)
+    assert set(mgpp.tensor._ARGS) == registered
     # a function pickle cannot name
     with pytest.raises((pickle.PicklingError, AttributeError)):
-        _submit(lambda: None)
-    assert mgpp.tensor._PENDING == []
+        _submit(lambda: None, _register())
+    assert mgpp.tensor._PENDING == 0
 
 
 def test_an_error_in_a_job_is_raised_here_with_its_type_and_message():
     a = _empty((7,))
-    _submit(failing_job, a)
+    out = _empty((7,))
+    # every key before the first job, so one worker serves them all
+    seven, three, zero = _register(a), _register(_empty((3,))), _register(a, 0.0, out)
+    none = _register()
+    _submit(failing_job, seven)
     with pytest.raises(JobFailed) as info:
         _wait()
     assert str(info.value) == "bad array of 7"
     assert any(f"raised in the worker process {mgpp.tensor._worker[0]}" in note
                for note in info.value.__notes__)
     # an error that cannot be pickled comes as a RuntimeError naming it
-    _submit(unpicklable_job)
+    _submit(unpicklable_job, none)
     with pytest.raises(RuntimeError) as info:
         _wait()
     assert str(info.value) == "Unpicklable: cannot travel"
     # the first error of several queued jobs; the worker serves on
-    _submit(failing_job, a)
-    _submit(failing_job, _empty((3,)))
+    _submit(failing_job, seven)
+    _submit(failing_job, three)
     with pytest.raises(JobFailed, match="of 7$"):
         _wait()
-    out = _empty((7,))
-    _submit(np.multiply, a, 0.0, out)
+    _submit(np.multiply, zero)
     _wait()
-    assert mgpp.tensor._PENDING == []
+    assert mgpp.tensor._PENDING == 0
 
 
 def long_failing_job(size):
@@ -92,41 +99,44 @@ def long_failing_job(size):
 
 def test_an_error_of_any_size_is_raised_here_whole():
     # the reply, some 200 KB, comes whole
-    _submit(long_failing_job, 100_000)
+    _submit(long_failing_job, _register(), 100_000)
     with pytest.raises(JobFailed) as info:
         _wait()
     assert str(info.value) == "x" * 100_000
-    assert mgpp.tensor._PENDING == []
+    assert mgpp.tensor._PENDING == 0
 
 
 def test_a_killed_worker_is_named_instead_of_hanging():
     a = _empty((7,))
-    _submit(np.copyto, a, 1.0)
+    # every key before the first job: a later one would fork a new worker
+    ones, sleep, twos = _register(a, 1.0), _register(30), _register(a, 2.0)
+    _submit(np.copyto, ones)
     _wait()
     pid = mgpp.tensor._worker[0]
-    _submit(time.sleep, 30)
+    _submit(time.sleep, sleep)
     os.kill(pid, signal.SIGKILL)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match=f"worker process {pid} was killed by signal 9"):
         _wait()
     assert time.monotonic() - started < 10
-    assert mgpp.tensor._worker is None and mgpp.tensor._PENDING == []
-    # the next job forks a new worker, which maps the buffers afresh
-    _submit(np.copyto, a, 2.0)
+    assert mgpp.tensor._worker is None and mgpp.tensor._PENDING == 0
+    # the next job forks a new worker, which inherits the buffers afresh
+    _submit(np.copyto, twos)
     _wait()
     assert mgpp.tensor._worker[0] != pid and (a == 2.0).all()
 
 
 def test_a_job_may_name_buffers_in_several_arenas():
     # a fresh process with 64 KiB arenas: a first job forks the worker with
-    # one arena; 249 more one-page buffers fill 15 more, and a buffer larger
-    # than an arena takes one of its own. The next job names them, so it
-    # forks a new worker, which inherits all 17
+    # one arena and one key; 249 more one-page buffers fill 15 more, and a
+    # buffer larger than an arena takes one of its own. The next job's key,
+    # registered with them, forks a new worker, which inherits all 17 and
+    # both keys
     code = ARENAS_SCRIPT.format(src=repr(mgpp.__path__[0] + "/.."))
     done = subprocess.run([sys.executable, "-c", code], timeout=60,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "17", "True", "17", "250", "True"]
+    assert done.stdout.split() == ["1", "17", "True", "2", "250", "True"]
 
 
 ARENAS_SCRIPT = """
@@ -137,10 +147,10 @@ import mgpp.tensor as T
 
 T._ARENA_BYTES = 1 << 16
 arrays = [T._empty((3,))]
-T._submit(np.copyto, arrays[0], 1.0)
+T._submit(np.copyto, T._register(arrays[0], 1.0))
 T._wait()
 first = T._worker[0]
-print(T._worker[2])
+print(len(T._worker[2]))
 arrays += [T._empty((3,)) for _ in range(249)]
 large = T._empty((20_000,))
 
@@ -151,9 +161,9 @@ def fill(arrays, large):
     large[...] = 7.0
 
 
-T._submit(fill, arrays, large)
+T._submit(fill, T._register(arrays, large))
 T._wait()
-print(len(T._ARENAS), T._worker[0] != first, T._worker[2])
+print(len(T._ARENAS), T._worker[0] != first, len(T._worker[2]))
 print(sum(int(a[0] == i) for i, a in enumerate(arrays)), bool((large == 7.0).all()))
 """
 
@@ -240,6 +250,13 @@ print(hashlib.sha256(grads.tobytes()).hexdigest(), T._worker is None)
 """
 
 
+def test_finding_the_blas_leaves_no_file_open():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mgpp.tensor._one_blas_thread()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_a_split_step_runs_openblas_on_one_thread_in_both_processes():
     # with the BLAS thread count left to OpenBLAS, as many as the CPUs
     env = {k: v for k, v in os.environ.items()
@@ -277,12 +294,13 @@ if not getters:
     print("no OpenBLAS")
     sys.exit(0)
 T._cpus = lambda: 2
+threads_key = T._register()  # before the step's keys: its worker runs it
 cfg = M.TransformerConfig(d=64, k=16, m_ff=256, H=4, L=2, vocab=4, n_classes=4)
 store = M.init_params(cfg, [3, 1])
 rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
 M.loss_and_grads(store, cfg, tokens, labels, np.empty_like(store.flat))
 print(getters[0](), flush=True)
-T._submit(threads)
+T._submit(threads, threads_key)
 T._wait()
 """
