@@ -14,6 +14,7 @@ raises instead of being written as a bare NaN.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 
@@ -91,13 +92,26 @@ def load_records(path) -> list[dict]:
 
 def final_record(records: list[dict], source="metrics") -> dict:
     """The one final record, refused if it lacks a field that comparing
-    runs reads."""
+    runs reads, or holds one of the wrong type."""
     finals = [r for r in records if r.get("final")]
     if len(finals) != 1:
         raise ValueError(f"{source}: expected exactly one final record, "
                          f"found {len(finals)}")
-    missing = [key for key in ("method", "seed", "task", "test_accuracy",
-                               "sparsity") if key not in finals[0]]
+    final = finals[0]
+    missing = [key for key in _FINAL_FIELDS if key not in final]
     if missing:
         raise ValueError(f"{source}: final record lacks {', '.join(missing)}")
-    return finals[0]
+    for key, (kind, types) in _FINAL_FIELDS.items():
+        # type() refuses a bool for an int; NaN, an infinity and an int past
+        # the floats' range fail the bound
+        if type(final[key]) not in types or (
+                float in types and not abs(final[key]) <= sys.float_info.max):
+            raise ValueError(f"{source}: final record's {key} is not {kind}")
+    return final
+
+
+# the fields that comparing runs reads: what each must be, and its types
+_FINAL_FIELDS = {"method": ("a string", (str,)), "seed": ("an integer", (int,)),
+                 "task": ("an object", (dict,)),
+                 "test_accuracy": ("a finite number", (int, float)),
+                 "sparsity": ("a finite number", (int, float))}

@@ -159,7 +159,8 @@ def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
     lo, hi, step = (float(v) for v in grid)
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
         raise ValueError(f"bad grid range {grid}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    rows = (hi - lo) / step + 1e-9     # inf where the step is tiny beside the range
+    count = math.floor(rows) + 1 if math.isfinite(rows) else math.inf
     if count > MAX_GRID_ROWS:
         raise ValueError(f"grid range {grid} gives {count} rows, "
                          f"over the limit of {MAX_GRID_ROWS}")

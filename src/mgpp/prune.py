@@ -166,7 +166,6 @@ def train(cfg, metrics: RunMetrics | None = None
     n_train = len(train_split)
 
     v = cfg.values
-    grads = np.empty_like(store.flat)
     record, epoch = None, 0
     for first, last, rule in cfg.phases():
         opt = OptimState(store, beta1=v["optim.beta1"], beta2=v["optim.beta2"],
@@ -175,7 +174,7 @@ def train(cfg, metrics: RunMetrics | None = None
         for step, epoch, batch, epoch_end in _step_stream(
                 train_split, v["batch_size"], cfg.seed, first, last, epoch):
             plan = rule(step)
-            loss = loss_and_grads(store, cfg.model, *batch, grads)
+            loss, grads = loss_and_grads(store, cfg.model, *batch)
             event = _tail(store, grads, opt, plan, n_train, step, loss,
                           linear_lr(step - first + 1, last - first + 1,
                                     v["optim.lr"], v["optim.lr_floor"]))

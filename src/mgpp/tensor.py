@@ -35,38 +35,37 @@ the global prune's scores, the masks' keep-bits, the divergence check's
 mask and the optimizer's slices. Each buffer lies on pages of its own in
 an arena, an anonymous shared mapping.
 
-The worker. ``_run_parts`` runs the first part of some work here and the
-second in one worker process, forked by the first job: the halves of a
-training step's batch. One rule, ``_halves``, says where work splits in
-two: where each half is large enough for the second core to gain more than
-the handoffs cost, and the process may run on two CPUs; the caller gives
-its measured size. A job's arguments are registered once
-(``_register(*args)``, which returns their key) and reach the worker by
-fork, with the arenas they lie in; a job is then only a function, which
-goes by name (pickle), a key and some ints: ``_submit(fn, key, *ints)``
-queues ``fn(*args, *ints)``. A job whose key was registered after the
-worker forked waits for the queued jobs, then forks a fresh worker.
-Registering an array outside the pool, or queueing a function that pickle
-cannot name, is refused. ``_wait()`` returns once every queued job is done
-and re-raises the first error a job raised, with its type and message.
-Two rules keep this exact and the pool deterministic:
-  * until ``_wait`` returns, neither process writes into an array that the
+The worker. ``_run_parts(key, parts)`` runs some work in one part here, or
+in two, the second in one worker process, forked by the first two-part
+call: the halves of a training step's batch. One rule, ``_halves``, says
+where work splits in two: where each half is large enough for the second
+core to gain more than the handoffs cost, and the process may run on two
+CPUs; the caller gives its measured size. A key names a function and its
+arguments, registered together once (``_register(fn, *args)``, which
+returns the key), and a part (first, end) runs ``fn(*args, first, end)``.
+The worker inherits the registered functions and arguments by fork, with
+the arenas the arrays lie in, so a job is only a key and a range. One job
+is in flight at a time: a two-part call sends part 1, runs part 0 here,
+then reads that job's reply and re-raises its error with its type and
+message. A call whose key was registered after the worker forked forks a
+fresh one. Registering an array outside the pool is refused. Two rules
+keep this exact and the pool deterministic:
+  * while a job is in flight, neither process writes into an array that the
     other reads or writes in that time;
   * a registered array stays referenced here until its key is released
     (``_release``), and whatever a job keeps lives in those arrays; the
     worker takes a job's temporaries from its own pool.
-Long-lived arrays (parameters, gradients, moments) stay private to their
-process; a job reads the parameters through a pooled mirror (see
-``transformer``).
+Long-lived arrays (parameters, moments) stay private to their process; a
+job reads the parameters through a pooled mirror (see ``transformer``).
 
 No worker outlives its parent's run: it ignores SIGINT and leaves through
 ``os._exit`` when its job pipe reaches end of file, which closing or losing
 the parent's end gives it, and the parent reaps it at exit. A worker that
-is gone makes the waiting job raise an error that names it; the next job
-forks a new one. A forked child (the worker among them) closes its
-parent's end of the pipe and drops the parent's pool and registered
-arguments, whose memory it would share; the worker keeps the arguments it
-inherited, and with them their arenas.
+is gone makes the call waiting on its job raise an error that names it;
+the next two-part call forks a new one. A forked child (the worker among
+them) closes its parent's end of the pipe and drops the parent's pool and
+registered arguments, whose memory it would share; the worker keeps the
+arguments it inherited, and with them their arenas.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
 
 # its pid, our pipe end and the keys it inherited
 _worker: tuple[int, socket.socket, frozenset] | None = None
-_PENDING = 0                 # how many queued jobs are not yet done
-# key -> the arguments of the jobs that name it (_register)
+# key -> the function and arguments that it names (_register)
 _ARGS: dict[int, tuple] = {}
 _KEYS = itertools.count()
 
@@ -188,13 +186,13 @@ def _check_pooled(obj) -> None:
             raise ValueError("a job's arrays must be views of pooled buffers")
 
 
-def _register(*args) -> int:
-    """Keep ``args`` for the jobs that name them, and return their key: a
-    job ``fn`` with the key and ints ``ints`` runs ``fn(*args, *ints)``.
-    The arrays in ``args`` must be views of pooled buffers."""
+def _register(fn, *args) -> int:
+    """Keep ``fn`` and ``args`` under a new key, and return it: a part
+    (first, end) that _run_parts runs with the key is ``fn(*args, first,
+    end)``. The arrays in ``args`` must be views of pooled buffers."""
     _check_pooled(args)
     key = next(_KEYS)
-    _ARGS[key] = args
+    _ARGS[key] = (fn, *args)
     return key
 
 
@@ -245,18 +243,19 @@ def _receive(sock: socket.socket) -> bytes:
 
 
 def _serve(sock: socket.socket, args: dict) -> None:
-    """The worker's loop: run each job on the arguments ``args`` holds for
-    its key, reply b"ok" or its error. Leaves the process at the pipe's
-    end."""
+    """The worker's loop: run each job (key, first, end) with the function
+    and arguments ``args`` holds for its key, reply b"ok" or its error.
+    Leaves the process at the pipe's end."""
     while True:
         message = _receive(sock)
         if not message:
             os._exit(0)
         try:
-            fn, key, ints = pickle.loads(message)
-            fn(*args[key], *ints)
+            key, first, end = pickle.loads(message)
+            fn, *fn_args = args[key]
+            fn(*fn_args, first, end)
             reply = b"ok"
-        except BaseException as exc:     # re-raised by _wait in the parent
+        except BaseException as exc:     # re-raised by _run_parts in the parent
             reply = _error_message(exc)
         try:
             _send(sock, reply)
@@ -308,13 +307,12 @@ def _start() -> None:
 def _stop() -> int | None:
     """Close our end of the job pipe, so the worker leaves, and reap it;
     returns its wait status, or None without a worker."""
-    global _worker, _PENDING
+    global _worker
     if _worker is None:
         return None
     pid, sock, _ = _worker
     _worker = None
     sock.close()
-    _PENDING = 0
     return os.waitpid(pid, 0)[1]
 
 
@@ -322,56 +320,39 @@ atexit.register(_stop)
 
 
 def _lost() -> None:
-    """Reap a worker that is gone with jobs queued, and say so."""
+    """Reap a worker that is gone with a job in flight, and say so."""
     pid = _worker[0]
     code = os.waitstatus_to_exitcode(_stop())
     how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
-    raise RuntimeError(f"the worker process {pid} {how} with jobs queued")
+    raise RuntimeError(f"the worker process {pid} {how} with a job in flight")
 
 
-def _submit(fn, key: int, *ints: int) -> None:
-    """Queue ``fn(*args, *ints)`` for the worker, with the arguments
-    ``args`` registered under ``key``. Forks the worker at the first job,
-    and again, once the queued jobs are done, at a key it did not inherit."""
-    global _PENDING
-    message = pickle.dumps((fn, key, ints), pickle.HIGHEST_PROTOCOL)
+def _run_parts(key: int, parts: list) -> None:
+    """``fn(*args, first, end)`` for each (first, end) of one or two
+    ``parts``, with the function and arguments registered under ``key``:
+    the first part here, the second in the worker, which forks for it if it
+    did not inherit the key. Returns, or raises, once both are done."""
+    fn, *args = _ARGS[key]
+    if len(parts) == 1:
+        fn(*args, *parts[0])
+        return
+    here, (first, end) = parts
     if _worker is not None and key not in _worker[2]:
-        _wait()
         _stop()
     if _worker is None:
         _start()
     try:
-        _send(_worker[1], message)
+        _send(_worker[1], pickle.dumps((key, first, end)))
     except OSError:
         _lost()
-    _PENDING += 1
-
-
-def _wait() -> None:
-    """Block until every queued job is done; raise the first error."""
-    global _PENDING
-    error = None
-    while _PENDING:
+    try:
+        fn(*args, *here)
+    finally:
         reply = _receive(_worker[1])
         if not reply:
             _lost()
-        _PENDING -= 1
-        if reply != b"ok" and error is None:
-            error = pickle.loads(reply)
-    if error is not None:
-        raise error
-
-
-def _run_parts(fn, parts: list, key: int) -> None:
-    """``fn(*args, first, end)`` for each part, with the arguments ``args``
-    registered under ``key``: the first part here, the second in the
-    worker. Returns, or raises, once both are done."""
-    for part in parts[1:]:
-        _submit(fn, key, *part)
-    try:
-        fn(*_ARGS[key], *parts[0])
-    finally:
-        _wait()
+        if reply != b"ok":
+            raise pickle.loads(reply)
 
 
 def _cpus() -> int:
@@ -397,11 +378,10 @@ def _forget_parent() -> None:
     """In a forked child: close the parent's end of its job pipe and drop
     the parent's pool and registered arguments, whose memory the child
     would share with it."""
-    global _worker, _PENDING, _ARENA_END
+    global _worker, _ARENA_END
     if _worker is not None:
         _worker[1].close()
     _worker = None
-    _PENDING = 0
     _ARENAS.clear()
     _ARENA_END = 0
     _POOL.clear()

@@ -25,10 +25,11 @@ three projections are one product with their [3H x d x k] stack; numpy
 multiplies each slice of a stack on its own, so that is bitwise three
 products. The step reads the parameters from a mirror, a pooled copy of
 ``store.flat`` made at each forward, and builds the gradient in a pooled
-vector, which it then copies into the caller's. Its arrays, and the
-arguments of its jobs for the worker, are built and registered once per
-store, model and batch shape (_views), and released with the store;
-evaluation at the training batch's shape uses the step's forward arrays.
+vector, which it returns; the next step at that batch shape overwrites it.
+Its arrays, and its jobs' functions registered with their arguments for
+the worker, are built once per store, model and batch shape (_views), and
+released with the store; evaluation at the training batch's shape uses
+the step's forward arrays.
 
 The training step, loss_and_grads, is planned by hand. Its backward reads,
 per block, only the arrays of the forward that it needs; evaluation
@@ -83,7 +84,7 @@ import numpy as np
 
 from . import tensor as T
 from .params import ParamStore
-from .tensor import _empty, _halves, _product, _run_parts
+from .tensor import _empty, _halves, _product
 
 
 @dataclass(frozen=True)
@@ -357,9 +358,9 @@ os.register_at_fork(after_in_child=_VIEWS.clear)
 
 def _step_arrays(store: ParamStore, cfg: TransformerConfig, bsz: int, n: int) -> tuple:
     """The pooled arrays of a step on B = ``bsz`` sequences of length n,
-    with its jobs' arguments registered (tensor._register) until the store
-    dies: (ids, labels, logits, the mirror, the gradient vector, the keys
-    of _forward_rows', _step_rows' and _sums' arguments)."""
+    with its jobs registered (tensor._register) until the store dies: (ids,
+    labels, logits, the mirror, the gradient vector, the keys of
+    _forward_rows, _step_rows and _sums with their arguments)."""
     mirror, grads = _empty(store.flat.shape), _empty(store.flat.shape)
     blocks, named = _block_views(store, mirror, cfg), store.views(mirror)
     rows = bsz * n
@@ -377,9 +378,9 @@ def _step_arrays(store: ParamStore, cfg: TransformerConfig, bsz: int, n: int) ->
              _empty((rows, cfg.d)), _empty((rows, cfg.d))) for _ in blocks]
     g_logits, g = _empty((bsz, cfg.n_classes)), _empty((rows, cfg.d))
     grad_named = store.views(grads)
-    keys = (T._register(*forward, n),
-            T._register(forward, labels, g_logits, g, saved, outs, n),
-            T._register(g, saved, outs, _block_views(store, grads, cfg),
+    keys = (T._register(_forward_rows, *forward, n),
+            T._register(_step_rows, forward, labels, g_logits, g, saved, outs, n),
+            T._register(_sums, g, saved, outs, _block_views(store, grads, cfg),
                         (ids, pooled, g_logits, grad_named["head.w"],
                          grad_named["embed.table"])))
     weakref.finalize(store, T._release, *keys)
@@ -412,24 +413,24 @@ def forward_logits(store: ParamStore, tokens, cfg: TransformerConfig) -> np.ndar
     array."""
     ids, _, logits, *_, keys = _views(store, tokens, cfg)
     bsz, n = ids.shape
-    _run_parts(_forward_rows, _halves(bsz, n * cfg.d, _PART_VALUES), keys[0])
+    T._run_parts(keys[0], _halves(bsz, n * cfg.d, _PART_VALUES))
     return logits.copy()
 
 
-def loss_and_grads(store: ParamStore, cfg: TransformerConfig, tokens, labels,
-                   grads: np.ndarray) -> float:
-    """The batch's mean cross-entropy; its gradient overwrites ``grads``, a
-    vector laid out like ``store.flat``. No job is pending on return."""
-    ids, pooled_labels, logits, _, pooled_grads, keys = _views(store, tokens, cfg)
+def loss_and_grads(store: ParamStore, cfg: TransformerConfig, tokens,
+                   labels) -> tuple[float, np.ndarray]:
+    """The batch's mean cross-entropy and its gradient, a vector laid out
+    like ``store.flat``: the step's own pooled vector, which the next step
+    at this batch shape overwrites."""
+    ids, pooled_labels, logits, _, grads, keys = _views(store, tokens, cfg)
     bsz, n = ids.shape
     labels = T._labels(labels, bsz, cfg.n_classes)
     np.copyto(pooled_labels, labels)
     parts = _halves(bsz, n * cfg.d, _PART_VALUES)
-    _run_parts(_step_rows, parts, keys[1])
+    T._run_parts(keys[1], parts)
     # two parts share out the sums whole: the worker takes sum 0
-    _run_parts(_sums, [(0, 2)] if len(parts) == 1 else [(1, 2), (0, 1)], keys[2])
-    np.copyto(grads, pooled_grads)
-    return T._mean_nll(logits, labels)
+    T._run_parts(keys[2], [(0, 2)] if len(parts) == 1 else [(1, 2), (0, 1)])
+    return T._mean_nll(logits, labels), grads
 
 
 def evaluate_accuracy(store: ParamStore, cfg: TransformerConfig, tokens,

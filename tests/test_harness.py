@@ -547,7 +547,12 @@ FINAL = {"step": 2, "final": True, "loss": 0.1, "sparsity": 0.9, "eta": 1.0,
     ([json.dumps({k: v for k, v in FINAL.items()
                   if k not in ("test_accuracy", "seed")})],
      ": final record lacks seed, test_accuracy"),
-], ids=["array", "number", "no-method", "no-accuracy-or-seed"])
+    ([json.dumps(FINAL | {"test_accuracy": "high"})],
+     ": final record's test_accuracy is not a finite number"),
+    ([json.dumps(FINAL | {"method": ["mgpp"]})],
+     ": final record's method is not a string"),
+], ids=["array", "number", "no-method", "no-accuracy-or-seed", "accuracy-a-string",
+        "method-a-list"])
 def test_cli_compare_refuses_a_malformed_metrics_file(tmp_path, lines, refusal):
     # a runtime error naming the file, not a traceback with the usage code
     path = tmp_path / "bad.jsonl"
@@ -765,8 +770,9 @@ def test_cli_prior_curve(capsys):
 
 
 def test_cli_prior_curve_bad_range(capsys):
+    # the last two give more rows than a float holds
     for spec in ("0:1", "0:1:0", "0:1:-0.1", "1:0:0.1", "0:1:nan",
-                 "nan:1:0.1", "0:inf:0.1", "0:1:1e-9"):
+                 "nan:1:0.1", "0:inf:0.1", "0:1:1e-9", "0:1:5e-324", "0:1e308:1e-300"):
         assert main(["export-prior-curve", "--preset", "desk-90",
                      "--range", spec]) == 1, spec
         assert "--range" in capsys.readouterr().err

@@ -296,7 +296,7 @@ def test_step_and_train_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        loss_and_grads(store, cfg.model, *batch, np.empty_like(store.flat))
+        loss_and_grads(store, cfg.model, *batch)
         assert gc.collect() == 0
         train(cfg)
         assert gc.collect() == 0

@@ -3,6 +3,7 @@ part and in two, and the worker process that runs a share of it."""
 
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import threading
@@ -44,8 +45,9 @@ def masked_store(cfg, seed):
 
 
 def assert_step_matches_tape(store, cfg, tokens, labels):
-    grads = np.full_like(store.flat, np.nan)    # every coordinate is written
-    loss = loss_and_grads(store, cfg, tokens, labels, grads)
+    # every coordinate of the step's gradient vector is written
+    mgpp.transformer._views(store, tokens, cfg)[4][...] = np.nan
+    loss, grads = loss_and_grads(store, cfg, tokens, labels)
     want_loss, want = tape_model.loss_and_grads(store, cfg, tokens, labels)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     for name, got in store.views(grads).items():
@@ -147,8 +149,12 @@ def fresh_worker(monkeypatch, name: str, alter):
     mgpp.tensor._start()
 
 
-def assert_nothing_pending():
-    assert mgpp.tensor._PENDING == 0
+def assert_nothing_in_flight():
+    """No reply of the worker waits unread: the call that sent each job
+    read its reply."""
+    if mgpp.tensor._worker is not None:
+        with pytest.raises(BlockingIOError):
+            mgpp.tensor._worker[1].recv(1, socket.MSG_DONTWAIT)
 
 
 def step_outcome(store, cfg, tokens, labels) -> list:
@@ -157,7 +163,7 @@ def step_outcome(store, cfg, tokens, labels) -> list:
 
     def step():
         try:
-            loss_and_grads(store, cfg, tokens, labels, np.empty_like(store.flat))
+            loss_and_grads(store, cfg, tokens, labels)
         except BaseException as exc:
             outcome.append(exc)
 
@@ -185,9 +191,9 @@ def test_a_failing_product_is_raised_by_the_step(monkeypatch):
     assert str(outcome[0]) == "weight-side product failed"
     assert any("raised in the worker process" in note
                for note in outcome[0].__notes__)
-    assert_nothing_pending()
+    assert_nothing_in_flight()
     assert_step_matches_tape(store, cfg, tokens, labels)
-    assert_nothing_pending()
+    assert_nothing_in_flight()
 
 
 def test_the_step_returns_after_its_last_product(monkeypatch):
@@ -200,7 +206,7 @@ def test_the_step_returns_after_its_last_product(monkeypatch):
     fresh_worker(monkeypatch, "_block_sums", slow)
     try:
         assert_step_matches_tape(store, cfg, tokens, labels)
-        assert_nothing_pending()
+        assert_nothing_in_flight()
     finally:
         monkeypatch.undo()
         mgpp.tensor._stop()
@@ -219,9 +225,9 @@ def test_repeated_two_part_steps_stay_exact(monkeypatch):
     pool = lambda: {key: len(bufs) for key, bufs in mgpp.tensor._POOL.items()}
     for round_ in range(20):
         for (tokens, labels), (want_loss, want_grads) in zip(data, want):
-            grads = np.full_like(store.flat, np.nan)
-            loss = loss_and_grads(store, cfg, tokens, labels, grads)
+            loss, grads = loss_and_grads(store, cfg, tokens, labels)
             assert loss == want_loss and grads.tobytes() == want_grads.tobytes()
+            grads[...] = np.nan     # the next step at this shape writes it all
         if round_ == 0:
             warm = pool()
     assert pool() == warm
@@ -261,20 +267,19 @@ store = M.init_params(cfg, [3, 1])
 apply_global_prune(store, 0.5)
 rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
-grads = np.empty_like(store.flat)
-M.loss_and_grads(store, cfg, tokens, labels, grads)
+M.loss_and_grads(store, cfg, tokens, labels)
 parent_worker = T._worker[0]
 read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)         # a hung child dies instead of hanging the test
     assert T._worker is None and not T._POOL
-    M.loss_and_grads(store, cfg, tokens, labels, grads)
+    _, grads = M.loss_and_grads(store, cfg, tokens, labels)
     assert T._worker[0] != parent_worker
     os.write(write, hashlib.sha256(grads.tobytes()).hexdigest().encode())
     T._stop()
     os._exit(0)
-M.loss_and_grads(store, cfg, tokens, labels, grads)
+_, grads = M.loss_and_grads(store, cfg, tokens, labels)
 _, status = os.waitpid(pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0, status
 child = os.read(read, 64).decode()
@@ -288,15 +293,22 @@ print("same bytes" if child == hashlib.sha256(grads.tobytes()).hexdigest() else 
 
 def two_cpus(monkeypatch) -> list:
     """Let the step use two CPUs, whatever this host allows, and record the
-    name of each job it queues."""
+    name of each job it sends to the worker."""
     monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
-    submit, jobs = mgpp.tensor._submit, []
+    return recorded_jobs(monkeypatch)
 
-    def recorded(fn, *args):
-        jobs.append(fn.__name__)
-        submit(fn, *args)
 
-    monkeypatch.setattr(mgpp.tensor, "_submit", recorded)
+def recorded_jobs(monkeypatch) -> list:
+    """The name of the function of each job that the step sends to the
+    worker from now on: one for each call of _run_parts in two parts."""
+    run_parts, jobs = mgpp.tensor._run_parts, []
+
+    def recorded(key, parts):
+        if len(parts) == 2:
+            jobs.append(mgpp.tensor._ARGS[key][0].__name__)
+        run_parts(key, parts)
+
+    monkeypatch.setattr(mgpp.tensor, "_run_parts", recorded)
     return jobs
 
 
@@ -338,7 +350,7 @@ def test_two_part_step_is_bitwise_the_tape(monkeypatch, dims, bsz, H, L):
 
 
 def test_a_deep_model_steps_in_two_parts_as_in_one(monkeypatch):
-    # a 96-block step's two jobs are 72 and 67 KB, past 64 KiB
+    # a 96-block step in two parts, against the same step in one
     cfg = TransformerConfig(H=4, L=96, n_classes=4, **DESK)
     store = masked_store(cfg, 96)
     rng = np.random.default_rng(96)
@@ -346,8 +358,9 @@ def test_a_deep_model_steps_in_two_parts_as_in_one(monkeypatch):
     jobs, steps = two_cpus(monkeypatch), []
     for cpus in (1, 2):
         monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: cpus)
-        grads = np.full_like(store.flat, np.nan)
-        steps.append((loss_and_grads(store, cfg, tokens, labels, grads), grads.tobytes()))
+        loss, grads = loss_and_grads(store, cfg, tokens, labels)
+        steps.append((loss, grads.tobytes()))
+        grads[...] = np.nan     # the next step at this shape writes it all
     assert jobs == ["_step_rows", "_sums"]
     assert steps[0] == steps[1]
 
@@ -391,9 +404,9 @@ def test_a_failing_part_is_raised_by_the_step(monkeypatch, part):
         mgpp.tensor._stop()
     assert len(outcome) == 1 and isinstance(outcome[0], PartFailed)
     assert str(outcome[0]) == "part 1 failed"
-    assert_nothing_pending()
+    assert_nothing_in_flight()
     assert_step_matches_tape(store, cfg, tokens, labels)
-    assert_nothing_pending()
+    assert_nothing_in_flight()
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +426,7 @@ def test_a_deleted_store_gives_its_arrays_back(monkeypatch):
     before, buffers = set(mgpp.tensor._ARGS), []
     for seed in range(5):
         store = masked_store(cfg, seed)
-        loss_and_grads(store, cfg, *desk_batch(seed), np.empty_like(store.flat))
+        loss_and_grads(store, cfg, *desk_batch(seed))
         assert len(mgpp.tensor._ARGS) == len(before) + 3
         del store
         assert set(mgpp.tensor._ARGS) == before
@@ -434,10 +447,26 @@ def test_one_batch_shape_registers_its_arguments_once(monkeypatch):
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
     store = masked_store(cfg, 3)
     for step in range(10):
-        loss_and_grads(store, cfg, *desk_batch(step), np.empty_like(store.flat))
+        loss_and_grads(store, cfg, *desk_batch(step))
         if step % 5 == 4:
             evaluate_accuracy(store, cfg, *desk_batch(step + 100), 32)
     assert len(keys) == 3
+
+
+def test_the_step_returns_its_own_pooled_gradient(monkeypatch):
+    # one gradient vector per batch shape, handed back, not copied: two
+    # steps at one shape return the same array, a view of a pooled buffer,
+    # and the second writes over what the caller left in it
+    two_cpus(monkeypatch)
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
+    store = masked_store(cfg, 6)
+    loss, grads = loss_and_grads(store, cfg, *desk_batch(6))
+    want = grads.copy()
+    grads[...] = np.nan
+    again, same = loss_and_grads(store, cfg, *desk_batch(6))
+    assert same is grads and grads.shape == store.flat.shape
+    assert any(grads.base is buf for bufs in mgpp.tensor._POOL.values() for buf in bufs)
+    assert again == loss and grads.tobytes() == want.tobytes()
 
 
 def test_a_queued_job_carries_only_a_key_and_ints(monkeypatch):
@@ -451,13 +480,13 @@ def test_a_queued_job_carries_only_a_key_and_ints(monkeypatch):
     monkeypatch.setattr(mgpp.tensor, "_send", recorded)
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
     store = masked_store(cfg, 4)
-    loss_and_grads(store, cfg, *desk_batch(4), np.empty_like(store.flat))
+    loss_and_grads(store, cfg, *desk_batch(4))
     forward_logits(store, desk_batch(5)[0], cfg)
     assert jobs == ["_step_rows", "_sums", "_forward_rows"]
     for message, name in zip(messages, jobs, strict=True):
-        fn, key, ints = pickle.loads(message)
-        assert fn.__name__ == name
-        assert [type(v) for v in (key, *ints)] == [int] * 3
+        key, first, end = pickle.loads(message)
+        assert [type(v) for v in (key, first, end)] == [int] * 3
+        assert mgpp.tensor._ARGS[key][0].__name__ == name
 
 
 @pytest.mark.parametrize("dims", ["WIDE", "DESK"], ids=["gmp-wide", "desk"])
@@ -505,18 +534,18 @@ def counts():
              for (size, dtype), bufs in T._POOL.items()}}
 
 
-def census():
-    # a job: the worker prints its pool, a line before this process's
-    print(counts(), flush=True)
+def census(first, end):
+    # a job whose worker part, (1, 2), prints the worker's pool, a line
+    # before this process's
+    if first == 1:
+        print(counts(), flush=True)
 
 
-grads = np.empty_like(store.flat)
 pools, digests = [], []
-census_key = T._register()   # before the step's keys: its worker runs it
+census_key = T._register(census)     # before the step's keys: its worker runs it
 for step in range(6):
-    M.loss_and_grads(store, cfg, *data[step % 2], grads)
-    T._submit(census, census_key)
-    T._wait()
+    _, grads = M.loss_and_grads(store, cfg, *data[step % 2])
+    T._run_parts(census_key, [(0, 1), (1, 2)])
     pools.append(counts())
     digests.append(hashlib.sha256(grads.tobytes()).hexdigest())
 print((pools, digests))

@@ -1,9 +1,9 @@
 """The update tail (prior, divergence check, optimizer, re-mask), whole in
-this process, against the public functions one after another, bit for bit;
-a run whose step splits into two parts against the same run in one; one
-update path (optim_step, then apply_masks); the prior once a step; its
-refusal of a non-finite step; and the AND re-mask against the branching
-write it replaced."""
+this process and on any number of CPUs, against the public functions one
+after another, bit for bit; a run whose step splits into two parts against
+the same run in one; one update path (optim_step, then apply_masks); the
+prior once a step, in this process; the tail's refusal of a non-finite
+step; and the AND re-mask against the branching write it replaced."""
 
 import os
 import subprocess
@@ -99,10 +99,16 @@ def run_reference(n: int, prunable: int, method: str) -> tuple:
 
 
 def recorded_jobs(monkeypatch) -> list:
-    """The name of each job queued for the worker from now on."""
-    submit, jobs = mgpp.tensor._submit, []
-    monkeypatch.setattr(mgpp.tensor, "_submit", lambda fn, *args: (
-        jobs.append(fn.__name__), submit(fn, *args)))
+    """The name of the function of each job sent to the worker from now on:
+    one for each call of _run_parts in two parts."""
+    run_parts, jobs = mgpp.tensor._run_parts, []
+
+    def recorded(key, parts):
+        if len(parts) == 2:
+            jobs.append(mgpp.tensor._ARGS[key][0].__name__)
+        run_parts(key, parts)
+
+    monkeypatch.setattr(mgpp.tensor, "_run_parts", recorded)
     return jobs
 
 
@@ -193,7 +199,7 @@ def test_repeated_tails_stay_exact_and_keep_the_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("method", sorted(PLANS))
-def test_both_ranges_update_through_optim_step_and_apply_masks(monkeypatch,
+def test_each_step_updates_through_optim_step_then_apply_masks(monkeypatch,
                                                                method):
     # one update path, in this process: each step calls optim_step once
     # over the whole vector, then, on a step that re-masks, apply_masks; a
@@ -220,7 +226,7 @@ def test_both_ranges_update_through_optim_step_and_apply_masks(monkeypatch,
         assert opt.step_count == step
 
 
-def test_the_prior_runs_once_a_step_on_the_main_thread(monkeypatch):
+def test_the_prior_runs_once_a_step_in_this_process(monkeypatch):
     # one call a step, over exactly the prunable coordinates, in this
     # process, and no job
     n, prunable = WIDE, WIDE - 1_024
@@ -253,19 +259,25 @@ from mgpp.config import build_config
 
 T._cpus = lambda: 2          # the step splits, whatever this host allows
 M._PART_VALUES = 1
-submit, jobs = T._submit, []
-T._submit = lambda fn, *args: (jobs.append(fn.__name__), submit(fn, *args))
+run_parts, jobs = T._run_parts, []
 
 
-def census():
-    # a job: the worker prints the sizes its pool holds
-    print({{size for size, _ in T._POOL}}, flush=True)
+def recorded(key, parts):
+    if len(parts) == 2:
+        jobs.append(T._ARGS[key][0].__name__)
+    run_parts(key, parts)
 
 
-census_key = T._register()   # before the run's keys: its worker runs it
+def census(first, end):
+    # a job whose worker part, (1, 2), prints the sizes the worker's pool holds
+    if first == 1:
+        print({{size for size, _ in T._POOL}}, flush=True)
+
+
+T._run_parts = recorded
+census_key = T._register(census)     # before the run's keys: its worker runs it
 metrics, store = prune.train(build_config({values!r}))
-T._submit(census, census_key)
-T._wait()
+run_parts(census_key, [(0, 1), (1, 2)])
 print((store.num_prunable(), store.flat.size, jobs.count("_step_rows"),
        len(metrics.records), {{size for size, _ in T._POOL}}))
 """
@@ -292,13 +304,14 @@ def test_a_split_mgpp_run_leaves_no_prior_buffer_on_the_worker():
 
 @pytest.mark.parametrize("where", ["main", "worker", "loss"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_a_non_finite_step_changes_nothing(where, bad):
+def test_a_non_finite_step_changes_nothing(monkeypatch, where, bad):
     # a bad coordinate early in the vector ("main") or at its end
     # ("worker"), or a bad loss
     n = WIDE
     store = make_store(n, n - 500, 11)
     opt = make_opt(store, 0.01)
     plan = StepPlan(MGP, 1.0, {})
+    jobs = recorded_jobs(monkeypatch)
     rng = np.random.default_rng(11)
     _tail(store, rng.normal(size=n), opt, plan, 1000, 1, 0.5, 1e-3)
     before = state_bytes(store, opt)
@@ -310,7 +323,7 @@ def test_a_non_finite_step_changes_nothing(where, bad):
     with pytest.raises(RuntimeError, match="diverged at step 2"):
         _tail(store, grads, opt, plan, 1000, 2, loss, 1e-3)
     assert state_bytes(store, opt) == before
-    assert mgpp.tensor._PENDING == 0
+    assert jobs == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The worker process of ``mgpp.tensor``: what a job may name, errors and a
 lost worker reaching this process, and no worker outliving its run."""
 
+import gc
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -13,7 +13,19 @@ import numpy as np
 import pytest
 
 import mgpp.tensor
-from mgpp.tensor import _empty, _register, _submit, _wait
+from mgpp.tensor import _empty, _register, _run_parts
+
+# two parts, of which _run_parts sends the second, (1, 2), to the worker
+TWO = [(0, 1), (1, 2)]
+
+
+def in_part_1(fn):
+    """A job function that runs ``fn`` on its arguments in part 1 alone,
+    the worker's part of TWO, and does nothing in part 0."""
+    def job(*args):
+        if args[-2:] == (1, 2):
+            fn(*args[:-2])
+    return job
 
 
 class JobFailed(Exception):
@@ -40,57 +52,62 @@ def test_a_job_writes_into_pooled_arrays_through_any_view():
     out[...] = 0.0
     # whole, strided, transposed and broadcast views, which the worker
     # inherits at fork
-    _submit(np.multiply, _register(a[1:4, ::2], 2.0, out[1:4, ::2]))
-    _submit(np.add, _register(a.T[:3], np.broadcast_to(a[0, :6], (3, 6)), out.T[5:]))
-    _wait()
+    _run_parts(_register(in_part_1(np.multiply), a[1:4, ::2], 2.0, out[1:4, ::2]), TWO)
+    _run_parts(_register(in_part_1(np.add), a.T[:3], np.broadcast_to(a[0, :6], (3, 6)),
+                         out.T[5:]), TWO)
     want = np.zeros((6, 8))
     want[1:4, ::2] = 2.0 * a[1:4, ::2]
     want.T[5:] = a.T[:3] + a[0, :6]
     assert out.tobytes() == want.tobytes()
-    assert mgpp.tensor._PENDING == 0
 
 
 def test_a_job_naming_an_array_outside_the_pool_is_refused():
     pooled = _empty((5,))
+    gc.collect()    # a store an earlier test left in a cycle releases its keys now
     registered = set(mgpp.tensor._ARGS)
     for args in [(np.zeros(5), 1.0, pooled),            # a private array
                  (pooled, 1.0, np.zeros(5)[1:]),        # a view of one
                  (pooled, 1.0, np.zeros(5).view(np.ma.MaskedArray)),
                  ((pooled, [np.zeros(5)]), 1.0)]:       # nested
         with pytest.raises(ValueError, match="pooled buffers"):
-            _register(*args)
+            _register(np.copyto, *args)
     assert set(mgpp.tensor._ARGS) == registered
-    # a function pickle cannot name
-    with pytest.raises((pickle.PicklingError, AttributeError)):
-        _submit(lambda: None, _register())
-    assert mgpp.tensor._PENDING == 0
+
+
+def failing_here(a, first, end):
+    # part 0 raises in this process; part 1 fills the array in the worker
+    if first == 0:
+        raise JobFailed("part 0 failed")
+    a[...] = 3.0
 
 
 def test_an_error_in_a_job_is_raised_here_with_its_type_and_message():
     a = _empty((7,))
     out = _empty((7,))
     # every key before the first job, so one worker serves them all
-    seven, three, zero = _register(a), _register(_empty((3,))), _register(a, 0.0, out)
-    none = _register()
-    _submit(failing_job, seven)
+    seven = _register(in_part_1(failing_job), a)
+    none = _register(in_part_1(unpicklable_job))
+    zero = _register(in_part_1(np.multiply), a, 0.0, out)
+    here = _register(failing_here, a)
     with pytest.raises(JobFailed) as info:
-        _wait()
+        _run_parts(seven, TWO)
     assert str(info.value) == "bad array of 7"
-    assert any(f"raised in the worker process {mgpp.tensor._worker[0]}" in note
+    pid = mgpp.tensor._worker[0]
+    assert any(f"raised in the worker process {pid}" in note
                for note in info.value.__notes__)
     # an error that cannot be pickled comes as a RuntimeError naming it
-    _submit(unpicklable_job, none)
     with pytest.raises(RuntimeError) as info:
-        _wait()
+        _run_parts(none, TWO)
     assert str(info.value) == "Unpicklable: cannot travel"
-    # the first error of several queued jobs; the worker serves on
-    _submit(failing_job, seven)
-    _submit(failing_job, three)
-    with pytest.raises(JobFailed, match="of 7$"):
-        _wait()
-    _submit(np.multiply, zero)
-    _wait()
-    assert mgpp.tensor._PENDING == 0
+    # an error here is raised once the worker's part is done
+    a[...] = 1.0
+    with pytest.raises(JobFailed, match="part 0 failed"):
+        _run_parts(here, TWO)
+    assert (a == 3.0).all()
+    # the worker serves on
+    out[...] = 1.0
+    _run_parts(zero, TWO)
+    assert (out == 0.0).all() and mgpp.tensor._worker[0] == pid
 
 
 def long_failing_job(size):
@@ -99,30 +116,29 @@ def long_failing_job(size):
 
 def test_an_error_of_any_size_is_raised_here_whole():
     # the reply, some 200 KB, comes whole
-    _submit(long_failing_job, _register(), 100_000)
     with pytest.raises(JobFailed) as info:
-        _wait()
+        _run_parts(_register(in_part_1(long_failing_job), 100_000), TWO)
     assert str(info.value) == "x" * 100_000
-    assert mgpp.tensor._PENDING == 0
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_a_killed_worker_is_named_instead_of_hanging():
     a = _empty((7,))
     # every key before the first job: a later one would fork a new worker
-    ones, sleep, twos = _register(a, 1.0), _register(30), _register(a, 2.0)
-    _submit(np.copyto, ones)
-    _wait()
+    ones, kill = _register(in_part_1(np.copyto), a, 1.0), _register(in_part_1(killed))
+    twos = _register(in_part_1(np.copyto), a, 2.0)
+    _run_parts(ones, TWO)
     pid = mgpp.tensor._worker[0]
-    _submit(time.sleep, sleep)
-    os.kill(pid, signal.SIGKILL)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match=f"worker process {pid} was killed by signal 9"):
-        _wait()
+        _run_parts(kill, TWO)
     assert time.monotonic() - started < 10
-    assert mgpp.tensor._worker is None and mgpp.tensor._PENDING == 0
+    assert mgpp.tensor._worker is None
     # the next job forks a new worker, which inherits the buffers afresh
-    _submit(np.copyto, twos)
-    _wait()
+    _run_parts(twos, TWO)
     assert mgpp.tensor._worker[0] != pid and (a == 2.0).all()
 
 
@@ -147,22 +163,28 @@ import mgpp.tensor as T
 
 T._ARENA_BYTES = 1 << 16
 arrays = [T._empty((3,))]
-T._submit(np.copyto, T._register(arrays[0], 1.0))
-T._wait()
+
+
+def ones(a, first, end):
+    a[first:end] = 1.0
+
+
+T._run_parts(T._register(ones, arrays[0]), [(0, 1), (1, 3)])
 first = T._worker[0]
 print(len(T._worker[2]))
 arrays += [T._empty((3,)) for _ in range(249)]
 large = T._empty((20_000,))
 
 
-def fill(arrays, large):
-    for i, a in enumerate(arrays):
-        a[...] = i
-    large[...] = 7.0
+def fill(arrays, large, first, end):
+    # the worker's part, (1, 2), fills them all
+    if first == 1:
+        for i, a in enumerate(arrays):
+            a[...] = i
+        large[...] = 7.0
 
 
-T._submit(fill, T._register(arrays, large))
-T._wait()
+T._run_parts(T._register(fill, arrays, large), [(0, 1), (1, 2)])
 print(len(T._ARENAS), T._worker[0] != first, len(T._worker[2]))
 print(sum(int(a[0] == i) for i, a in enumerate(arrays)), bool((large == 7.0).all()))
 """
@@ -203,12 +225,11 @@ cfg = M.TransformerConfig(d=64, k=16, m_ff=256, H=4, L=2, vocab=4, n_classes=4)
 store = M.init_params(cfg, [3, 1])
 rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
-grads = np.empty_like(store.flat)
-M.loss_and_grads(store, cfg, tokens, labels, grads)
+M.loss_and_grads(store, cfg, tokens, labels)
 worker = T._worker[0]
 os.kill(worker, signal.SIGINT)     # ignored: the worker serves on
 time.sleep(0.1)
-M.loss_and_grads(store, cfg, tokens, labels, grads)
+M.loss_and_grads(store, cfg, tokens, labels)
 assert T._worker[0] == worker
 print(worker, flush=True)
 if "{end}" == "kill":
@@ -244,8 +265,7 @@ cfg = M.TransformerConfig(d=64, k=16, m_ff=256, H=4, L=2, vocab=4, n_classes=4)
 store = M.init_params(cfg, [3, 1])
 rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
-grads = np.empty_like(store.flat)
-M.loss_and_grads(store, cfg, tokens, labels, grads)
+_, grads = M.loss_and_grads(store, cfg, tokens, labels)
 print(hashlib.sha256(grads.tobytes()).hexdigest(), T._worker is None)
 """
 
@@ -285,22 +305,22 @@ getters = [getattr(ctypes.CDLL(path), name) for path in paths
            if hasattr(ctypes.CDLL(path), name)]
 
 
-def threads():
-    # a job: the worker prints its BLAS thread count
-    print(getters[0](), flush=True)
+def threads(first, end):
+    # a job whose worker part, (1, 2), prints the worker's BLAS thread count
+    if first == 1:
+        print(getters[0](), flush=True)
 
 
 if not getters:
     print("no OpenBLAS")
     sys.exit(0)
 T._cpus = lambda: 2
-threads_key = T._register()  # before the step's keys: its worker runs it
+threads_key = T._register(threads)  # before the step's keys: its worker runs it
 cfg = M.TransformerConfig(d=64, k=16, m_ff=256, H=4, L=2, vocab=4, n_classes=4)
 store = M.init_params(cfg, [3, 1])
 rng = np.random.default_rng(3)
 tokens, labels = rng.integers(0, 4, size=(32, 16)), rng.integers(0, 4, size=32)
-M.loss_and_grads(store, cfg, tokens, labels, np.empty_like(store.flat))
+M.loss_and_grads(store, cfg, tokens, labels)
 print(getters[0](), flush=True)
-T._submit(threads, threads_key)
-T._wait()
+T._run_parts(threads_key, [(0, 1), (1, 2)])
 """
