@@ -159,8 +159,8 @@ def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
     lo, hi, step = (float(v) for v in grid)
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
         raise ValueError(f"bad grid range {grid}")
-    rows = (hi - lo) / step + 1e-9     # inf where the step is tiny beside the range
-    count = math.floor(rows) + 1 if math.isfinite(rows) else math.inf
+    gaps = (hi - lo) / step + 1e-9     # inf where the step is tiny beside the range
+    count = math.floor(gaps) + 1 if math.isfinite(gaps) else math.inf
     if count > MAX_GRID_ROWS:
         raise ValueError(f"grid range {grid} gives {count} rows, "
                          f"over the limit of {MAX_GRID_ROWS}")
