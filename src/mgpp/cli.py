@@ -14,7 +14,7 @@ from .checkpoint import CheckpointError
 from .config import PRESETS, ConfigError, load_config
 from .harness import (compare_runs, dump_schedule, export_histogram,
                       export_threshold_trajectory, run_experiment)
-from .prior import penalty_curve
+from .prior import MAX_GRID_ROWS, penalty_curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +82,8 @@ def _cmd_dump_schedule(args) -> int:
 
 
 def _cmd_export_histogram(args) -> int:
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    if not 1 <= args.bins <= MAX_GRID_ROWS:  # a CSV row per bin, as for the curve
+        raise ConfigError(f"--bins must be in [1, {MAX_GRID_ROWS}], got {args.bins}")
     rows = export_histogram(args.checkpoint, args.bins)
     _print_csv(["center", "count"], rows)
     return 0

@@ -14,6 +14,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, config_to_text
 from .metrics import RunMetrics, final_record, load_records
 from .params import ParamStore
+from .prior import MAX_GRID_ROWS
 from .prune import train
 
 
@@ -42,8 +43,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunMetrics, ParamStore]:
 
 def export_histogram(ckpt_path, bins: int) -> list[tuple[float, int]]:
     """(bin center, count) over the nonzero prunable weights of a checkpoint."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if not 1 <= bins <= MAX_GRID_ROWS:
+        raise ValueError(f"bins must be in [1, {MAX_GRID_ROWS}], got {bins}")
     store = load_checkpoint(ckpt_path)
     values = store.flat[:store.num_prunable()]
     nonzero = values[values != 0.0]

@@ -32,8 +32,8 @@ reference counting. A process keeps its pool: buffers are never freed, and
 each size holds as many buffers as were ever live at once. Other modules
 take their per-step temporaries from the same pool: the prior gradient,
 the global prune's scores, the masks' keep-bits, the divergence check's
-mask and the optimizer's slices. Each buffer lies on pages of its own in
-an arena, an anonymous shared mapping.
+mask and the optimizer's slices. Each buffer is an anonymous shared
+mapping of its own: page-aligned, and holding no file descriptor.
 
 The worker. ``_run_parts(key, parts)`` runs some work in one part here, or
 in two, the second in one worker process, forked by the first two-part
@@ -44,7 +44,7 @@ CPUs; the caller gives its measured size. A key names a function and its
 arguments, registered together once (``_register(fn, *args)``, which
 returns the key), and a part (first, end) runs ``fn(*args, first, end)``.
 The worker inherits the registered functions and arguments by fork, with
-the arenas the arrays lie in, so a job is only a key and a range. One job
+the mappings the arrays lie in, so a job is only a key and a range. One job
 is in flight at a time: a two-part call sends part 1, runs part 0 here,
 then reads that job's reply and re-raises its error with its type and
 message. A call whose key was registered after the worker forked forks a
@@ -65,7 +65,7 @@ is gone makes the call waiting on its job raise an error that names it;
 the next two-part call forks a new one. A forked child (the worker among
 them) closes its parent's end of the pipe and drops the parent's pool and
 registered arguments, whose memory it would share; the worker keeps the
-arguments it inherited, and with them their arenas.
+arguments it inherited, and with them their mappings.
 """
 
 from __future__ import annotations
@@ -93,29 +93,16 @@ _CHUNK = 1 << 15
 # (element count, dtype) -> the pooled buffers of that size, in creation
 # order
 _POOL: dict[tuple[int, type], list[np.ndarray]] = {}
-# The pool's memory: its arenas, anonymous shared mappings, in creation
-# order, and the first free byte of the last, where the next buffer starts.
-_ARENAS: list[mmap.mmap] = []
-_ARENA_END = 0
-# Bytes of address space per arena; only the pages a buffer touches take
-# memory. A run's pool fits in one.
-_ARENA_BYTES = 1 << 28
 # Whether a step may split, forking a worker: on Linux, where
 # _one_blas_thread finds OpenBLAS; elsewhere every step runs in one part.
 _SHAREABLE = sys.platform.startswith("linux")
 
 
 def _new_buffer(size: int, dtype) -> np.ndarray:
-    """A buffer of ``size`` elements, on pages of its own in an arena."""
-    global _ARENA_END
-    nbytes = size * np.dtype(dtype).itemsize
-    span = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-    if not _ARENAS or _ARENA_END + span > len(_ARENAS[-1]):
-        _ARENAS.append(mmap.mmap(-1, max(_ARENA_BYTES, span)))
-        _ARENA_END = 0
-    offset = _ARENA_END
-    _ARENA_END += span
-    return np.frombuffer(_ARENAS[-1], dtype, size, offset)
+    """A buffer of ``size`` elements, an anonymous shared mapping of its own
+    (of at least one byte: a mapping cannot be empty)."""
+    return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)),
+                         dtype, size)
 
 
 def _first_free(bufs: list, free: int, refcount=sys.getrefcount):
@@ -285,7 +272,7 @@ def _one_blas_thread() -> None:
 
 def _start() -> None:
     """Fork the worker, joined to this process by a socket pair; it keeps
-    the registered arguments it inherits, and with them their arenas."""
+    the registered arguments it inherits, and with them their mappings."""
     import signal
     import socket
     global _worker
@@ -378,12 +365,10 @@ def _forget_parent() -> None:
     """In a forked child: close the parent's end of its job pipe and drop
     the parent's pool and registered arguments, whose memory the child
     would share with it."""
-    global _worker, _ARENA_END
+    global _worker
     if _worker is not None:
         _worker[1].close()
     _worker = None
-    _ARENAS.clear()
-    _ARENA_END = 0
     _POOL.clear()
     _ARGS.clear()
 
@@ -500,6 +485,8 @@ def _labels(labels, bsz: int, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (bsz,):
         raise ValueError(f"expected {bsz} labels, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be integers")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise IndexError(f"label out of range [0, {n_classes})")
     return labels

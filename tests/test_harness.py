@@ -22,6 +22,7 @@ from mgpp.harness import (compare_runs, dump_schedule, export_histogram,
                           export_threshold_trajectory, run_experiment)
 from mgpp.metrics import RunMetrics, final_record, load_records
 from mgpp.params import ParamStore
+from mgpp.prior import MAX_GRID_ROWS
 from mgpp.prune import train
 from mgpp.schedule import prune_steps, sparsity_and_eta_at
 
@@ -443,8 +444,9 @@ def test_histogram_of_fully_pruned_store(tmp_path):
 
 def test_histogram_rejects_bad_bins(micro_run):
     _, out, _, _ = micro_run
-    with pytest.raises(ValueError, match="bins"):
-        export_histogram(out / "checkpoint.bin", bins=0)
+    for bins in (0, MAX_GRID_ROWS + 1):
+        with pytest.raises(ValueError, match="bins"):
+            export_histogram(out / "checkpoint.bin", bins=bins)
 
 
 def test_threshold_trajectory_matches_events(micro_run):
@@ -780,9 +782,10 @@ def test_cli_prior_curve_bad_range(capsys):
 
 def test_cli_histogram_bad_bins_is_usage_error(micro_run, capsys):
     _, out, _, _ = micro_run
-    assert main(["export-histogram", str(out / "checkpoint.bin"),
-                 "--bins", "0"]) == 1
-    assert "--bins" in capsys.readouterr().err
+    for bins in (0, MAX_GRID_ROWS + 1):
+        assert main(["export-histogram", str(out / "checkpoint.bin"),
+                     "--bins", str(bins)]) == 1
+        assert "--bins" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand(capsys):

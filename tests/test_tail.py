@@ -170,7 +170,7 @@ def micro_run(monkeypatch, method: str, cpus) -> tuple:
 
 
 @pytest.mark.parametrize("method", ["mgpp", "gmp", "l2", "pa"])
-def test_a_run_with_a_split_tail_is_bitwise_a_serial_run(monkeypatch, method):
+def test_a_run_with_a_two_part_step_is_bitwise_a_one_part_run(monkeypatch, method):
     # a run whose every step and evaluation splits in two on two CPUs,
     # whatever this host allows, against the same run on one
     serial, serial_steps = micro_run(monkeypatch, method, 1)

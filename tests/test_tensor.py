@@ -645,6 +645,14 @@ def test_pool_never_hands_out_a_referenced_buffer(derive):
     assert mgpp.tensor._empty((1039, 7)).base is not buf()   # `again` still holds it
 
 
+@pytest.mark.parametrize("shape, dtype", [((0,), np.float64), ((0, 4), np.intp)])
+def test_pool_hands_out_empty_arrays(shape, dtype):
+    # a buffer of no elements still has a mapping, of one byte
+    a = mgpp.tensor._empty(shape, dtype)
+    assert a.shape == shape and a.dtype == dtype and a.size == 0
+    assert mgpp.tensor._empty(shape, dtype).base is not a.base   # `a` holds it
+
+
 def test_pool_stops_growing_after_the_second_step():
     def snapshot():
         bufs = [b for group in mgpp.tensor._POOL.values() for b in group]

@@ -230,6 +230,15 @@ def test_model_forward_input_validation():
         logits_of(store, np.array([1, 4, 0]))  # one sequence, not a batch
 
 
+@pytest.mark.parametrize("labels", [[0.0, 2.0, 1.0], [True, False, True]],
+                         ids=["float", "bool"])
+def test_the_step_refuses_labels_that_are_not_integers(labels):
+    store = init_params(TINY, [2, 1])
+    tokens = RNG.integers(0, TINY.vocab, size=(3, 5))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        loss_and_grads(store, TINY, tokens, np.array(labels))
+
+
 def test_forward_logits_batch_independent():
     store = init_params(TINY, [3, 1])
     tokens = RNG.integers(0, TINY.vocab, size=(6, 5))
