@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 from .data import SyntheticTaskSpec
 from .prior import MgpConfig, pa_threshold
-from .schedule import (CubicScheduleConfig, PaScheduleConfig, pa_schedule_at,
-                       prune_steps, sparsity_and_eta_at)
+from .schedule import eta_at, sigma0_sq_at, sparsity_at
 from .transformer import TransformerConfig
 
 METHODS = ("mgpp", "gmp", "l2", "pa")
@@ -121,20 +120,6 @@ class ExperimentConfig:
         return math.ceil(self.values["epochs"] * self.task.n_train
                          / self.values["batch_size"])
 
-    def cubic_schedule(self) -> CubicScheduleConfig:
-        v = self.values
-        return CubicScheduleConfig(v_final=v["schedule.v_final"],
-                                   t_i=v["schedule.t_i"], t_f=v["schedule.t_f"],
-                                   T=self.total_steps,
-                                   delta_t=v["schedule.delta_t"])
-
-    def pa_schedule(self) -> PaScheduleConfig:
-        v = self.values
-        return PaScheduleConfig(sigma0_init_sq=v["pa.sigma0_init_sq"],
-                                sigma0_end_sq=v["pa.sigma0_end_sq"],
-                                t_i=v["schedule.t_i"], t_f=v["schedule.t_f"],
-                                T=self.total_steps)
-
     def mgp_config(self) -> MgpConfig:
         v = self.values
         return MgpConfig(v["mgp.lambda"], v["mgp.sigma0_sq"], v["mgp.sigma1_sq"])
@@ -142,36 +127,51 @@ class ExperimentConfig:
     def phases(self) -> list:
         """The method's plan: (first step, last step, rule) per phase, where
         rule(step) is that step's StepPlan. mgpp is one cubic phase with the
-        warm-up-scaled prior and a global prune at each prune step; gmp and
+        warm-up-scaled prior and a global prune at each prune step (every
+        delta_t-th step through t_f, then every step; never step 0); gmp and
         l2 are that phase without a prior (l2's weight decay is the
         optimizer's). pa anneals sigma0^2 with a threshold pass on its last
-        step, then refines the survivors for pa.refine_epochs, masks frozen."""
-        T = self.total_steps
+        step, then refines the survivors for pa.refine_epochs, masks frozen.
+        A bad schedule key raises ValueError only if the method reads it."""
+        v, T = self.values, self.total_steps
+        t_i, t_f = v["schedule.t_i"], v["schedule.t_f"]
+        v_final, delta_t = v["schedule.v_final"], v["schedule.delta_t"]
+        if self.method == "pa":
+            init_sq, end_sq = v["pa.sigma0_init_sq"], v["pa.sigma0_end_sq"]
+            if not init_sq >= end_sq > 0.0:
+                raise ValueError(f"need sigma0_init_sq >= sigma0_end_sq > 0, "
+                                 f"got {init_sq}, {end_sq}")
+        elif not 0.0 <= v_final <= 1.0:
+            raise ValueError(f"v_final must lie in [0, 1], got {v_final}")
+        if not 0 <= t_i < t_f <= T:
+            raise ValueError(
+                f"need 0 <= t_i < t_f <= T, got t_i={t_i}, t_f={t_f}, T={T}")
+
         if self.method != "pa":
-            cubic = self.cubic_schedule()
-            events = set(prune_steps(cubic))
+            if delta_t < 1:
+                raise ValueError(f"delta_t must be >= 1, got {delta_t}")
             mgp = self.mgp_config() if self.method == "mgpp" else None
 
             def cubic_rule(step):
-                v_t, eta = sparsity_and_eta_at(step, cubic)
-                return StepPlan(mgp, 0.0 if mgp is None else eta,
-                                {"sparsity": v_t},
-                                prune=v_t if step in events else None)
+                v_t = sparsity_at(step, v_final, t_i, t_f)
+                prune = step > t_f or 0 < step and step % delta_t == 0
+                return StepPlan(mgp, 0.0 if mgp is None else eta_at(step, t_i),
+                                {"sparsity": v_t}, prune=v_t if prune else None)
             return [(1, T, cubic_rule)]
 
-        pa, mgp = self.pa_schedule(), self.mgp_config()
+        mgp = self.mgp_config()
 
         def anneal_rule(step):
             # sigma0^2 holds its end value from t_f <= T: step T's is the cut's
-            sigma0_sq, eta = pa_schedule_at(step, pa)
+            sigma0_sq = sigma0_sq_at(step, init_sq, end_sq, t_i, t_f)
             prior = replace(mgp, sigma0_sq=sigma0_sq)
-            return StepPlan(prior, eta, {"sigma0_sq": sigma0_sq},
+            return StepPlan(prior, eta_at(step, t_i), {"sigma0_sq": sigma0_sq},
                             threshold=pa_threshold(prior) if step == T else None)
         phases = [(1, T, anneal_rule)]
-        refine_epochs = self.values["pa.refine_epochs"]
+        refine_epochs = v["pa.refine_epochs"]
         if refine_epochs > 0:
             t_refine = math.ceil(refine_epochs * self.task.n_train
-                                 / self.values["batch_size"])
+                                 / v["batch_size"])
             phases.append((T + 1, T + t_refine,
                            lambda step: StepPlan(None, 0.0, {})))
         return phases

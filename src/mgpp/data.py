@@ -18,7 +18,7 @@ disjoint), and fully reproducible from the SyntheticTaskSpec fields alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,9 +57,7 @@ class SyntheticTaskSpec:
     def fingerprint(self) -> dict:
         """Spec as a plain dict; used to tag runs and to refuse cross-task
         aggregation."""
-        return {"kind": self.kind, "vocab": self.vocab, "length": self.length,
-                "n_classes": self.n_classes, "n_train": self.n_train,
-                "n_dev": self.n_dev, "n_test": self.n_test, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass

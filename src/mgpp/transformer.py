@@ -443,10 +443,11 @@ def evaluate_accuracy(store: ParamStore, cfg: TransformerConfig, tokens,
     Every pass has exactly ``chunk`` rows, the shapes a training step uses:
     the last window starts at ``len - chunk`` and counts only its new rows.
     A split shorter than ``chunk`` goes in one pass. The logits of a
-    sequence do not depend on the chunk it rides in.
+    sequence do not depend on the chunk it rides in. The labels are checked
+    as a training step's are: integers, one per sequence, each in range.
     """
     tokens = np.asarray(tokens)
-    labels = np.asarray(labels)
+    labels = T._labels(labels, len(tokens), cfg.n_classes)
     hits = 0
     for lo in range(0, len(tokens), chunk):
         start = max(0, min(lo, len(tokens) - chunk))

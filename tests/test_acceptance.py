@@ -21,8 +21,7 @@ from mgpp.metrics import load_records
 from mgpp.optim import OptimState
 from mgpp.prior import MgpConfig, mgp_grad, pa_threshold
 from mgpp.prune import _tail, train
-from mgpp.schedule import (pa_schedule_at, prune_steps, sparsity_and_eta_at,
-                           sparsity_at)
+from mgpp.schedule import eta_at, sigma0_sq_at, sparsity_at
 from mgpp.transformer import (TransformerConfig, _attention, _block,
                               _block_arrays, forward_logits, init_params,
                               loss_and_grads)
@@ -202,9 +201,11 @@ def test_03_collapse_identity_single_gaussian():
 
 def test_04_schedule_exactness_published_recipe():
     cfg = load_config(None, preset="mnli-90")
-    sched = cfg.cubic_schedule()
-    assert (sched.t_i, sched.t_f, sched.T, sched.v_final) == (5500, 75500,
-                                                              98250, 0.9)
+    v = cfg.values
+    assert (v["schedule.t_i"], v["schedule.t_f"], cfg.total_steps,
+            v["schedule.v_final"]) == (5500, 75500, 98250, 0.9)
+    sched = (0.9, 5500, 75500)
+    _, last, rule = cfg.phases()[0]
 
     def ref_v(t):
         if t < 5500:
@@ -216,15 +217,16 @@ def test_04_schedule_exactness_published_recipe():
     def ref_eta(t):
         return t / 5500 if t < 5500 else 1.0
 
-    for t in range(sched.T + 1):
-        v, eta = sparsity_and_eta_at(t, sched)
-        assert v == ref_v(t) and v == sparsity_at(t, sched)
-        assert eta == ref_eta(t)
+    for t in range(last + 1):
+        plan = rule(t)
+        v_t, eta = plan.fields["sparsity"], plan.eta
+        assert v_t == ref_v(t) and v_t == sparsity_at(t, *sched)
+        assert eta == ref_eta(t) and eta == eta_at(t, 5500)
 
     # continuity at the knots is exact, not just approximate
-    assert sparsity_at(5500, sched) == 0.0
-    assert sparsity_at(75500, sched) == 0.9
-    assert sparsity_and_eta_at(5500, sched)[1] == 1.0
+    assert sparsity_at(5500, *sched) == 0.0
+    assert sparsity_at(75500, *sched) == 0.9
+    assert rule(5500).eta == 1.0
     report("schedule bitwise-exact at all 98251 steps; knots continuous")
 
 
@@ -269,16 +271,19 @@ def test_06_sparsity_exactness_full_run(desk_run_pair):
     assert total == 16384
 
     cfg = build_config({})
-    sched = cfg.cubic_schedule()
+    T = cfg.total_steps
+    sched = (0.9, 200, 1600)
     events = [r for r in records if "threshold" in r and not r.get("final")]
-    assert [r["step"] for r in events] == prune_steps(sched)
+    # every 10th step through t_f, then every step to T
+    assert [r["step"] for r in events] == [t for t in range(1, T + 1)
+                                           if t % 10 == 0 or t > 1600]
     for r in events:
-        v = sparsity_at(r["step"], sched)
+        v = sparsity_at(r["step"], *sched)
         assert r["sparsity"] == v
         assert r["zeroed"] == math.floor(v * total)
         assert r["kept"] == total - r["zeroed"]
 
-    assert sparsity_at(sched.T, sched) == 0.9          # scheduled endpoint
+    assert sparsity_at(T, *sched) == 0.9               # scheduled endpoint
     assert events[-1]["sparsity"] == 0.9
     assert events[-1]["zeroed"] == math.floor(0.9 * total) == 14745
     assert store.zeroed_count() == 14745               # realized count
@@ -346,25 +351,26 @@ def test_09_annealing_semantics():
         assert np.all(p.value[~p.mask] == 0.0)
 
     # recorded sigma0^2 / eta equal the linear closed form at every step
-    sched = cfg.pa_schedule()
-    span = sched.t_f - sched.t_i
+    t_i, t_f, T = v["schedule.t_i"], v["schedule.t_f"], cfg.total_steps
+    span = t_f - t_i
     dev_init = math.sqrt(init_sq)
     dev_end = math.sqrt(end_sq)
 
     def ref(t):
-        if t < sched.t_i:
-            return init_sq, t / sched.t_i
-        if t >= sched.t_f:
+        if t < t_i:
+            return init_sq, t / t_i
+        if t >= t_f:
             return end_sq, 1.0
-        if t == sched.t_i:
+        if t == t_i:
             return init_sq, 1.0
-        dev = dev_end + (dev_init - dev_end) * (1.0 - (t - sched.t_i) / span)
+        dev = dev_end + (dev_init - dev_end) * (1.0 - (t - t_i) / span)
         return dev * dev, 1.0
 
-    for t in range(sched.T + 1):
-        assert pa_schedule_at(t, sched) == ref(t), f"step {t}"
+    for t in range(T + 1):
+        assert (sigma0_sq_at(t, init_sq, end_sq, t_i, t_f),
+                eta_at(t, t_i)) == ref(t), f"step {t}"
     anneal = [r for r in metrics.records if "sigma0_sq" in r]
-    assert len(anneal) == sched.T
+    assert len(anneal) == T
     for r in anneal:
         assert (r["sigma0_sq"], r["eta"]) == ref(r["step"])
     report("survivor set = {|theta| > threshold}; trajectories closed-form exact")

@@ -24,7 +24,7 @@ from mgpp.metrics import RunMetrics, final_record, load_records
 from mgpp.params import ParamStore
 from mgpp.prior import MAX_GRID_ROWS
 from mgpp.prune import train
-from mgpp.schedule import prune_steps, sparsity_and_eta_at
+from mgpp.schedule import eta_at, sparsity_at
 
 MICRO = """\
 # micro run for tests
@@ -452,7 +452,9 @@ def test_histogram_rejects_bad_bins(micro_run):
 def test_threshold_trajectory_matches_events(micro_run):
     cfg, out, metrics, _ = micro_run
     rows = export_threshold_trajectory(out / "metrics.jsonl")
-    assert rows == list(zip(prune_steps(cfg.cubic_schedule()),
+    _, last, rule = cfg.phases()[0]
+    events = [t for t in range(1, last + 1) if rule(t).prune is not None]
+    assert rows == list(zip(events,
                             [e.threshold for e in metrics.events()],
                             strict=True))
     steps = [s for s, _ in rows]
@@ -575,9 +577,9 @@ def test_dump_schedule_cubic():
     header, rows = dump_schedule(cfg)
     assert header == ["step", "sparsity", "eta"]
     assert len(rows) == cfg.total_steps + 1
-    sched = cfg.cubic_schedule()
+    v_final, t_i, t_f = 0.9, 2, 12  # MICRO's schedule, v_final at its default
     for t in (0, 5, cfg.total_steps):
-        assert rows[t] == (t, *sparsity_and_eta_at(t, sched))
+        assert rows[t] == (t, sparsity_at(t, v_final, t_i, t_f), eta_at(t, t_i))
 
 
 def test_dump_schedule_pa():

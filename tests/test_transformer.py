@@ -340,3 +340,16 @@ def test_evaluate_accuracy_counts_argmax_hits():
         assert evaluate_accuracy(store, TINY, tokens, labels, chunk) == 1.0
         assert evaluate_accuracy(store, TINY, tokens, wrong, chunk) == 0.0
         assert evaluate_accuracy(store, TINY, tokens, mixed, chunk) == 14 / 40
+
+
+@pytest.mark.parametrize("labels, error, message", [
+    (np.full(10, 0.5), ValueError, "labels must be integers"),
+    (np.full(10, 7), IndexError, r"label out of range \[0, 3\)"),
+    (np.zeros(11, dtype=np.int64), ValueError, "expected 10 labels"),
+], ids=["float", "out-of-range", "one-too-many"])
+def test_evaluate_accuracy_refuses_labels_the_step_would(labels, error, message):
+    # each once scored 0.0 without a word
+    store = init_params(TINY, [9, 1])
+    tokens = RNG.integers(0, TINY.vocab, size=(10, 5))
+    with pytest.raises(error, match=message):
+        evaluate_accuracy(store, TINY, tokens, labels, 10)
