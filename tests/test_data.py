@@ -1,5 +1,5 @@
-"""Synthetic-task contracts: determinism, balance, disjoint splits, and
-label definitions."""
+"""Synthetic-task contracts: determinism, balance, disjoint splits, label
+definitions, and the block sampler against the per-candidate oracle."""
 
 import hashlib
 import tracemalloc
@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mgpp.data import (Split, SyntheticTaskSpec, batch_iterator,
-                       generate_dataset, label_of)
+import data_oracle
+from mgpp.data import (Split, SyntheticTaskSpec, _block, _bounded, _Words,
+                       batch_iterator, generate_dataset, label_of)
 
 
 def spec(**kw):
@@ -34,8 +35,10 @@ def test_different_seed_different_data():
 
 # sha256 of (train, dev, test) tokens and labels as little-endian int64, one
 # desk-sized spec per task kind (8,000/1,000/1,000 examples, task seed 1234).
-# numpy's Generator streams may change between numpy releases (NEP 19); these
-# were computed with numpy 2.4.
+# Candidates are drawn in blocks from PCG64's raw words, whose stream NEP 19
+# keeps stable; the split order comes from Generator.permutation, and
+# Generator methods may change between numpy releases. These were computed
+# with numpy 2.4.
 GOLDEN_SPLITS = {
     ("sparse-motif", 16): (
         "1aa839889709d794ce6655131fb68e75d1d664098ffe5f3ea1dc40680a66b068",
@@ -90,13 +93,149 @@ def test_generation_peak_memory_is_a_small_multiple_of_the_splits():
     assert peak < 4 * own
 
 
+# (vocab, length, n_classes): lengths 1, 2, 3 and the desk length; vocab =
+# classes + 1, where a sparse-motif background draw has one value and reads
+# no word; and 2 classes
+EDGE_SHAPES = [(vocab, length, n_classes) for length in (1, 2, 3, 16)
+               for vocab, n_classes in ((5, 4), (16, 4), (3, 2), (7, 2))]
+KINDS = ("sparse-motif", "majority-token", "token-parity")
+
+
+def oracle_candidates(rng, s, n):
+    return np.array([data_oracle.candidate(rng, s) for _ in range(n)])
+
+
+def block_candidates(bit_generator, s, counts):
+    # consecutive blocks: each one starts at the words the last one left
+    words = _Words(bit_generator)
+    return np.concatenate([_block(words, s, count) for count in counts])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("vocab, length, n_classes", EDGE_SHAPES)
+def test_block_sampler_draws_the_oracle_candidates(kind, vocab, length, n_classes):
+    s = spec(kind=kind, vocab=vocab, length=length, n_classes=n_classes)
+    counts = (1, 300, 211)
+    for seed in range(5):
+        got = block_candidates(np.random.default_rng([seed, 0]).bit_generator, s, counts)
+        want = oracle_candidates(np.random.default_rng([seed, 0]), s, sum(counts))
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, vocab, length, n_classes, sizes", [
+    ("sparse-motif", 5, 3, 4, (12, 4, 4)),      # 28 sequences, 7 per class
+    ("sparse-motif", 3, 2, 2, (2, 1, 1)),       # 6 sequences
+    ("majority-token", 3, 3, 2, (6, 2, 2)),
+    ("majority-token", 8, 16, 4, (40, 10, 10)),
+    ("token-parity", 2, 4, 2, (8, 2, 2)),       # 16 sequences, 8 per class
+    ("token-parity", 6, 1, 2, (2, 1, 1)),       # one sequence of class 1
+])
+def test_splits_are_the_oracle_splits(kind, vocab, length, n_classes, sizes):
+    for seed in range(5):
+        s = SyntheticTaskSpec(kind, vocab, length, n_classes, *sizes, seed=seed)
+        for got, want in zip(generate_dataset(s), data_oracle.generate_dataset(s)):
+            np.testing.assert_array_equal(got.tokens, want.tokens)
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_with_a_zero_half(index, half, salt=0):
+    """A PCG64 state whose raw word `index` has a zero low (half 0) or high
+    (half 1) 32-bit half. The state after that word's step is chosen so that
+    its XSL-RR output, (high 64 bits ^ low 64 bits) rotated right by the top
+    six bits, is zero there: the top six bits are zero and the xor is the
+    wanted output. Then it is stepped back index + 1 times with the
+    multiplier's inverse. `salt` seeds the state's other bits."""
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    rng = np.random.default_rng([index, half, salt])
+    high = int(rng.integers(1, 1 << 58))
+    other = int(rng.integers(1, 1 << 32))
+    output = other << 32 if half == 0 else other
+    state = high << 64 | (high ^ output)
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(index + 1):
+        state = (state - inc) * inverse % (1 << 128)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def pcg64_at(state):
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    return bit_generator
+
+
+@pytest.mark.parametrize("kind, vocab, index, half, counts", [
+    ("sparse-motif", 16, 0, 0, (64, 200)),    # the first background draw, bound 12
+    ("token-parity", 12, 0, 0, (64, 200)),    # the first token, bound 12
+    ("sparse-motif", 16, 8, 1, (64, 200)),    # uint32 17: the first copies draw, bound 3
+    ("majority-token", 12, 10_000, 1, (1024, 1024)),  # a token of the second block
+])
+def test_block_sampler_draws_the_oracle_candidates_through_a_rejected_word(
+        kind, vocab, index, half, counts):
+    assert not _bounded(0, 12)[1] and not _bounded(0, 3)[1]
+    state = pcg64_state_with_a_zero_half(index, half)
+    assert pcg64_at(state).random_raw(index + 1)[index] >> np.uint64(32 * half) \
+        & np.uint64(0xFFFFFFFF) == 0
+    s = spec(kind=kind, vocab=vocab)
+    got = block_candidates(pcg64_at(state), s, counts)
+    want = oracle_candidates(np.random.Generator(pcg64_at(state)), s, sum(counts))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("length", [3, 16])
+def test_a_zero_word_on_each_draw_of_a_motif_candidate_keeps_the_oracle_candidates(length):
+    # With 3 classes and 3 copies the first candidate reads, in turn: the
+    # background words (bound 13), the motif and copies words (bound 3),
+    # Floyd's words for j = length-3 .. length-1 (the one for j = 0 reads
+    # none), and the shuffle's at bounds 3 and 2. A zero word is rejected
+    # at any bound that is not a power of two; here one lands on each of
+    # those words in turn, with the state's other bits salted until the
+    # oracle's first candidate has 3 motif copies.
+    s = spec(vocab=16, length=length, n_classes=3)
+    n_words = length + 2 + 3 - (length == 3) + 2
+    for word in range(n_words):
+        for salt in range(100):
+            state = pcg64_state_with_a_zero_half(word // 2, word % 2, salt)
+            first = data_oracle.candidate(np.random.Generator(pcg64_at(state)), s)
+            if (first < 3).sum() == 3:
+                break
+        assert (first < 3).sum() == 3
+        got = block_candidates(pcg64_at(state), s, (5, 20))
+        want = oracle_candidates(np.random.Generator(pcg64_at(state)), s, 25)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_label_of_a_block_is_the_rule_row_by_row(kind):
+    s = spec(kind=kind, vocab=6, length=5, n_classes=3)
+    block = np.random.default_rng(5).integers(0, 6, size=(2000, 5))
+    want = [data_oracle.label_of_sequence(row, s) for row in block]
+    assert label_of(block, s).tolist() == [-1 if w is None else w for w in want]
+
+
+@pytest.mark.parametrize("kind, vocab, length, sizes, left", [
+    ("sparse-motif", 5, 1, (8, 1, 1), 6),      # n_classes 4: four sequences
+    ("token-parity", 2, 2, (4, 1, 1), 2),      # n_classes 2: four sequences
+])
+def test_a_task_space_too_small_for_the_splits_is_refused(kind, vocab, length, sizes, left):
+    s = SyntheticTaskSpec(kind, vocab, length, 4 if kind == "sparse-motif" else 2,
+                          *sizes, seed=0)
+    with pytest.raises(RuntimeError) as err:
+        generate_dataset(s)
+    assert str(err.value) == (f"could not fill {left} examples for {kind}; "
+                              "task space too small for the requested split sizes")
+
+
 def test_majority_token_definition():
     s = spec(kind="majority-token")
     all_threes = np.full(16, 3)
     assert label_of(all_threes, s) == 3
     # ambiguous count -> not a member of the task
     tie = np.array([0, 0, 1, 1] + [15] * 12)
-    assert label_of(tie, s) is None
+    assert label_of(tie, s) == -1
 
 
 def test_parity_definition():

@@ -132,7 +132,7 @@ def test_the_tail_runs_whole_in_this_process(monkeypatch):
     (1_001, 700),             # a short one, its half inside or past the
     (1_001, 300),             # prunable coordinates
 ])
-def test_split_tail_is_bitwise_the_serial_tail(monkeypatch, method, n, prunable):
+def test_the_tail_on_two_cpus_is_bitwise_the_public_functions(monkeypatch, method, n, prunable):
     # the tail has one, serial, form: on two CPUs it makes no job and is
     # bitwise the public functions one after another
     monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
