@@ -21,12 +21,13 @@ Candidates are drawn a block at a time from PCG64's raw words
 half, then its high half. Every bounded draw takes one word under Lemire's
 multiply-and-shift rule ("Fast Random Integer Generation in an Interval",
 ACM TOMACS 2019), so a block lands on the bytes of per-candidate
-``integers`` and ``choice`` calls; a block holding a word the rule rejects is
-drawn again a draw at a time, with the rejection loop.
-``tests/data_oracle.py`` keeps the per-candidate calls as the oracle. NEP 19
-keeps BitGenerator streams stable, but ``Generator`` methods may change
-between numpy releases: the split order, the batch order and the initial
-weights still come from them.
+``integers`` and ``choice`` calls. A draw skips a word the rule rejects and
+reads the next one; the block reader deletes the first rejected word it
+reads from the stream and reads the block again. ``tests/data_oracle.py``
+keeps the per-candidate calls, and the same draws a word at a time, as the
+oracles. NEP 19 keeps BitGenerator streams stable, but ``Generator``
+methods may change between numpy releases: the split order, the batch
+order and the initial weights still come from them.
 """
 
 from __future__ import annotations
@@ -134,58 +135,38 @@ class _Words:
             self.buf = np.concatenate((self.buf[self.pos:], halves))
             self.pos = 0
 
-    def draw(self, n: int) -> int:
-        """One draw in [0, n), with the rejection loop."""
-        if n == 1:
-            return 0
-        while True:
-            self.ahead(1)
-            value, kept = _bounded(int(self.buf[self.pos]), n)
-            self.pos += 1
-            if kept:
-                return value
-
-
-def _one(words: _Words, spec: SyntheticTaskSpec) -> list[int]:
-    """One candidate, a draw at a time: the exact path, and the draws that
-    the block path stands for. A sparse-motif candidate is, as Generator
-    calls, ``seq = integers(C, V, L)``, ``motif = integers(0, C)``,
-    ``copies = integers(1, min(3, L) + 1)`` and ``seq[choice(L, copies,
-    replace=False)] = motif``; the choice is Floyd's sampling, then a shuffle
-    of the picks."""
-    V, C, L = spec.vocab, spec.n_classes, spec.length
-    if spec.kind != "sparse-motif":
-        return [words.draw(V) for _ in range(L)]
-    seq = [C + words.draw(V - C) for _ in range(L)]
-    motif = words.draw(C)
-    copies = 1 + words.draw(min(3, L))
-    picks = []
-    for j in range(L - copies, L):
-        value = words.draw(j + 1)
-        picks.append(j if value in picks else value)
-    for i in range(copies - 1, 0, -1):
-        words.draw(i + 1)
-    for i in picks:
-        seq[i] = motif
-    return seq
-
 
 def _block(words: _Words, spec: SyntheticTaskSpec, count: int) -> np.ndarray:
     """The next `count` candidates [count, length] of the stream, as `count`
-    calls of `_one` would draw them. Every draw is read at once; a sparse-motif
-    candidate's `copies` word says where the next one starts. If any word the
-    block reads would be rejected, the block is drawn again with `_one`."""
+    calls of the oracle's ``candidate`` draw them. `_read` reads the block as
+    if every word were kept. A draw skips a word the rule rejects and reads
+    the next one, so while the block reads a rejected word, the first one in
+    stream order is deleted from the stream and the block is read again: the
+    draws before it read the same words either way."""
+    while True:
+        tokens, end, rejected = _read(words, spec, count)
+        if not rejected:
+            words.pos = end
+            return tokens
+        words.buf = np.delete(words.buf, min(rejected))
+
+
+def _read(words: _Words, spec: SyntheticTaskSpec, count: int):
+    """`count` candidates read from ``words.buf[words.pos:]`` as if no word
+    were rejected, the index in buf past them, and the index of each word
+    read that the rule rejects."""
     V, C, L = spec.vocab, spec.n_classes, spec.length
-    u64 = np.uint64
-    exact = lambda: np.array([_one(words, spec) for _ in range(count)], dtype=np.int64)
+    rejected = []
+
+    def draw(index, bound):
+        value, kept = _bounded(words.buf[index].astype(np.uint64), bound)
+        rejected.extend(index[~kept].tolist())
+        return value.astype(np.int64)
+
     if spec.kind != "sparse-motif":
         words.ahead(count * L)
-        start = words.pos
-        tokens, kept = _bounded(words.buf[start:start + count * L].astype(u64), V)
-        if not kept.all():
-            return exact()
-        words.pos = start + count * L
-        return tokens.astype(np.int64).reshape(count, L)
+        end = words.pos + count * L
+        return draw(np.arange(words.pos, end), V).reshape(count, L), end, rejected
 
     # a candidate's words: background, motif, copies, Floyd's picks, the
     # shuffle; a draw with a bound of one value reads none
@@ -195,31 +176,27 @@ def _block(words: _Words, spec: SyntheticTaskSpec, count: int) -> np.ndarray:
     span = [0] + [head + 2 * c - 1 - (c == L) for c in range(1, n_copies + 1)]
     # slack for the word indices of the draws a candidate skips
     words.ahead(count * max(span) + 4)
-    buf, start = words.buf, words.pos
-    stream = memoryview(buf)
+    stream = memoryview(words.buf)
     starts, copies = [], []
-    at = start
+    at = words.pos
     for _ in range(count):
         starts.append(at)
         c = 1
         if n_copies > 1:
+            # a rejected copies word still gives a copies count in range, and
+            # every word read after it lies later in the stream
             c, kept = _bounded(stream[at + head - 1], n_copies)
             if not kept:
-                return exact()
+                rejected.append(at + head - 1)
             c += 1
         copies.append(c)
         at += span[c]
     starts, c = np.array(starts), np.array(copies)
 
-    word_at = lambda index: buf[index].astype(u64)
     tokens = np.full((count, L), C, dtype=np.int64)
-    kept_all = True
     if background:
-        drawn, kept = _bounded(word_at(starts[:, None] + np.arange(L)), V - C)
-        tokens += drawn.astype(np.int64)
-        kept_all = kept.all()
-    motif, kept = _bounded(word_at(starts + background), C)
-    kept_all &= kept.all()
+        tokens += draw(starts[:, None] + np.arange(L), V - C)
+    motif = draw(starts + background, C)
     # Floyd: the draw for j in L-c..L-1 picks its value, or j if that value
     # is picked already; the one for j = 0 reads no word. A step past c, like
     # a shuffle draw past c-1 below, takes bound 1, which keeps any word.
@@ -229,21 +206,15 @@ def _block(words: _Words, spec: SyntheticTaskSpec, count: int) -> np.ndarray:
     for t in range(3):
         active = t < c
         j = L - c + t
-        value, kept = _bounded(word_at(first + t), np.where(active, j + 1, 1).astype(u64))
-        kept_all &= kept.all()
-        value = value.astype(np.int64)
+        value = draw(first + t, np.where(active, j + 1, 1).astype(np.uint64))
         for earlier in picks:
             value = np.where(value == earlier, j, value)
         picks.append(value)
         tokens[rows[active], value[active]] = motif[active]
     # the shuffle's draws, i = c-1 down to 1, in [0, i]: read, not used
     for s in range(2):
-        _, kept = _bounded(word_at(first + c + s), np.maximum(c - s, 1).astype(u64))
-        kept_all &= kept.all()
-    if not kept_all:
-        return exact()
-    words.pos = at
-    return tokens
+        draw(first + c + s, np.maximum(c - s, 1).astype(np.uint64))
+    return tokens, at, rejected
 
 
 def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:

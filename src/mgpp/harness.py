@@ -21,11 +21,15 @@ from .prune import train
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunMetrics, ParamStore]:
     """Execute one run and persist its four artifacts: config snapshot,
     metrics JSONL, final checkpoint, and a summary (the only place wall-clock
-    time appears, so everything else is byte-reproducible)."""
+    time appears, so everything else is byte-reproducible). An earlier run's
+    summary and checkpoint in `out` are deleted first, so a run that fails
+    leaves no finished run's results beside its own files."""
     if cfg.out_dir is None:
         raise ConfigError("run requires an output directory (out = ... or --out)")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("summary.json", "checkpoint.bin"):
+        (out / name).unlink(missing_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
 
     started = time.monotonic()

@@ -1,6 +1,9 @@
 """The synthetic tasks' sampler as it is written with Generator methods, one
-candidate at a time, written independently of ``mgpp.data``: the oracle that
-the block sampler and its splits must match byte for byte."""
+candidate at a time, and the same candidates drawn a word at a time from the
+uint32 stream those methods read, both written independently of
+``mgpp.data``: the oracles that the block sampler and its splits must match
+byte for byte. The word-at-a-time sampler reads any object with a
+``random_raw``, so it also runs on a stream with planted rejected words."""
 
 import numpy as np
 
@@ -30,6 +33,58 @@ def candidate(rng: np.random.Generator, spec) -> np.ndarray:
         seq[rng.choice(spec.length, size=copies, replace=False)] = motif
         return seq
     return rng.integers(0, spec.vocab, size=spec.length)
+
+
+class WordStream:
+    """The uint32 stream that Generator.integers reads from a bit generator,
+    a word at a time: each raw word's low half, then its high half."""
+
+    def __init__(self, bit_generator):
+        self.raw = bit_generator.random_raw
+        self.high = None
+        self.rejected = 0
+
+    def word(self):
+        if self.high is not None:
+            word, self.high = self.high, None
+            return word
+        raw = int(self.raw())
+        self.high = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def integer(self, n):
+        """A draw in [0, n) under Lemire's multiply-and-shift rule: a word
+        whose product with n has a low half below 2**32 mod n is rejected,
+        and the draw reads the next one. A bound of one value reads none."""
+        if n == 1:
+            return 0
+        while True:
+            product = self.word() * n
+            if product % 2**32 >= 2**32 % n:
+                return product >> 32
+            self.rejected += 1
+
+
+def word_candidate(words: WordStream, spec) -> np.ndarray:
+    """candidate(), a draw at a time. A sparse-motif candidate is
+    ``seq = integers(C, V, L)``, ``motif = integers(0, C)``,
+    ``copies = integers(1, min(3, L) + 1)`` and ``seq[choice(L, copies,
+    replace=False)] = motif``, where the choice is Floyd's sampling, then a
+    shuffle of the picks."""
+    V, C, L = spec.vocab, spec.n_classes, spec.length
+    if spec.kind != "sparse-motif":
+        return np.array([words.integer(V) for _ in range(L)])
+    seq = np.array([C + words.integer(V - C) for _ in range(L)])
+    motif = words.integer(C)
+    copies = 1 + words.integer(min(3, L))
+    picks = []
+    for j in range(L - copies, L):
+        value = words.integer(j + 1)
+        picks.append(j if value in picks else value)
+    for i in range(copies - 1, 0, -1):
+        words.integer(i + 1)
+    seq[picks] = motif
+    return seq
 
 
 def generate_dataset(spec):

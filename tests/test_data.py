@@ -208,6 +208,81 @@ def test_a_zero_word_on_each_draw_of_a_motif_candidate_keeps_the_oracle_candidat
         np.testing.assert_array_equal(got, want)
 
 
+class PlantedZeros:
+    """A PCG64's random_raw with the uint32 words at the given stream indices
+    (each raw word's low half, then its high half) set to zero. A zero word
+    is rejected at any bound that is not a power of two."""
+
+    def __init__(self, seed, zeros):
+        self.bit_generator = np.random.PCG64(seed)
+        self.zeros = np.array(sorted(zeros), dtype=np.int64)
+        self.done = 0
+
+    def random_raw(self, size=None):
+        raw = self.bit_generator.random_raw(1 if size is None else size)
+        halves = raw.astype("<u8").view("<u4")
+        at = self.zeros - self.done
+        halves[at[(at >= 0) & (at < len(halves))]] = 0
+        self.done += len(halves)
+        return int(halves.view("<u8")[0]) if size is None else halves.view("<u8")
+
+
+def word_oracle_candidates(bit_generator, s, n):
+    words = data_oracle.WordStream(bit_generator)
+    return np.array([data_oracle.word_candidate(words, s) for _ in range(n)]), words
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("vocab, length, n_classes", EDGE_SHAPES)
+def test_the_word_oracle_draws_the_generator_candidates(kind, vocab, length, n_classes):
+    # on plain streams, and on streams with a zero word early on
+    s = spec(kind=kind, vocab=vocab, length=length, n_classes=n_classes)
+    states = [np.random.PCG64([seed, 0]).state for seed in range(2)]
+    states += [pcg64_state_with_a_zero_half(index, index % 2) for index in (0, 3, 9)]
+    for state in states:
+        got, _ = word_oracle_candidates(pcg64_at(state), s, 100)
+        want = oracle_candidates(np.random.Generator(pcg64_at(state)), s, 100)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("length", [2, 3, 16])
+def test_block_sampler_skips_several_rejected_words_as_the_word_oracle_does(kind, length):
+    # 1-4 zero words among the first 400, which the candidates read past;
+    # with 13 tokens and 3 classes most bounds reject a zero
+    s = spec(kind=kind, vocab=13, length=length, n_classes=3)
+    several = 0
+    for seed in range(40):
+        rng = np.random.default_rng([seed, length])
+        zeros = rng.choice(400, size=rng.integers(1, 5), replace=False)
+        got = block_candidates(PlantedZeros(seed, zeros), s, (7, 250))
+        want, words = word_oracle_candidates(PlantedZeros(seed, zeros), s, 257)
+        np.testing.assert_array_equal(got, want)
+        several += words.rejected > 1
+    assert several >= 10
+
+
+def test_a_rejected_background_word_is_dropped_before_a_later_rejected_copies_word():
+    # Read as if every word were kept, word 0 of this stream is candidate 0's
+    # first background word (bound 10) and word 38 is candidate 1's copies
+    # word (bound 3): both are zero, so both are rejected there. Once word 0
+    # is dropped, candidate 0's copies word is word 18, which gives one copy
+    # in place of two, and word 38 falls to candidate 1's Floyd draw for
+    # j = 15, whose bound 16 keeps it. A sampler that dropped the rejected
+    # copies word first would drop both words.
+    s = spec(vocab=13, length=16, n_classes=3)
+    words = np.random.PCG64(1).random_raw(10).astype("<u8").view("<u4")
+    copies = [1 + (int(word) * 3 >> 32) for word in words[17:19]]
+    assert copies == [2, 1]
+    head = 16 + 2                   # background, motif, copies
+    second = head + 2 * copies[0] - 1   # then Floyd's words and the shuffle's
+    assert second + head - 1 == 38
+    want, oracle_words = word_oracle_candidates(PlantedZeros(1, [0, 38]), s, 30)
+    assert oracle_words.rejected == 1
+    got = block_candidates(PlantedZeros(1, [0, 38]), s, (30,))
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_label_of_a_block_is_the_rule_row_by_row(kind):
     s = spec(kind=kind, vocab=6, length=5, n_classes=3)

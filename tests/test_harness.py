@@ -191,6 +191,24 @@ def test_cli_refuses_a_pa_prior_that_fails_mid_run(tmp_path, capsys, lines,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
+def test_cli_rerun_that_fails_leaves_no_earlier_results(tmp_path, capsys):
+    # a directory holding a summary.json reads as a finished run, so a rerun
+    # into it that diverges must not leave the first run's summary and
+    # checkpoint beside its own metrics
+    out = tmp_path / "o"
+    first = micro_config_file(tmp_path, "method = gmp\n")
+    assert main(["run", str(first), "--out", str(out)]) == 0
+    assert (out / "summary.json").exists() and (out / "checkpoint.bin").exists()
+    diverging = micro_config_file(tmp_path, "method = gmp\noptim.lr = 1e300\n",
+                                  "diverging.cfg")
+    assert main(["run", str(diverging), "--out", str(out)]) == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert (out / "metrics.jsonl").exists()
+    assert not (out / "summary.json").exists()
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
