@@ -169,6 +169,8 @@ class ExperimentConfig:
                             threshold=pa_threshold(prior) if step == T else None)
         phases = [(1, T, anneal_rule)]
         refine_epochs = v["pa.refine_epochs"]
+        if refine_epochs < 0:
+            raise ValueError("pa.refine_epochs must be >= 0")
         if refine_epochs > 0:
             t_refine = math.ceil(refine_epochs * self.task.n_train
                                  / v["batch_size"])
@@ -229,8 +231,6 @@ def build_config(values: dict) -> ExperimentConfig:
         raise ConfigError("epochs must be >= 1")
     if merged["batch_size"] < 1:
         raise ConfigError("batch_size must be >= 1")
-    if merged["pa.refine_epochs"] < 0:
-        raise ConfigError("pa.refine_epochs must be >= 0")
     for key in ("optim.beta1", "optim.beta2"):
         if not 0.0 <= merged[key] < 1.0:
             raise ConfigError(f"{key} must lie in [0, 1), got {merged[key]}")

@@ -280,14 +280,3 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         order = np.random.default_rng([spec.seed, 1, size]).permutation(size)
         splits.append(Split(split_tokens[order], split_labels[order]))
     return tuple(splits)
-
-
-def batch_iterator(split: Split, batch_size: int, epoch_seed):
-    """Yield (tokens, labels) minibatches covering the split exactly once, in
-    an order seeded by epoch_seed. The final short batch is kept."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    perm = np.random.default_rng(epoch_seed).permutation(len(split))
-    for lo in range(0, len(split), batch_size):
-        idx = perm[lo:lo + batch_size]
-        yield split.tokens[idx], split.labels[idx]

@@ -62,9 +62,11 @@ def export_histogram(ckpt_path, bins: int) -> list[tuple[float, int]]:
 
 def export_threshold_trajectory(metrics_path) -> list[tuple[int, float]]:
     """(step, threshold) per prune event, in step order, from a metrics file."""
-    rows = [(r["step"], r["threshold"])
-            for r in load_records(metrics_path)
-            if "threshold" in r and not r.get("final")]
+    events = [r for r in load_records(metrics_path)
+              if "threshold" in r and not r.get("final")]
+    if any(type(r.get("step")) is not int for r in events):
+        raise ValueError(f"{metrics_path}: a prune event has no integer step")
+    rows = [(r["step"], r["threshold"]) for r in events]
     if not rows:
         print(f"warning: no prune events in {metrics_path}", file=sys.stderr)
     return rows

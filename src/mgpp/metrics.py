@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 
 class RunMetrics:
@@ -24,11 +23,10 @@ class RunMetrics:
     prefix)."""
 
     def __init__(self, path=None):
-        self.path = Path(path) if path is not None else None
         self.records: list[dict] = []
         self.final: dict | None = None
         self._events: list = []
-        self._fh = open(self.path, "w", encoding="utf-8") if self.path else None
+        self._fh = None if path is None else open(path, "w", encoding="utf-8")
         self._last_step = 0
 
     def log(self, record: dict) -> None:
@@ -107,6 +105,9 @@ def final_record(records: list[dict], source="metrics") -> dict:
         if type(final[key]) not in types or (
                 float in types and not abs(final[key]) <= sys.float_info.max):
             raise ValueError(f"{source}: final record's {key} is not {kind}")
+    # compare reads a missing or empty config as {}
+    if not isinstance(final.get("config") or {}, dict):
+        raise ValueError(f"{source}: final record's config is not an object")
     return final
 
 

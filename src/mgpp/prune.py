@@ -5,8 +5,8 @@ A phase covers steps first..last on a fresh optimizer and a fresh linear LR
 ramp, and its rule gives each step's prior (a mixture-Gaussian config and
 its coefficient eta, or none), its scheduled record fields, and what follows
 the update: a global prune to the scheduled sparsity, `pa`'s threshold pass,
-or the standing masks re-applied. The batch stream and its epoch counter
-carry on across phases.
+or the standing masks re-applied. Each phase starts a new epoch of the
+batch stream (``_step_stream``); the epoch count carries on across phases.
 
 Masks are recomputed from scratch at every prune event, so a coordinate
 zeroed at one event can return later if the optimizer pulls it back above the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import comparable_config
-from .data import Split, batch_iterator, generate_dataset
+from .data import Split, generate_dataset
 from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
@@ -123,17 +123,19 @@ def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, plan,
 
 def _step_stream(split: Split, batch_size: int, seed: int, first_step: int,
                  last_step: int, first_epoch: int):
-    """Yield (step, epoch, batch, epoch_end) for steps first_step..last_step,
-    re-shuffling once per epoch. epoch_end also fires on the final step so a
-    run truncated mid-epoch still gets a closing dev evaluation."""
-    n_batches = math.ceil(len(split) / batch_size)
-    step = first_step - 1
-    epoch = first_epoch
+    """Yield (step, epoch, (tokens, labels), epoch_end) for steps
+    first_step..last_step, from epoch first_epoch + 1: each epoch is the split
+    in an order seeded by [seed, 2, epoch], the short last batch kept.
+    epoch_end also fires on last_step, so a cut epoch gets a dev evaluation."""
+    n, step, epoch = len(split), first_step - 1, first_epoch
     while step < last_step:
         epoch += 1
-        for i, batch in enumerate(batch_iterator(split, batch_size, [seed, 2, epoch])):
+        perm = np.random.default_rng([seed, 2, epoch]).permutation(n)
+        for lo in range(0, n, batch_size):
             step += 1
-            yield step, epoch, batch, (i == n_batches - 1 or step == last_step)
+            idx = perm[lo:lo + batch_size]
+            yield (step, epoch, (split.tokens[idx], split.labels[idx]),
+                   lo + batch_size >= n or step == last_step)
             if step == last_step:
                 return
 

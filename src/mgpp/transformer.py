@@ -445,9 +445,12 @@ def evaluate_accuracy(store: ParamStore, cfg: TransformerConfig, tokens,
     A split shorter than ``chunk`` goes in one pass. The logits of a
     sequence do not depend on the chunk it rides in. The labels are checked
     as a training step's are: integers, one per sequence, each in range.
+    An empty split has no accuracy and is refused.
     """
     tokens = np.asarray(tokens)
     labels = T._labels(labels, len(tokens), cfg.n_classes)
+    if not len(tokens):
+        raise ValueError("no sequences to evaluate")
     hits = 0
     for lo in range(0, len(tokens), chunk):
         start = max(0, min(lo, len(tokens) - chunk))

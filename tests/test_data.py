@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import data_oracle
-from mgpp.data import (Split, SyntheticTaskSpec, _block, _bounded, _Words,
-                       batch_iterator, generate_dataset, label_of)
+from mgpp.data import (SyntheticTaskSpec, _block, _bounded, _Words,
+                       generate_dataset, label_of)
 
 
 def spec(**kw):
@@ -370,27 +370,3 @@ def test_spec_validation():
         spec(n_train=0)
     with pytest.raises(ValueError):
         spec(vocab=1)
-
-
-def test_batch_iterator_sizes_and_partition():
-    split = Split(np.arange(300).reshape(100, 3) % 16, np.arange(100) % 4)
-    batches = list(batch_iterator(split, 32, [0, 2, 1]))
-    assert [len(b[1]) for b in batches] == [32, 32, 32, 4]
-    seen = np.concatenate([b[0][:, 0] * 1000 + b[0][:, 1] for b in batches])
-    base = split.tokens[:, 0] * 1000 + split.tokens[:, 1]
-    assert sorted(seen.tolist()) == sorted(base.tolist())
-
-
-def test_batch_iterator_seeded_order():
-    split = Split(np.arange(60).reshape(20, 3) % 16, np.arange(20) % 4)
-    a = [b[1].tolist() for b in batch_iterator(split, 8, [1, 2, 3])]
-    b = [b[1].tolist() for b in batch_iterator(split, 8, [1, 2, 3])]
-    c = [b[1].tolist() for b in batch_iterator(split, 8, [1, 2, 4])]
-    assert a == b
-    assert a != c
-
-
-def test_batch_iterator_rejects_bad_batch_size():
-    split = Split(np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int))
-    with pytest.raises(ValueError):
-        list(batch_iterator(split, 0, 1))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -112,6 +113,19 @@ def test_parse_skips_comments_and_blanks():
     assert values == {"seed": 9, "epochs": 3}
 
 
+def test_readme_example_config_loads():
+    # a '#' after a value is part of the value, so the example's comments
+    # stand on lines of their own
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```ini\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) == 1
+    cfg = build_config(parse_config_text(blocks[0], "README.md"))
+    assert (cfg.method, cfg.task.kind) == ("mgpp", "sparse-motif")
+    assert cfg.values["schedule.v_final"] == 0.9
+    assert cfg.values["optim.lr"] == 3e-3
+
+
 def test_parse_rejects_unknown_key_with_location():
     text = "seed = 1\n\nmgp.sigma2_sq = 0.5\n"
     with pytest.raises(ConfigError, match=r"cfg\.txt:3.*sigma2_sq"):
@@ -168,6 +182,8 @@ def test_invalid_subconfig_surfaces_as_config_error():
         build_config({"mgp.lambda": 1.5})
     with pytest.raises(ConfigError):
         build_config({"epochs": 0})
+    with pytest.raises(ConfigError):
+        build_config({"batch_size": 0})
 
 
 PA_PRIORS_THAT_FAIL = pytest.mark.parametrize("lines, message", [
@@ -488,6 +504,22 @@ def test_threshold_trajectory_warns_when_empty(tmp_path, capsys):
     assert "no prune events" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", [None, "3", 2.0, True],
+                         ids=["missing", "string", "float", "bool"])
+def test_cli_export_thresholds_refuses_an_event_without_an_integer_step(
+        tmp_path, capsys, step):
+    path = tmp_path / "m.jsonl"
+    event = {"loss": 1.0, "threshold": 0.25}
+    if step is not None:
+        event["step"] = step
+    path.write_text(json.dumps(event) + "\n", encoding="utf-8")
+    assert main(["export-thresholds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"mgpp: error: {path}: a prune event has no "
+                            "integer step\n")
+    assert captured.out == ""
+
+
 def _fake_metrics(path, *, method, seed, acc, task=None):
     with RunMetrics(path) as m:
         m.log({"step": 1, "loss": 0.5, "sparsity": 0.0, "eta": 0.0})
@@ -573,8 +605,10 @@ FINAL = {"step": 2, "final": True, "loss": 0.1, "sparsity": 0.9, "eta": 1.0,
      ": final record's test_accuracy is not a finite number"),
     ([json.dumps(FINAL | {"method": ["mgpp"]})],
      ": final record's method is not a string"),
+    ([json.dumps(FINAL | {"config": [1]})],
+     ": final record's config is not an object"),
 ], ids=["array", "number", "no-method", "no-accuracy-or-seed", "accuracy-a-string",
-        "method-a-list"])
+        "method-a-list", "config-a-list"])
 def test_cli_compare_refuses_a_malformed_metrics_file(tmp_path, lines, refusal):
     # a runtime error naming the file, not a traceback with the usage code
     path = tmp_path / "bad.jsonl"
@@ -645,11 +679,13 @@ def test_a_pa_prior_that_fails_mid_run_is_refused_up_front(lines, message):
 
 
 # keys that a method's plan never reads: pa runs no cubic schedule, gmp and
-# l2 no prior
+# l2 no prior, and the cubic methods no pa phase
 UNREAD_KEYS = [{"method": "pa", "schedule.delta_t": 0},
                {"method": "pa", "schedule.v_final": 1.5},
                {"method": "gmp", "mgp.lambda": 2.0},
-               {"method": "l2", "mgp.sigma0_sq": 1.0}]
+               {"method": "l2", "mgp.sigma0_sq": 1.0},
+               {"method": "gmp", "pa.refine_epochs": -1},
+               {"method": "mgpp", "pa.refine_epochs": -1}]
 
 
 @pytest.mark.parametrize("values", UNREAD_KEYS,
@@ -661,6 +697,11 @@ def test_only_the_keys_a_plan_reads_are_checked(values):
 def test_a_prior_the_plan_reads_is_still_checked():
     with pytest.raises(ConfigError, match="lam must lie in"):
         build_config({"method": "mgpp", "mgp.lambda": 2.0})
+
+
+def test_pa_still_refuses_a_negative_refine_epochs():
+    with pytest.raises(ConfigError, match=r"pa\.refine_epochs must be >= 0"):
+        build_config({"method": "pa", "pa.refine_epochs": -1})
 
 
 @pytest.mark.parametrize("method, line", [("gmp", "mgp.lambda = 2.0\n"),

@@ -13,12 +13,13 @@ import pytest
 import mgpp.prune
 import mgpp.transformer
 from mgpp.config import StepPlan, build_config
-from mgpp.data import generate_dataset
+from mgpp.data import Split, generate_dataset
 from mgpp.metrics import RunMetrics
 from mgpp.optim import OptimState
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
-from mgpp.prune import _tail, apply_global_prune, magnitude_scores, train
+from mgpp.prune import (_step_stream, _tail, apply_global_prune,
+                        magnitude_scores, train)
 from mgpp.transformer import init_params, loss_and_grads
 
 
@@ -234,6 +235,67 @@ def test_prune_public_surface():
               if inspect.isfunction(obj) and not name.startswith("_")
               and obj.__module__ == mgpp.prune.__name__}
     assert public == {"train", "apply_global_prune", "magnitude_scores"}
+
+
+# ---------------------------------------------------------------------------
+# the batch stream
+# ---------------------------------------------------------------------------
+
+def labelled_split(n):
+    # three distinct tokens per row, labels 0..n-1: a batch's labels name
+    # its rows
+    return Split(np.arange(3 * n).reshape(n, 3) % 16, np.arange(n))
+
+
+def test_step_stream_sizes_and_partition():
+    split = Split(np.arange(300).reshape(100, 3) % 16, np.arange(100) % 4)
+    batches = [b for _, _, b, _ in _step_stream(split, 32, 0, 1, 4, 0)]
+    assert [len(b[1]) for b in batches] == [32, 32, 32, 4]
+    seen = np.concatenate([b[0][:, 0] * 1000 + b[0][:, 1] for b in batches])
+    base = split.tokens[:, 0] * 1000 + split.tokens[:, 1]
+    assert sorted(seen.tolist()) == sorted(base.tolist())
+
+
+def test_step_stream_seeded_order():
+    # seed 1, epoch 3 twice, then epoch 4; 20 rows in batches of 8 are 3 steps
+    split = Split(np.arange(60).reshape(20, 3) % 16, np.arange(20) % 4)
+    a = [b[1].tolist() for _, _, b, _ in _step_stream(split, 8, 1, 1, 3, 2)]
+    b = [b[1].tolist() for _, _, b, _ in _step_stream(split, 8, 1, 1, 3, 2)]
+    c = [b[1].tolist() for _, _, b, _ in _step_stream(split, 8, 1, 1, 3, 3)]
+    assert a == b
+    assert a != c
+    order = np.random.default_rng([1, 2, 3]).permutation(20)
+    assert sum(a, []) == split.labels[order].tolist()
+
+
+def test_step_stream_short_final_batch_ends_the_epoch():
+    # 100 rows in batches of 32: each epoch is 32, 32, 32, 4
+    stream = list(_step_stream(labelled_split(100), 32, 5, 1, 8, 0))
+    assert [s for s, _, _, _ in stream] == list(range(1, 9))
+    assert [e for _, e, _, _ in stream] == [1] * 4 + [2] * 4
+    assert [len(b[1]) for _, _, b, _ in stream] == [32, 32, 32, 4] * 2
+    assert [end for _, _, _, end in stream] == [False, False, False, True] * 2
+
+
+def test_step_stream_phase_ending_mid_epoch_flags_its_last_step():
+    stream = list(_step_stream(labelled_split(100), 32, 5, 1, 6, 0))
+    assert [(s, e, len(b[1]), end) for s, e, b, end in stream] == [
+        (1, 1, 32, False), (2, 1, 32, False), (3, 1, 32, False),
+        (4, 1, 4, True), (5, 2, 32, False), (6, 2, 32, True)]
+
+
+def test_step_stream_carried_epoch_starts_the_next_epoch_afresh():
+    split = labelled_split(100)
+    *_, (last_step, epoch, _, _) = _step_stream(split, 32, 5, 1, 6, 0)
+    assert (last_step, epoch) == (6, 2)
+    stream = list(_step_stream(split, 32, 5, last_step + 1, 10, epoch))
+    assert [(s, e) for s, e, _, _ in stream] == [(7, 3), (8, 3), (9, 3),
+                                                 (10, 3)]
+    order = np.random.default_rng([5, 2, 3]).permutation(100)
+    np.testing.assert_array_equal(stream[0][2][1], order[:32])
+    np.testing.assert_array_equal(
+        np.concatenate([b[1] for _, _, b, _ in stream]), order)
+    assert [end for _, _, _, end in stream] == [False, False, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,13 @@ def test_evaluate_accuracy_counts_argmax_hits():
         assert evaluate_accuracy(store, TINY, tokens, mixed, chunk) == 14 / 40
 
 
+def test_evaluate_accuracy_refuses_an_empty_split():
+    store = init_params(TINY, [9, 1])
+    tokens = np.zeros((0, 5), dtype=np.int64)
+    with pytest.raises(ValueError, match="no sequences to evaluate"):
+        evaluate_accuracy(store, TINY, tokens, np.zeros(0, dtype=np.int64), 10)
+
+
 @pytest.mark.parametrize("labels, error, message", [
     (np.full(10, 0.5), ValueError, "labels must be integers"),
     (np.full(10, 7), IndexError, r"label out of range \[0, 3\)"),
