@@ -66,6 +66,11 @@ def export_threshold_trajectory(metrics_path) -> list[tuple[int, float]]:
               if "threshold" in r and not r.get("final")]
     if any(type(r.get("step")) is not int for r in events):
         raise ValueError(f"{metrics_path}: a prune event has no integer step")
+    # type() refuses a bool; NaN, infinities and huge ints fail the bound
+    if any(type(r["threshold"]) not in (int, float)
+           or not abs(r["threshold"]) <= sys.float_info.max for r in events):
+        raise ValueError(f"{metrics_path}: a prune event's threshold is not "
+                         "a finite number")
     rows = [(r["step"], r["threshold"]) for r in events]
     if not rows:
         print(f"warning: no prune events in {metrics_path}", file=sys.stderr)

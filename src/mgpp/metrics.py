@@ -1,4 +1,4 @@
-"""Run metrics: an append-only JSONL stream plus an in-memory mirror.
+"""Run metrics: an append-only JSONL stream, a run's one home for its records.
 
 One JSON object per line. Every record carries step/loss/sparsity/eta, where
 sparsity is the scheduled v(t) for the cubic methods and the realized one
@@ -13,20 +13,21 @@ raises instead of being written as a bare NaN.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 
 
 class RunMetrics:
-    """Collects step records and prune events; optionally streams them to a
-    file as they arrive (line-buffered, so a crash leaves a parseable
-    prefix)."""
+    """Writes each record as it arrives, flushed (a crash leaves a parseable
+    prefix), to the file at `path` or else to a stream in memory that
+    `load_records` reads until `close`; it keeps prune events, not records."""
 
     def __init__(self, path=None):
-        self.records: list[dict] = []
         self.final: dict | None = None
         self._events: list = []
-        self._fh = None if path is None else open(path, "w", encoding="utf-8")
+        self._fh = (io.StringIO() if path is None
+                    else open(path, "w", encoding="utf-8"))
         self._last_step = 0
 
     def log(self, record: dict) -> None:
@@ -35,7 +36,6 @@ class RunMetrics:
             raise ValueError(
                 f"non-monotone step {step} after {self._last_step}")
         self._last_step = step
-        self.records.append(record)
         self._write(record)
 
     def log_final(self, fields: dict) -> None:
@@ -53,14 +53,11 @@ class RunMetrics:
         return list(self._events)
 
     def _write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, allow_nan=False) + "\n")
-            self._fh.flush()
+        self._fh.write(json.dumps(record, allow_nan=False) + "\n")
+        self._fh.flush()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
     def __enter__(self):
         return self
@@ -69,20 +66,22 @@ class RunMetrics:
         self.close()
 
 
-def load_records(path) -> list[dict]:
-    """Parse a metrics JSONL file back into a list of dicts; a line that is
-    not a JSON object is refused."""
+def load_records(source) -> list[dict]:
+    """Parse a metrics JSONL file (its path), or the stream of a RunMetrics
+    made without a path, back into a list of dicts; a line that is not a
+    JSON object is refused."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with (io.StringIO(source._fh.getvalue()) if isinstance(source, RunMetrics)
+          else open(source, encoding="utf-8")) as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad metrics line") from exc
+                raise ValueError(f"{source}:{line_no}: bad metrics line") from exc
             if not isinstance(record, dict):
-                raise ValueError(f"{path}:{line_no}: metrics line is not a "
+                raise ValueError(f"{source}:{line_no}: metrics line is not a "
                                  "JSON object")
             records.append(record)
     return records

@@ -369,7 +369,7 @@ def test_09_annealing_semantics():
     for t in range(T + 1):
         assert (sigma0_sq_at(t, init_sq, end_sq, t_i, t_f),
                 eta_at(t, t_i)) == ref(t), f"step {t}"
-    anneal = [r for r in metrics.records if "sigma0_sq" in r]
+    anneal = [r for r in load_records(metrics) if "sigma0_sq" in r]
     assert len(anneal) == T
     for r in anneal:
         assert (r["sigma0_sq"], r["eta"]) == ref(r["step"])

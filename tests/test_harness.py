@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -393,9 +394,11 @@ def test_run_summary_extends_final_record(micro_run):
 
 
 def test_run_metrics_file_mirrors_memory(micro_run):
-    _, out, metrics, _ = micro_run
+    # a pathless run writes the lines the run's file holds, to a stream in
+    # memory that load_records reads as it reads the file
+    cfg, out, metrics, _ = micro_run
     records = load_records(out / "metrics.jsonl")
-    assert records[:-1] == metrics.records
+    assert records == load_records(train(cfg)[0])
     assert final_record(records) == metrics.final
 
 
@@ -518,6 +521,37 @@ def test_cli_export_thresholds_refuses_an_event_without_an_integer_step(
     assert captured.err == (f"mgpp: error: {path}: a prune event has no "
                             "integer step\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("threshold", ['"x"', "null", "NaN", "true"],
+                         ids=["string", "null", "nan", "bool"])
+def test_cli_export_thresholds_refuses_a_threshold_that_is_not_a_finite_number(
+        tmp_path, capsys, threshold):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"step": 1, "loss": 1.0, "threshold": 0.25}\n'
+                    f'{{"step": 2, "loss": 1.0, "threshold": {threshold}}}\n',
+                    encoding="utf-8")
+    assert main(["export-thresholds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"mgpp: error: {path}: a prune event's threshold "
+                            "is not a finite number\n")
+    assert captured.out == ""
+
+
+def test_a_file_backed_run_keeps_no_records_in_memory(tmp_path):
+    # the file is the records' one home: logging 5,000 step records leaves
+    # traced memory where it was, where a list of them would hold about 1 MB
+    with RunMetrics(tmp_path / "m.jsonl") as m:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for step in range(1, 5001):
+                m.log({"step": step, "loss": 1.0 / step,
+                       "sparsity": step / 5000, "eta": 1.0})
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 def _fake_metrics(path, *, method, seed, acc, task=None):
@@ -648,8 +682,8 @@ def test_dump_schedule_is_what_the_run_records(method):
     header, rows = dump_schedule(cfg)
     metrics, _ = train(cfg)
     key = header[1]   # sparsity, or sigma0_sq for pa
-    planned = {r["step"]: (r[key], r["eta"]) for r in metrics.records
-               if r["step"] <= cfg.total_steps}
+    planned = {r["step"]: (r[key], r["eta"]) for r in load_records(metrics)
+               if r["step"] <= cfg.total_steps and not r.get("final")}
     assert planned == {t: (v, eta) for t, v, eta in rows[1:]}
 
 

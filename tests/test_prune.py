@@ -14,7 +14,7 @@ import mgpp.prune
 import mgpp.transformer
 from mgpp.config import StepPlan, build_config
 from mgpp.data import Split, generate_dataset
-from mgpp.metrics import RunMetrics
+from mgpp.metrics import RunMetrics, load_records
 from mgpp.optim import OptimState
 from mgpp.params import ParamStore
 from mgpp.prior import MgpConfig, pa_threshold
@@ -35,6 +35,14 @@ def micro_pairs(**kw):
     }
     base.update(kw)
     return base
+
+
+def step_records(metrics) -> list[dict]:
+    """A pathless run's step records, read back from its stream: every
+    record but the final one."""
+    *steps, final = load_records(metrics)
+    assert final == metrics.final
+    return steps
 
 
 def flat_store(values):
@@ -306,7 +314,7 @@ def test_mgpp_every_event_hits_floor_count():
     cfg = build_config(micro_pairs())
     metrics, store = train(cfg)
     total = store.num_prunable()
-    events = [r for r in metrics.records if "zeroed" in r]
+    events = [r for r in step_records(metrics) if "zeroed" in r]
     assert events, "no prune events fired"
     for r in events:
         assert r["zeroed"] == math.floor(r["sparsity"] * total)
@@ -318,7 +326,7 @@ def test_mgpp_every_event_hits_floor_count():
 def test_mgpp_event_steps_match_schedule():
     cfg = build_config(micro_pairs())
     metrics, _ = train(cfg)
-    steps = [r["step"] for r in metrics.records if "threshold" in r]
+    steps = [r["step"] for r in step_records(metrics) if "threshold" in r]
     # every delta_t-th step through t_f, then every step to T
     assert steps == [t for t in range(1, cfg.total_steps + 1)
                      if t % 2 == 0 or t > 12]
@@ -336,15 +344,16 @@ def test_mgpp_masked_values_zero_after_every_step():
 def test_mgpp_metrics_schema_and_eta_ramp():
     cfg = build_config(micro_pairs())
     metrics, _ = train(cfg)
-    steps = [r["step"] for r in metrics.records]
+    records = step_records(metrics)
+    steps = [r["step"] for r in records]
     assert steps == list(range(1, cfg.total_steps + 1))
-    for r in metrics.records:
+    for r in records:
         assert set(("step", "loss", "sparsity", "eta")) <= set(r)
         assert np.isfinite(r["loss"])
         t_i = cfg.values["schedule.t_i"]
         expect_eta = r["step"] / t_i if r["step"] < t_i else 1.0
         assert r["eta"] == expect_eta
-    event_records = [r for r in metrics.records if "threshold" in r]
+    event_records = [r for r in records if "threshold" in r]
     assert len(event_records) == len(metrics.events())
     assert metrics.final["method"] == "mgpp"
 
@@ -387,7 +396,7 @@ def test_steps_after_warm_up_allocate_less_than_a_prunable_vector():
     finally:
         tracemalloc.stop()
     P = store.num_prunable()
-    window = probe.records[4:7]
+    window = step_records(probe)[4:7]
     assert [r["step"] for r in window] == [5, 6, 7]
     assert all(r["eta"] == 1.0 and "epoch" not in r for r in window)
     assert 0 < window[1]["zeroed"] < P            # a partition, not v = 0 or 1
@@ -398,7 +407,7 @@ def test_runs_are_deterministic():
     cfg = build_config(micro_pairs(seed=5))
     m1, s1 = train(cfg)
     m2, s2 = train(cfg)
-    assert m1.records == m2.records
+    assert step_records(m1) == step_records(m2)
     assert m1.final == m2.final
     for name, _ in s1.items():
         np.testing.assert_array_equal(s1[name].value, s2[name].value)
@@ -413,7 +422,7 @@ def test_gmp_is_prior_free_code_path():
                                          "optim.weight_decay": 0.0}))
     mg, sg = train(gmp_cfg)
     ml, sl = train(l2_cfg)
-    for a, b in zip(mg.records, ml.records):
+    for a, b in zip(step_records(mg), step_records(ml)):
         assert a["loss"] == b["loss"]
     for name, _ in sg.items():
         np.testing.assert_array_equal(sg[name].value, sl[name].value)
@@ -422,7 +431,7 @@ def test_gmp_is_prior_free_code_path():
 def test_gmp_records_zero_eta():
     cfg = build_config(micro_pairs(method="gmp"))
     metrics, _ = train(cfg)
-    assert {r["eta"] for r in metrics.records} == {0.0}
+    assert {r["eta"] for r in step_records(metrics)} == {0.0}
 
 
 def test_l2_default_weight_decay_changes_trajectory():
@@ -432,7 +441,7 @@ def test_l2_default_weight_decay_changes_trajectory():
     mg, _ = train(gmp_cfg)
     ml, _ = train(l2_cfg)
     assert any(a["loss"] != b["loss"]
-               for a, b in zip(mg.records, ml.records))
+               for a, b in zip(step_records(mg), step_records(ml)))
 
 
 def test_final_sparsity_exact_for_all_cubic_methods():
@@ -456,7 +465,7 @@ def test_pa_one_shot_semantics():
         assert kept.size == 0 or kept.min() > thr
         assert np.all(p.value[~p.mask] == 0.0)
     [event] = metrics.events()
-    [record] = [r for r in metrics.records if "threshold" in r]
+    [record] = [r for r in step_records(metrics) if "threshold" in r]
     assert record["step"] == cfg.total_steps
     assert event.threshold == record["threshold"] == thr
     # realized sparsity is whatever the threshold produced, not a preset
@@ -466,7 +475,7 @@ def test_pa_one_shot_semantics():
 def test_pa_records_annealed_sigma():
     cfg = build_config(micro_pairs(method="pa"))
     metrics, _ = train(cfg)
-    anneal = [r for r in metrics.records if "sigma0_sq" in r]
+    anneal = [r for r in step_records(metrics) if "sigma0_sq" in r]
     assert len(anneal) == cfg.total_steps
     sig = [r["sigma0_sq"] for r in anneal]
     assert all(b <= a for a, b in zip(sig, sig[1:]))
@@ -479,8 +488,9 @@ def test_pa_refine_extends_steps_and_freezes_masks():
     metrics, store = train(cfg)
     t_refine = math.ceil(cfg.values["pa.refine_epochs"] * cfg.task.n_train
                          / cfg.values["batch_size"])
-    assert metrics.records[-1]["step"] == cfg.total_steps + t_refine
-    refine = [r for r in metrics.records if r["step"] > cfg.total_steps]
+    records = step_records(metrics)
+    assert records[-1]["step"] == cfg.total_steps + t_refine
+    refine = [r for r in records if r["step"] > cfg.total_steps]
     assert {r["eta"] for r in refine} == {0.0}
     sparsities = {r["sparsity"] for r in refine}
     assert sparsities == {store.sparsity()}
@@ -489,10 +499,11 @@ def test_pa_refine_extends_steps_and_freezes_masks():
 def test_dev_accuracy_logged_each_epoch():
     cfg = build_config(micro_pairs())
     metrics, _ = train(cfg)
-    epochs = [r["epoch"] for r in metrics.records if "epoch" in r]
+    records = step_records(metrics)
+    epochs = [r["epoch"] for r in records if "epoch" in r]
     assert epochs == [1, 2]
     assert all(0.0 <= r["dev_accuracy"] <= 1.0
-               for r in metrics.records if "dev_accuracy" in r)
+               for r in records if "dev_accuracy" in r)
 
 
 def test_no_forward_pass_sees_more_than_a_batch(monkeypatch):
@@ -531,5 +542,5 @@ def test_pa_refine_carries_epoch_counter_on():
     cfg = build_config(micro_pairs(**{"method": "pa", "task.train": 100,
                                       "schedule.t_f": 6}))
     metrics, _ = train(cfg)
-    assert [(r["step"], r["epoch"]) for r in metrics.records
+    assert [(r["step"], r["epoch"]) for r in step_records(metrics)
             if "epoch" in r] == [(4, 1), (7, 2), (11, 3)]
