@@ -2,12 +2,14 @@
 
 Subcommands: run, dump-schedule, export-histogram, export-thresholds,
 export-prior-curve, compare. Exports are CSV on stdout. Exit codes:
-0 success, 1 configuration/usage error, 2 runtime failure.
+0 success, 1 configuration/usage error, 2 runtime failure, 141 (128 +
+SIGPIPE) when the reader of stdout closes it before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .checkpoint import CheckpointError
@@ -163,7 +165,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # SIGPIPE stays ignored (a worker's socket write relies on the
+        # OSError); fd 1 goes to devnull, so the flush at exit prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"mgpp: config error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,8 @@
 
 One JSON object per line. Every record carries step/loss/sparsity/eta, where
 sparsity is the scheduled v(t) for the cubic methods and the realized one
-for pa; pa's anneal records add sigma0_sq; prune events add
-threshold/zeroed/kept; epoch boundaries add epoch/dev_accuracy;
+for pa; pa's anneal records add sigma0_sq; a prune event's record adds
+threshold/zeroed/kept (`note_event`); epoch boundaries add epoch/dev_accuracy;
 the single closing record carries final=true with test accuracy, realized
 sparsity, method, seed, the task fingerprint, and the resolved config
 without seed and out. Wall-clock time is kept out of this stream on purpose
@@ -21,11 +21,11 @@ import sys
 class RunMetrics:
     """Writes each record as it arrives, flushed (a crash leaves a parseable
     prefix), to the file at `path` or else to a stream in memory that
-    `load_records` reads until `close`; it keeps prune events, not records."""
+    `load_records` reads until `close`. It keeps neither records nor prune
+    events: an event lives in its step's record."""
 
     def __init__(self, path=None):
         self.final: dict | None = None
-        self._events: list = []
         self._fh = (io.StringIO() if path is None
                     else open(path, "w", encoding="utf-8"))
         self._last_step = 0
@@ -46,11 +46,10 @@ class RunMetrics:
         self.final = record
         self._write(record)
 
-    def note_event(self, event) -> None:
-        self._events.append(event)
-
-    def events(self) -> list:
-        return list(self._events)
+    def note_event(self, record: dict, event) -> None:
+        """Write a prune event's fields into its step's record."""
+        record.update(threshold=event.threshold, zeroed=event.zeroed,
+                      kept=event.kept)
 
     def _write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, allow_nan=False) + "\n")
@@ -67,9 +66,11 @@ class RunMetrics:
 
 
 def load_records(source) -> list[dict]:
-    """Parse a metrics JSONL file (its path), or the stream of a RunMetrics
-    made without a path, back into a list of dicts; a line that is not a
-    JSON object is refused."""
+    """Parse a metrics JSONL file (its path), or what a RunMetrics has
+    written (its file, or the stream in memory of one made without a path),
+    back into a list of dicts; a line that is not a JSON object is refused."""
+    if isinstance(source, RunMetrics):  # its writes are flushed: read mid-run too
+        source = getattr(source._fh, "name", source)  # a StringIO has no name
     records = []
     with (io.StringIO(source._fh.getvalue()) if isinstance(source, RunMetrics)
           else open(source, encoding="utf-8")) as fh:

@@ -186,9 +186,7 @@ def train(cfg, metrics: RunMetrics | None = None
                       "sparsity": fields["sparsity"] if "sparsity" in fields
                       else store.sparsity(), "eta": plan.eta, **fields}
             if event is not None:
-                metrics.note_event(event)
-                record.update(threshold=event.threshold, zeroed=event.zeroed,
-                              kept=event.kept)
+                metrics.note_event(record, event)
             if epoch_end:
                 record["epoch"] = epoch
                 record["dev_accuracy"] = evaluate_accuracy(

@@ -63,8 +63,9 @@ def ablation_sweep():
         rows = []
         for seed in range(5):
             metrics, _ = train(build_config({"method": method, "seed": seed}))
-            rows.append((metrics.final["test_accuracy"],
-                         metrics.events()[-1].threshold))
+            thresholds = [r["threshold"] for r in load_records(metrics)
+                          if "threshold" in r]
+            rows.append((metrics.final["test_accuracy"], thresholds[-1]))
         results[method] = rows
     results["elapsed"] = time.monotonic() - started
     return results

@@ -25,7 +25,7 @@ from mgpp.harness import (compare_runs, dump_schedule, export_histogram,
 from mgpp.metrics import RunMetrics, final_record, load_records
 from mgpp.params import ParamStore
 from mgpp.prior import MAX_GRID_ROWS
-from mgpp.prune import train
+from mgpp.prune import PruneEvent, train
 from mgpp.schedule import eta_at, sparsity_at
 
 MICRO = """\
@@ -486,13 +486,15 @@ def test_histogram_rejects_bad_bins(micro_run):
             export_histogram(out / "checkpoint.bin", bins=bins)
 
 
-def test_threshold_trajectory_matches_events(micro_run):
-    cfg, out, metrics, _ = micro_run
-    rows = export_threshold_trajectory(out / "metrics.jsonl")
+def test_threshold_trajectory_matches_events(tmp_path, prune_events):
+    # a run of micro_run's config, whose prunes are collected as they return
+    cfg = build_config(parse_config_text(MICRO) | {"out": str(tmp_path)})
+    run_experiment(cfg)
+    rows = export_threshold_trajectory(tmp_path / "metrics.jsonl")
     _, last, rule = cfg.phases()[0]
     events = [t for t in range(1, last + 1) if rule(t).prune is not None]
     assert rows == list(zip(events,
-                            [e.threshold for e in metrics.events()],
+                            [e.threshold for e in prune_events],
                             strict=True))
     steps = [s for s, _ in rows]
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
@@ -539,19 +541,35 @@ def test_cli_export_thresholds_refuses_a_threshold_that_is_not_a_finite_number(
 
 
 def test_a_file_backed_run_keeps_no_records_in_memory(tmp_path):
-    # the file is the records' one home: logging 5,000 step records leaves
-    # traced memory where it was, where a list of them would hold about 1 MB
+    # the file is the records' one home, and a prune event's is its step's
+    # record: logging 5,000 step records, every 4th with an event, leaves
+    # traced memory where it was, where a list of the records would hold
+    # about 1 MB and one of the events about 0.2 MB
     with RunMetrics(tmp_path / "m.jsonl") as m:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for step in range(1, 5001):
-                m.log({"step": step, "loss": 1.0 / step,
-                       "sparsity": step / 5000, "eta": 1.0})
+                record = {"step": step, "loss": 1.0 / step,
+                          "sparsity": step / 5000, "eta": 1.0}
+                if step % 4 == 0:
+                    m.note_event(record, PruneEvent(
+                        zeroed=step, kept=5000 - step, threshold=1.0 / step))
+                m.log(record)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+def test_load_records_reads_a_file_backed_run_from_its_file(tmp_path):
+    step = {"step": 1, "loss": 1.0, "sparsity": 0.0, "eta": 0.0}
+    with RunMetrics(tmp_path / "m.jsonl") as m:
+        m.log(step)
+        assert load_records(m) == [step]    # mid-run: each write is flushed
+        m.log_final({"step": 1, "loss": 1.0})
+    assert load_records(m) == [step, m.final]
+    assert load_records(m) == load_records(tmp_path / "m.jsonl")
 
 
 def _fake_metrics(path, *, method, seed, acc, task=None):
@@ -773,6 +791,25 @@ def test_cli_dump_schedule_preset(capsys):
     assert lines[0] == "step,sparsity,eta"
     assert len(lines) == 2002            # header + steps 0..2000
     assert lines[1] == "0,0.0,0.0"
+
+
+def test_cli_export_to_a_closed_reader_exits_141_quietly():
+    # `mgpp dump-schedule --preset mnli-90 | head -1`: the plan's 98,252 lines
+    # overfill the pipe, so the reader is gone before the export ends; the
+    # status is 128 + SIGPIPE, as a shell gives a command that signal ended
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from mgpp.cli import main; sys.exit(main(sys.argv[1:]))",
+         "dump-schedule", "--preset", "mnli-90"],
+        env=dict(os.environ, PYTHONPATH=str(Path(mgpp.__file__).parents[1])),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert first == b"step,sparsity,eta\n"
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_cli_run_and_diagnostics(tmp_path, capsys):

@@ -323,14 +323,14 @@ def test_mgpp_every_event_hits_floor_count():
     assert store.zeroed_count() == math.floor(0.9 * total)
 
 
-def test_mgpp_event_steps_match_schedule():
+def test_mgpp_event_steps_match_schedule(prune_events):
     cfg = build_config(micro_pairs())
     metrics, _ = train(cfg)
     steps = [r["step"] for r in step_records(metrics) if "threshold" in r]
     # every delta_t-th step through t_f, then every step to T
     assert steps == [t for t in range(1, cfg.total_steps + 1)
                      if t % 2 == 0 or t > 12]
-    assert len(metrics.events()) == len(steps)
+    assert len(prune_events) == len(steps)
 
 
 def test_mgpp_masked_values_zero_after_every_step():
@@ -341,7 +341,7 @@ def test_mgpp_masked_values_zero_after_every_step():
         assert np.all(p.value[~p.mask] == 0.0)
 
 
-def test_mgpp_metrics_schema_and_eta_ramp():
+def test_mgpp_metrics_schema_and_eta_ramp(prune_events):
     cfg = build_config(micro_pairs())
     metrics, _ = train(cfg)
     records = step_records(metrics)
@@ -354,7 +354,13 @@ def test_mgpp_metrics_schema_and_eta_ramp():
         expect_eta = r["step"] / t_i if r["step"] < t_i else 1.0
         assert r["eta"] == expect_eta
     event_records = [r for r in records if "threshold" in r]
-    assert len(event_records) == len(metrics.events())
+    assert len(event_records) == len(prune_events)
+    # each event's fields are in its step's record, in this order
+    fields = ("threshold", "zeroed", "kept")
+    for r in event_records:
+        assert [k for k in r if k in fields] == list(fields)
+    assert [(r["threshold"], r["zeroed"], r["kept"]) for r in event_records] \
+        == [(e.threshold, e.zeroed, e.kept) for e in prune_events]
     assert metrics.final["method"] == "mgpp"
 
 
@@ -453,7 +459,7 @@ def test_final_sparsity_exact_for_all_cubic_methods():
         assert metrics.final["sparsity"] == math.floor(0.9 * n) / n
 
 
-def test_pa_one_shot_semantics():
+def test_pa_one_shot_semantics(prune_events):
     cfg = build_config(micro_pairs(**{"method": "pa", "pa.refine_epochs": 0}))
     metrics, store = train(cfg)
     v = cfg.values
@@ -464,7 +470,7 @@ def test_pa_one_shot_semantics():
         kept = np.abs(p.value[p.mask])
         assert kept.size == 0 or kept.min() > thr
         assert np.all(p.value[~p.mask] == 0.0)
-    [event] = metrics.events()
+    [event] = prune_events
     [record] = [r for r in step_records(metrics) if "threshold" in r]
     assert record["step"] == cfg.total_steps
     assert event.threshold == record["threshold"] == thr
