@@ -69,6 +69,11 @@ class SyntheticTaskSpec:
         for name in ("n_train", "n_dev", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # disjoint splits need as many sequences (2^64 exceeds any size)
+        total = self.n_train + self.n_dev + self.n_test
+        if self.length < 64 and self.vocab ** self.length < total:
+            raise ValueError(f"{self.vocab}^{self.length} sequences cannot "
+                             f"fill {total} disjoint examples")
 
     def fingerprint(self) -> dict:
         """Spec as a plain dict; used to tag runs and to refuse cross-task
@@ -78,12 +83,13 @@ class SyntheticTaskSpec:
 
 @dataclass
 class Split:
-    tokens: np.ndarray  # [n, length] int64
-    labels: np.ndarray  # [n] int64
+    tokens: np.ndarray  # [n, length], any integer type, kept as given
+    labels: np.ndarray  # [n], any integer type, kept as given
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.tokens, self.labels = np.asarray(self.tokens), np.asarray(self.labels)
+        if not all(np.issubdtype(a.dtype, np.integer) for a in (self.tokens, self.labels)):
+            raise ValueError("Split expects integer tokens and labels")
         if self.tokens.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("Split expects tokens [n, length] and labels [n]")
         if len(self.tokens) != len(self.labels):
@@ -224,8 +230,10 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
     deduplicated globally and routed to the first split whose per-class
     quota is open. Each split is filled in place into one preallocated
     [size, length] token array and one [size] label array, and the dedupe
-    set is dropped before the final shuffles copy them; so the peak heap is
-    about three times the splits' own bytes, not one small array per row.
+    set is dropped before the final shuffles copy them. A split holds its
+    tokens in the smallest integer type below ``vocab`` and its labels in
+    the smallest below ``n_classes``: at the desk shapes one byte each, so
+    17 bytes per example of length 16, and no array per row.
     """
     words = _Words(np.random.default_rng([spec.seed, 0]).bit_generator)
     sizes = (spec.n_train, spec.n_dev, spec.n_test)
@@ -235,11 +243,12 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         quotas.append([base + (1 if c < rem else 0) for c in range(spec.n_classes)])
 
     seen: set[bytes] = set()
-    # a row's dedupe key: its tokens in the smallest type that holds them
+    # the splits' types, and a row's dedupe key: its tokens in token_type
     token_type = np.min_scalar_type(spec.vocab - 1)
     row_bytes = np.dtype((np.void, token_type.itemsize * spec.length))
-    tokens = [np.empty((size, spec.length), dtype=np.int64) for size in sizes]
-    labels = [np.empty(size, dtype=np.int64) for size in sizes]
+    label_type = np.min_scalar_type(spec.n_classes - 1)
+    tokens = [np.empty((size, spec.length), dtype=token_type) for size in sizes]
+    labels = [np.empty(size, dtype=label_type) for size in sizes]
     filled = [0] * len(sizes)
     remaining = sum(sizes)
     attempts_left = _MAX_ATTEMPT_FACTOR * remaining

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import data_oracle
-from mgpp.data import (SyntheticTaskSpec, _block, _bounded, _Words,
+from mgpp.data import (Split, SyntheticTaskSpec, _block, _bounded, _Words,
                        generate_dataset, label_of)
 
 
@@ -79,18 +79,52 @@ def test_splits_match_golden_digests(kind, vocab):
     digests = tuple(sha256_int64(a) for split in splits
                     for a in (split.tokens, split.labels))
     assert digests == GOLDEN_SPLITS[kind, vocab]
+    # one byte per token and per label: 17 bytes per example
+    assert all(a.dtype == np.uint8 for split in splits
+               for a in (split.tokens, split.labels))
 
 
-def test_generation_peak_memory_is_a_small_multiple_of_the_splits():
-    # the splits are filled in place, not gathered as one array per row
+def test_generation_peak_memory_is_bounded_per_example():
+    # the splits are filled in place, not gathered as one array per row, and
+    # hold one byte per token and label: the peak stays under two int64
+    # copies of every example's tokens and label, a bound that does not
+    # shrink with the splits' own bytes
+    s = desk_spec("sparse-motif", 16)
     tracemalloc.start()
     try:
-        splits = generate_dataset(desk_spec("sparse-motif", 16))
+        generate_dataset(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    own = sum(split.tokens.nbytes + split.labels.nbytes for split in splits)
-    assert peak < 4 * own
+    n = s.n_train + s.n_dev + s.n_test
+    assert peak < 2 * n * (s.length + 1) * 8
+
+
+@pytest.mark.parametrize("kind, vocab, n_classes, token_type, label_type", [
+    ("sparse-motif", 300, 4, np.uint16, np.uint8),
+    ("majority-token", 300, 4, np.uint16, np.uint8),
+    ("token-parity", 300, 2, np.uint16, np.uint8),
+    ("majority-token", 300, 257, np.uint16, np.uint16),
+])
+def test_splits_hold_the_smallest_integer_types(kind, vocab, n_classes,
+                                                token_type, label_type):
+    # past 256 tokens (or classes) a split takes two bytes each
+    s = SyntheticTaskSpec(kind, vocab, 16, n_classes, 300, 20, 20, seed=3)
+    for got, want in zip(generate_dataset(s), data_oracle.generate_dataset(s)):
+        assert got.tokens.dtype == token_type and got.labels.dtype == label_type
+        np.testing.assert_array_equal(got.tokens, want.tokens)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+
+@pytest.mark.parametrize("tokens, labels", [
+    (np.array([[1.7, 2.2]]), np.array([0.9])),
+    (np.array([[1.0, 2.0]]), np.array([0])),
+    (np.array([[1, 2]]), np.array([0.0])),
+    (np.array([[True, False]]), np.array([1])),
+])
+def test_a_split_of_non_integers_is_refused(tokens, labels):
+    with pytest.raises(ValueError, match="integer tokens and labels"):
+        Split(tokens, labels)
 
 
 # (vocab, length, n_classes): lengths 1, 2, 3 and the desk length; vocab =
@@ -99,6 +133,11 @@ def test_generation_peak_memory_is_a_small_multiple_of_the_splits():
 EDGE_SHAPES = [(vocab, length, n_classes) for length in (1, 2, 3, 16)
                for vocab, n_classes in ((5, 4), (16, 4), (3, 2), (7, 2))]
 KINDS = ("sparse-motif", "majority-token", "token-parity")
+
+
+# the sampler reads no split size; one example per split fits the sequence
+# count of every shape above
+ONE_EACH = dict(n_train=1, n_dev=1, n_test=1)
 
 
 def oracle_candidates(rng, s, n):
@@ -114,7 +153,7 @@ def block_candidates(bit_generator, s, counts):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("vocab, length, n_classes", EDGE_SHAPES)
 def test_block_sampler_draws_the_oracle_candidates(kind, vocab, length, n_classes):
-    s = spec(kind=kind, vocab=vocab, length=length, n_classes=n_classes)
+    s = spec(kind=kind, vocab=vocab, length=length, n_classes=n_classes, **ONE_EACH)
     counts = (1, 300, 211)
     for seed in range(5):
         got = block_candidates(np.random.default_rng([seed, 0]).bit_generator, s, counts)
@@ -236,7 +275,7 @@ def word_oracle_candidates(bit_generator, s, n):
 @pytest.mark.parametrize("vocab, length, n_classes", EDGE_SHAPES)
 def test_the_word_oracle_draws_the_generator_candidates(kind, vocab, length, n_classes):
     # on plain streams, and on streams with a zero word early on
-    s = spec(kind=kind, vocab=vocab, length=length, n_classes=n_classes)
+    s = spec(kind=kind, vocab=vocab, length=length, n_classes=n_classes, **ONE_EACH)
     states = [np.random.PCG64([seed, 0]).state for seed in range(2)]
     states += [pcg64_state_with_a_zero_half(index, index % 2) for index in (0, 3, 9)]
     for state in states:
@@ -250,7 +289,7 @@ def test_the_word_oracle_draws_the_generator_candidates(kind, vocab, length, n_c
 def test_block_sampler_skips_several_rejected_words_as_the_word_oracle_does(kind, length):
     # 1-4 zero words among the first 400, which the candidates read past;
     # with 13 tokens and 3 classes most bounds reject a zero
-    s = spec(kind=kind, vocab=13, length=length, n_classes=3)
+    s = spec(kind=kind, vocab=13, length=length, n_classes=3, **ONE_EACH)
     several = 0
     for seed in range(40):
         rng = np.random.default_rng([seed, length])
@@ -291,16 +330,25 @@ def test_label_of_a_block_is_the_rule_row_by_row(kind):
     assert label_of(block, s).tolist() == [-1 if w is None else w for w in want]
 
 
-@pytest.mark.parametrize("kind, vocab, length, sizes, left", [
-    ("sparse-motif", 5, 1, (8, 1, 1), 6),      # n_classes 4: four sequences
-    ("token-parity", 2, 2, (4, 1, 1), 2),      # n_classes 2: four sequences
+@pytest.mark.parametrize("kind, vocab, length, sizes", [
+    ("sparse-motif", 5, 1, (8, 1, 1)),       # n_classes 4: five sequences
+    ("token-parity", 2, 2, (4, 1, 1)),       # n_classes 2: four sequences
+    ("token-parity", 2, 4, (8000, 1000, 1000)),   # 16 sequences
 ])
-def test_a_task_space_too_small_for_the_splits_is_refused(kind, vocab, length, sizes, left):
-    s = SyntheticTaskSpec(kind, vocab, length, 4 if kind == "sparse-motif" else 2,
+def test_a_task_space_too_small_for_the_splits_is_refused(kind, vocab, length, sizes):
+    with pytest.raises(ValueError) as err:
+        SyntheticTaskSpec(kind, vocab, length, 4 if kind == "sparse-motif" else 2,
                           *sizes, seed=0)
+    assert str(err.value) == (f"{vocab}^{length} sequences cannot fill "
+                              f"{sum(sizes)} disjoint examples")
+
+
+def test_a_task_space_with_too_few_valid_sequences_is_refused_by_generation():
+    # 4 sequences pass the count, but only 00 and 11 have a single majority
+    s = SyntheticTaskSpec("majority-token", 2, 2, 2, 2, 1, 1, seed=0)
     with pytest.raises(RuntimeError) as err:
         generate_dataset(s)
-    assert str(err.value) == (f"could not fill {left} examples for {kind}; "
+    assert str(err.value) == ("could not fill 2 examples for majority-token; "
                               "task space too small for the requested split sizes")
 
 

@@ -174,6 +174,19 @@ def test_cli_refuses_the_dropped_n_max_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_a_task_space_smaller_than_the_splits_before_generating(
+        tmp_path, capsys):
+    # 2^4 = 16 sequences for 10,000 disjoint examples: refused as a config
+    # error, not after 5,000 candidates per example
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text("task.kind = token-parity\ntask.vocab = 2\n"
+                        "task.classes = 2\ntask.length = 4\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert "task: 2^4 sequences cannot fill 10000 disjoint examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_subconfig_surfaces_as_config_error():
     with pytest.raises(ConfigError):
         build_config({"task.vocab": 1})
