@@ -3,7 +3,7 @@
 Parameters, gradient and both moment accumulators are flat vectors in the
 layout of ``ParamStore.flat``, so a step is a few vector ops over the whole
 model, run slice by slice so that their temporaries stay small (two
-pooled buffers).
+slices of ``tensor._CHUNK`` coordinates).
 
 The decay term never routes through the moment accumulators: parameters are
 scaled by (1 - lr*weight_decay) before the bias-corrected adaptive update, so
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamStore
-from .tensor import _CHUNK, _empty
+from .tensor import _CHUNK
 
 
 class OptimState:
@@ -52,7 +52,8 @@ def optim_step(store: ParamStore, grads: np.ndarray, state: OptimState,
         flat *= 1.0 - lr * state.weight_decay
     # In place, slice by slice, in the order of: m = beta1*m + (1-beta1)*g;
     # v = beta2*v + (1-beta2)*(g*g); theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-    mhat_buf, vhat_buf = _empty((_CHUNK,)), _empty((_CHUNK,))
+    width = min(flat.size, _CHUNK)
+    mhat_buf, vhat_buf = np.empty(width), np.empty(width)
     for first in range(0, flat.size, _CHUNK):
         part = slice(first, first + _CHUNK)
         theta, m, v, g = flat[part], state.m[part], state.v[part], grads[part]

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor import _CHUNK, _empty
+from .tensor import _CHUNK
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,12 @@ class ParamStore:
     def apply_masks(self) -> None:
         """Zero the masked coordinates, in place: a bitwise AND of the float
         bits with keep-bits, all ones for a kept coordinate and zero for a
-        masked one, made slice by slice in a pooled buffer. It writes the bytes of ``np.copyto(flat, 0.0,
-        where=~mask)`` without a branch per element; a kept NaN, infinity or
-        -0.0 keeps its bits."""
+        masked one, made slice by slice in one slice's buffer. It writes the
+        bytes of ``np.copyto(flat, 0.0, where=~mask)`` without a branch per
+        element; a kept NaN, infinity or -0.0 keeps its bits."""
         P = self._n_prunable
         bits = self.flat.view(np.int64)
-        keep = _empty((_CHUNK,)).view(np.int64)
+        keep = np.empty(min(P, _CHUNK), np.int64)
         for first in range(0, P, _CHUNK):
             part = slice(first, min(first + _CHUNK, P))
             k = keep[:part.stop - first]

@@ -21,14 +21,13 @@ of the spike component; it crosses 1/2 exactly where c2*theta^2 + c1 = 0,
 which is also the one-shot pruning threshold returned by pa_threshold.
 
 mgp_grad runs once per prior step, in the main process, over every
-prunable coordinate, so it computes in place, in arrays from the tensor
-engine's pool (``tensor._empty``), and allocates nothing after the first
-step. g_fn and mgp_grad do the operations of the plain expressions in the
-same order, so their results are bitwise the same. Where c2*theta^2 + c1
-is above the cutoff, or NaN, g is 0: the exponent is clamped to the
-cutoff, which changes no exponent at or below it and keeps exp finite, and
-those lanes are then ANDed with zero bits, which writes +0.0 without a
-branch. A returned array stays valid for as long as the caller holds it.
+prunable coordinate, so it computes in place in the few arrays it
+allocates. g_fn and mgp_grad do the operations of the plain expressions in
+the same order, so their results are bitwise the same. Where
+c2*theta^2 + c1 is above the cutoff, or NaN, g is 0: the exponent is
+clamped to the cutoff, which changes no exponent at or below it and keeps
+exp finite, and those lanes are then ANDed with zero bits, which writes
++0.0 without a branch. Each call returns a new array.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .tensor import _empty
 
 # exp overflows float64 just above 709; beyond this the limit value of g is 0.
 _EXP_OVERFLOW = 700.0
@@ -73,19 +70,19 @@ class MgpConfig:
 
 def g_fn(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:
     """Spike responsibility g(theta) = (exp{c2 theta^2 + c1} + 1)^(-1),
-    elementwise, in a pooled array (see the module docstring).
+    elementwise, in a new array (see the module docstring).
 
     Gives 0 exactly where the exponent would overflow float64 (the limit
     value); even in theta and non-increasing in |theta|.
     """
     arr = np.asarray(theta, dtype=np.float64)
-    u = np.multiply(cfg.c2, arr, out=_empty(arr.shape))
+    u = np.multiply(cfg.c2, arr, out=np.empty(arr.shape))   # an array, 0-d too
     np.multiply(u, arr, out=u)
     np.add(u, cfg.c1, out=u)
     # keep-bits: all ones where the exponent is at most the cutoff, zero
-    # where g is 0; their buffer is free again for mgp_grad's next array
-    keep = _empty(arr.shape).view(np.int64)
-    np.copyto(keep, np.less_equal(u, _EXP_OVERFLOW, out=_empty(arr.shape, bool)))
+    # where g is 0
+    keep = np.empty(arr.shape, np.int64)
+    np.copyto(keep, np.less_equal(u, _EXP_OVERFLOW))
     np.negative(keep, out=keep)
     np.minimum(u, _EXP_OVERFLOW, out=u)
     np.exp(u, out=u)
@@ -97,7 +94,7 @@ def g_fn(theta: np.ndarray, cfg: MgpConfig) -> np.ndarray:
 
 
 def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
-    """Gradient of the log prior, elementwise, in a pooled array:
+    """Gradient of the log prior, elementwise, in a new array:
     -(theta/sigma0_sq * g(theta) + theta/sigma1_sq * (1 - g(theta))).
 
     Finite for all finite inputs, including |theta| up to 1e3 under extreme
@@ -105,9 +102,9 @@ def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
     """
     arr = np.asarray(theta, dtype=np.float64)
     g = g_fn(arr, cfg)
-    out = np.divide(arr, cfg.sigma0_sq, out=_empty(arr.shape))
+    out = np.divide(arr, cfg.sigma0_sq, out=np.empty(arr.shape))
     np.multiply(out, g, out=out)
-    slab = np.divide(arr, cfg.sigma1_sq, out=_empty(arr.shape))
+    slab = np.divide(arr, cfg.sigma1_sq, out=np.empty(arr.shape))
     np.multiply(slab, np.subtract(1.0, g, out=g), out=slab)
     np.add(out, slab, out=out)
     return np.negative(out, out=out)

@@ -32,7 +32,6 @@ from .metrics import RunMetrics
 from .optim import OptimState, linear_lr, optim_step
 from .params import ParamStore
 from .prior import mgp_grad
-from .tensor import _empty
 from .transformer import evaluate_accuracy, init_params, loss_and_grads
 
 
@@ -45,9 +44,8 @@ class PruneEvent:
 
 def magnitude_scores(store: ParamStore) -> np.ndarray:
     """|theta_j| over the prunable coordinates, in global coordinate order,
-    in a pooled array."""
-    P = store.num_prunable()
-    return np.abs(store.flat[:P], out=_empty((P,)))
+    in a new array."""
+    return np.abs(store.flat[:store.num_prunable()])
 
 
 def apply_global_prune(store: ParamStore, v: float) -> PruneEvent:
@@ -59,9 +57,8 @@ def apply_global_prune(store: ParamStore, v: float) -> PruneEvent:
     cut, in coordinate order, until k are pruned. So ties break toward the
     earlier coordinate, exactly as a stable sort of the scores would rank
     them. The mask is rebuilt from the current magnitudes alone — previously
-    pruned coordinates compete again. The scores are a pooled array and the
-    comparisons are written into the mask, so an event allocates only the
-    tie positions.
+    pruned coordinates compete again. The comparisons are written into the
+    mask, so an event allocates only the scores and the tie positions.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"sparsity fraction must be in [0, 1], got {v}")
@@ -108,9 +105,8 @@ def _tail(store: ParamStore, grads: np.ndarray, opt: OptimState, plan,
         P = store.num_prunable()
         g = mgp_grad(store.flat[:P], plan.mgp)
         grads[:P] -= np.multiply(g, plan.eta / n_train, out=g)
-        del g       # its buffer is free again before the update
-    if not (math.isfinite(loss)
-            and np.isfinite(grads, out=_empty(grads.shape, bool)).all()):
+        del g       # freed before the update, so it adds nothing to its peak
+    if not (math.isfinite(loss) and np.isfinite(grads).all()):
         raise RuntimeError(f"diverged at step {step}: non-finite loss or gradient")
     optim_step(store, grads, opt, lr)
     if plan.prune is not None:

@@ -1,5 +1,5 @@
-"""Float64 kernels of the training step, the buffer pool they draw from,
-and the worker process that runs a share of the step.
+"""Float64 kernels of the training step, the shared arrays it writes, and
+the worker process that runs a share of the step.
 
 Every kernel computes with ``out=`` in the operation order of a plain numpy
 expression, so its results are bitwise that expression's. Three take a
@@ -17,23 +17,10 @@ Numerical stabilizers used throughout:
   * layer_norm adds EPS_LN = 1e-12 inside the square root, so constant rows
     normalize to the offset vector instead of dividing by zero.
 
-The pool. Every large array of a step, with the exceptions named at
-embedding_grad and cross_entropy_grad, is a view of a buffer from the pool
-(``_empty``). A training step asks for the same shapes each time, so after
-the first step it reuses buffers instead of allocating and page-faulting
-fresh ones. The pool is keyed by element count and dtype, not shape, so
-arrays of equal size share buffers. A buffer is handed out only when
-nothing else references it: numpy points every view, and every view of a
-view, at the buffer that owns the data, so ``sys.getrefcount`` counts each
-live view. The count that means "free" is measured at import by the code
-that tests it, since the interpreter's own references vary between CPython
-versions (3.14 borrows stack references); the rule assumes CPython's
-reference counting. A process keeps its pool: buffers are never freed, and
-each size holds as many buffers as were ever live at once. Other modules
-take their per-step temporaries from the same pool: the prior gradient,
-the global prune's scores, the masks' keep-bits, the divergence check's
-mask and the optimizer's slices. Each buffer is an anonymous shared
-mapping of its own: page-aligned, and holding no file descriptor.
+Kernels allocate their temporaries with numpy. The arrays that the worker
+shares, a training step's own (see ``transformer``), are each made by
+``_shared`` in an anonymous shared mapping of its own: page-aligned,
+holding no file descriptor, and unmapped once nothing references it.
 
 The worker. ``_run_parts(key, parts)`` runs some work in one part here, or
 in two, the second in one worker process, forked by the first two-part
@@ -48,24 +35,24 @@ the mappings the arrays lie in, so a job is only a key and a range. One job
 is in flight at a time: a two-part call sends part 1, runs part 0 here,
 then reads that job's reply and re-raises its error with its type and
 message. A call whose key was registered after the worker forked forks a
-fresh one. Registering an array outside the pool is refused. Two rules
-keep this exact and the pool deterministic:
+fresh one. Registering an array outside a shared mapping is refused. Two
+rules keep this exact:
   * while a job is in flight, neither process writes into an array that the
     other reads or writes in that time;
   * a registered array stays referenced here until its key is released
     (``_release``), and whatever a job keeps lives in those arrays; the
-    worker takes a job's temporaries from its own pool.
+    worker allocates a job's temporaries itself.
 Long-lived arrays (parameters, moments) stay private to their process; a
-job reads the parameters through a pooled mirror (see ``transformer``).
+job reads the parameters through a shared mirror (see ``transformer``).
 
 No worker outlives its parent's run: it ignores SIGINT and leaves through
 ``os._exit`` when its job pipe reaches end of file, which closing or losing
 the parent's end gives it, and the parent reaps it at exit. A worker that
 is gone makes the call waiting on its job raise an error that names it;
 the next two-part call forks a new one. A forked child (the worker among
-them) closes its parent's end of the pipe and drops the parent's pool and
-registered arguments, whose memory it would share; the worker keeps the
-arguments it inherited, and with them their mappings.
+them) closes its parent's end of the pipe and drops the parent's registered
+arguments, whose memory it would share; the worker keeps the arguments it
+inherited, and with them their mappings.
 """
 
 from __future__ import annotations
@@ -77,6 +64,7 @@ import mmap
 import os
 import pickle
 import sys
+import weakref
 
 import numpy as np
 
@@ -86,65 +74,45 @@ import numpy as np
 EPS_LN = 1e-12
 
 # Coordinates per slice of a pass over a flat vector (the optimizer's, the
-# masks'): a slice's temporaries come from buffers of this one size,
-# whatever the model size.
+# masks'): a slice's temporaries stay this size, whatever the model size.
 _CHUNK = 1 << 15
 
-# (element count, dtype) -> the pooled buffers of that size, in creation
-# order
-_POOL: dict[tuple[int, type], list[np.ndarray]] = {}
 # Whether a step may split, forking a worker: on Linux, where
 # _one_blas_thread finds OpenBLAS; elsewhere every step runs in one part.
 _SHAREABLE = sys.platform.startswith("linux")
+# id -> each live buffer that _shared made: _register refuses an array that
+# lies in none of them (a view of a mapping has a memoryview as its base, so
+# the buffer itself is what marks it)
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _new_buffer(size: int, dtype) -> np.ndarray:
-    """A buffer of ``size`` elements, an anonymous shared mapping of its own
-    (of at least one byte: a mapping cannot be empty)."""
-    return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)),
-                         dtype, size)
-
-
-def _first_free(bufs: list, free: int, refcount=sys.getrefcount):
-    """The first buffer in ``bufs`` whose reference count here is ``free``."""
-    for buf in bufs:
-        if refcount(buf) == free:
-            return buf
-    return None
-
-
-# The count _first_free sees for a buffer that only its list holds.
-_FREE = next(c for c in range(1, 9) if _first_free([np.empty(1)], c) is not None)
-
-
-def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array of ``shape``: a view of a pooled buffer that
-    nothing else references, or of a new one added to the pool."""
+def _shared(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of ``shape`` in an anonymous shared mapping of
+    its own (of at least one byte: a mapping cannot be empty), which a
+    forked worker inherits."""
     size = math.prod(shape)
-    bufs = _POOL.setdefault((size, dtype), [])
-    buf = _first_free(bufs, _FREE)
-    if buf is None:
-        buf = _new_buffer(size, dtype)
-        bufs.append(buf)
+    buf = np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)),
+                        dtype, size)
+    _SHARED[id(buf)] = buf
     return buf.reshape(shape)
 
 
 def _product(x: np.ndarray, y: np.ndarray, extra: int = 0,
              out: np.ndarray | None = None) -> np.ndarray:
     """x @ y, summed over its first ``extra`` axes, in ``out`` or else in a
-    pooled array. The slices' products are added in index order, which is
+    new array. The slices' products are added in index order, which is
     bitwise what ``(x @ y).sum(axis=tuple(range(extra)))`` gives, without
     holding the stacked product. One operand's leading axes are the other's
     trailing ones, and with ``extra`` > 0 both carry every leading axis."""
     shape = max(x.shape[:-2], y.shape[:-2], key=len) + (x.shape[-2], y.shape[-1])
     if out is None:
-        out = _empty(shape[extra:])
+        out = np.empty(shape[extra:])
     if not extra:
         return np.matmul(x, y, out=out)
     x = x.reshape((-1,) + x.shape[extra:])
     y = y.reshape((-1,) + y.shape[extra:])
     np.matmul(x[0], y[0], out=out)
-    tmp = _empty(shape[extra:])
+    tmp = np.empty(shape[extra:])
     for i in range(1, len(x)):
         out += np.matmul(x[i], y[i], out=tmp)
     return out
@@ -161,23 +129,23 @@ _ARGS: dict[int, tuple] = {}
 _KEYS = itertools.count()
 
 
-def _check_pooled(obj) -> None:
+def _check_shared(obj) -> None:
     """Refuse an array in ``obj``, or in the tuples and lists it nests,
-    that is not a view of a pooled buffer."""
+    that does not lie in a buffer of _shared."""
     if isinstance(obj, (tuple, list)):
         for item in obj:
-            _check_pooled(item)
+            _check_shared(item)
     elif isinstance(obj, np.ndarray):
         buf = obj.base if isinstance(obj.base, np.ndarray) else obj
-        if not any(buf is pooled for bufs in _POOL.values() for pooled in bufs):
-            raise ValueError("a job's arrays must be views of pooled buffers")
+        if _SHARED.get(id(buf)) is not buf:
+            raise ValueError("a job's arrays must lie in shared mappings (_shared)")
 
 
 def _register(fn, *args) -> int:
     """Keep ``fn`` and ``args`` under a new key, and return it: a part
     (first, end) that _run_parts runs with the key is ``fn(*args, first,
-    end)``. The arrays in ``args`` must be views of pooled buffers."""
-    _check_pooled(args)
+    end)``. The arrays in ``args`` must lie in shared mappings (_shared)."""
+    _check_shared(args)
     key = next(_KEYS)
     _ARGS[key] = (fn, *args)
     return key
@@ -185,7 +153,7 @@ def _register(fn, *args) -> int:
 
 def _release(*keys: int) -> None:
     """Drop the arguments of those ``keys`` still here (a forked child holds
-    none), so the pool gets their buffers back."""
+    none), so that their mappings go once nothing else holds them."""
     for key in keys:
         _ARGS.pop(key, None)
 
@@ -343,11 +311,8 @@ def _run_parts(key: int, parts: list) -> None:
 
 
 def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:     # a platform without CPU affinity
-        return os.cpu_count() or 1
+    """How many CPUs this process may run on (called on Linux alone)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
@@ -363,13 +328,12 @@ def _halves(count: int, unit: int, least: int) -> list[tuple[int, int]]:
 
 def _forget_parent() -> None:
     """In a forked child: close the parent's end of its job pipe and drop
-    the parent's pool and registered arguments, whose memory the child
-    would share with it."""
+    the parent's registered arguments, whose memory the child would share
+    with it."""
     global _worker
     if _worker is not None:
         _worker[1].close()
     _worker = None
-    _POOL.clear()
     _ARGS.clear()
 
 
@@ -380,42 +344,38 @@ os.register_at_fork(after_in_child=_forget_parent)
 # kernels
 # ---------------------------------------------------------------------------
 
-def _row_max(x: np.ndarray, rows: tuple) -> np.ndarray:
-    """x.max(axis=-1, keepdims=True) in a pooled array, taken column by
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) in a new array, taken column by
     column: on rows as short as a sequence, a few strided passes beat
     ``np.max``'s reduction over the last axis. Max is exact in any order, so
     this is ``np.max``'s result up to the sign of a zero maximum, and that
     sign changes x - max only for x = -0.0, where both signs exponentiate
     to 1."""
-    m = _empty(rows)
-    np.copyto(m, x[..., :1])
+    m = x[..., :1].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j:j + 1], out=m)
     return m
 
 
-def _row_mean(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x.mean(axis=-1, keepdims=True) into ``out``: the sum and the divide
-    that ``np.mean`` makes, without its Python wrapper."""
-    np.add.reduce(x, axis=-1, keepdims=True, out=out)
+def _row_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True) into ``out``, or else a new array: the
+    sum and the divide that ``np.mean`` makes, without its Python wrapper."""
+    out = np.add.reduce(x, axis=-1, keepdims=True, out=out)
     return np.divide(out, x.shape[-1], out=out)
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis with per-row max subtraction, in place."""
-    rows = x.shape[:-1] + (1,)
-    np.subtract(x, _row_max(x, rows), out=x)
+    np.subtract(x, _row_max(x), out=x)
     np.exp(x, out=x)
-    return np.divide(x, np.add.reduce(x, axis=-1, keepdims=True,
-                                      out=_empty(rows)), out=x)
+    return np.divide(x, np.add.reduce(x, axis=-1, keepdims=True), out=x)
 
 
 def row_softmax_grad(gout: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p * (gout - (gout * p).sum(axis=-1, keepdims=True)), in place on
     ``gout``, for the softmax output ``p``."""
-    gp = np.multiply(gout, p, out=_empty(p.shape))
-    np.subtract(gout, np.add.reduce(gp, axis=-1, keepdims=True,
-                                    out=_empty(p.shape[:-1] + (1,))), out=gout)
+    gp = np.multiply(gout, p)
+    np.subtract(gout, np.add.reduce(gp, axis=-1, keepdims=True), out=gout)
     return np.multiply(p, gout, out=gout)
 
 
@@ -443,9 +403,9 @@ def layer_norm_grad(gout: np.ndarray, G: np.ndarray, xhat: np.ndarray,
     gout * xhat, whose column sums are G's gradient, is written over xhat
     (see column_sums)."""
     q = np.multiply(gout, G, out=out)
-    q_mean = _row_mean(q, _empty(s.shape))
-    t = np.multiply(q, xhat, out=_empty(gout.shape))
-    t_mean = _row_mean(t, _empty(s.shape))
+    q_mean = _row_mean(q)
+    t = np.multiply(q, xhat)
+    t_mean = _row_mean(t)
     np.subtract(q, q_mean, out=q)
     np.subtract(q, np.multiply(xhat, t_mean, out=t), out=q)
     np.divide(q, s, out=q)
@@ -467,11 +427,10 @@ def column_sums(gout: np.ndarray, gxhat: np.ndarray, d_gamma: np.ndarray,
 def embedding_grad(ids: np.ndarray, gout: np.ndarray, vocab: int) -> np.ndarray:
     """np.add.at(zeros((vocab, d)), ids, gout) as one bincount over the
     cells: cell (i, c) of the table is bin i*d + c, and bincount adds each
-    bin's weights in index order from 0.0, as add.at does. The index array
-    is pooled; the [vocab x d] result is fresh."""
+    bin's weights in index order from 0.0, as add.at does."""
     d = gout.shape[-1]
     cells = np.multiply(ids[..., None], d, dtype=np.intp,
-                        out=_empty(ids.shape + (d,), np.intp))
+                        out=np.empty(ids.shape + (d,), np.intp))
     np.add(cells, np.arange(d), out=cells)
     grad = np.bincount(cells.reshape(-1), weights=gout.reshape(-1),
                        minlength=vocab * d)

@@ -23,13 +23,14 @@ the attention scores [H x B x n x n] are batched over heads and sequences
 together. Wq, Wk and Wv lie side by side in the parameter buffer, so the
 three projections are one product with their [3H x d x k] stack; numpy
 multiplies each slice of a stack on its own, so that is bitwise three
-products. The step reads the parameters from a mirror, a pooled copy of
-``store.flat`` made at each forward, and builds the gradient in a pooled
+products. The step reads the parameters from a mirror, a shared copy of
+``store.flat`` made at each forward, and builds the gradient in a shared
 vector, which it returns; the next step at that batch shape overwrites it.
-Its arrays, and its jobs' functions registered with their arguments for
-the worker, are built once per store, model and batch shape (_views), and
-released with the store; evaluation at the training batch's shape uses
-the step's forward arrays.
+Its arrays, each in a shared mapping of its own (``tensor._shared``), and
+its jobs' functions registered with their arguments for the worker, are
+built once per store, model and batch shape (_views), and released with
+the store; evaluation at the training batch's shape uses the step's
+forward arrays. Its temporaries are plain numpy arrays.
 
 The training step, loss_and_grads, is planned by hand. Its backward reads,
 per block, only the arrays of the forward that it needs; evaluation
@@ -84,7 +85,7 @@ import numpy as np
 
 from . import tensor as T
 from .params import ParamStore
-from .tensor import _empty, _halves, _product
+from .tensor import _halves, _product, _shared
 
 
 @dataclass(frozen=True)
@@ -196,10 +197,10 @@ def _block_arrays(rows: int, n: int, w: tuple) -> tuple:
     s1 [rows x 1], u~ [rows x d], r [rows x m_ff], z~ [rows x d] (then
     LN2's xhat), s2 [rows x 1] and the output [rows x d]."""
     heads3, d, k_dim = w[0].shape
-    return (_empty((heads3, rows, k_dim)), _empty((heads3 // 3, rows // n, n, n)),
-            _empty((heads3 // 3, rows, k_dim)), _empty((rows, d)), _empty((rows, 1)),
-            _empty((rows, d)), _empty((rows, w[2].shape[1])), _empty((rows, d)),
-            _empty((rows, 1)), _empty((rows, d)))
+    return (_shared((heads3, rows, k_dim)), _shared((heads3 // 3, rows // n, n, n)),
+            _shared((heads3 // 3, rows, k_dim)), _shared((rows, d)), _shared((rows, 1)),
+            _shared((rows, d)), _shared((rows, w[2].shape[1])), _shared((rows, d)),
+            _shared((rows, 1)), _shared((rows, d)))
 
 
 def _block(x: np.ndarray, w: tuple, n: int, a: tuple) -> np.ndarray:
@@ -277,7 +278,7 @@ def _block_rows(g: np.ndarray, a: tuple, w: tuple, out: tuple, n: int,
     q2, g_r, g_ut, q1, g_x = [b[rows] for b in out]
     T.layer_norm_grad(g, g2, xhat2, s2, q2)
     _product(q2, w2.T, out=g_r)
-    np.multiply(g_r, np.greater(r, 0.0, out=_empty(r.shape, bool)), out=g_r)
+    np.multiply(g_r, np.greater(r, 0.0), out=g_r)
     np.add(q2, _product(g_r, w1.T), out=g_ut)
     T.layer_norm_grad(g_ut, g1, xhat1, s1, q1)
     g_values = _product(np.broadcast_to(q1, (wc.shape[0],) + q1.shape),
@@ -344,7 +345,7 @@ def _step_rows(forward: tuple, labels: np.ndarray, g_logits: np.ndarray,
     g_logits[lo:hi] = T.cross_entropy_grad(logits[lo:hi], labels[lo:hi],
                                            1.0 / len(labels))
     # pooled is the mean over positions: each gets 1/n of its gradient
-    g_pooled = np.matmul(g_logits[lo:hi], head.T, out=_empty((hi - lo, head.shape[0])))
+    g_pooled = np.matmul(g_logits[lo:hi], head.T)
     np.divide(g_pooled, n, out=g_pooled)
     np.copyto(g[lo * n:hi * n].reshape(hi - lo, n, -1), g_pooled[:, None, :])
     _backward_rows(g, saved, blocks, outs, n, lo, hi)
@@ -357,16 +358,16 @@ os.register_at_fork(after_in_child=_VIEWS.clear)
 
 
 def _step_arrays(store: ParamStore, cfg: TransformerConfig, bsz: int, n: int) -> tuple:
-    """The pooled arrays of a step on B = ``bsz`` sequences of length n,
+    """The shared arrays of a step on B = ``bsz`` sequences of length n,
     with its jobs registered (tensor._register) until the store dies: (ids,
     labels, logits, the mirror, the gradient vector, the keys of
     _forward_rows, _step_rows and _sums with their arguments)."""
-    mirror, grads = _empty(store.flat.shape), _empty(store.flat.shape)
+    mirror, grads = _shared(store.flat.shape), _shared(store.flat.shape)
     blocks, named = _block_views(store, mirror, cfg), store.views(mirror)
     rows = bsz * n
-    ids, labels = _empty((bsz, n), np.intp), _empty((bsz,), np.intp)
-    x, pooled = _empty((rows, cfg.d)), _empty((bsz, cfg.d))
-    logits = _empty((bsz, cfg.n_classes))
+    ids, labels = _shared((bsz, n), np.intp), _shared((bsz,), np.intp)
+    x, pooled = _shared((rows, cfg.d)), _shared((bsz, cfg.d))
+    logits = _shared((bsz, cfg.n_classes))
     arrays = [_block_arrays(rows, n, w) for w in blocks]
     forward = (ids, named["embed.table"], blocks, named["head.w"], x, arrays,
                pooled, logits)
@@ -374,9 +375,9 @@ def _step_arrays(store: ParamStore, cfg: TransformerConfig, bsz: int, n: int) ->
     # output
     saved = [a[:3] + (a_in,) + a[3:-1]
              for a, a_in in zip(arrays, [x] + [a[-1] for a in arrays[:-1]])]
-    outs = [(_empty((rows, cfg.d)), _empty((rows, cfg.m_ff)), _empty((rows, cfg.d)),
-             _empty((rows, cfg.d)), _empty((rows, cfg.d))) for _ in blocks]
-    g_logits, g = _empty((bsz, cfg.n_classes)), _empty((rows, cfg.d))
+    outs = [(_shared((rows, cfg.d)), _shared((rows, cfg.m_ff)), _shared((rows, cfg.d)),
+             _shared((rows, cfg.d)), _shared((rows, cfg.d))) for _ in blocks]
+    g_logits, g = _shared((bsz, cfg.n_classes)), _shared((rows, cfg.d))
     grad_named = store.views(grads)
     keys = (T._register(_forward_rows, *forward, n),
             T._register(_step_rows, forward, labels, g_logits, g, saved, outs, n),
@@ -420,12 +421,12 @@ def forward_logits(store: ParamStore, tokens, cfg: TransformerConfig) -> np.ndar
 def loss_and_grads(store: ParamStore, cfg: TransformerConfig, tokens,
                    labels) -> tuple[float, np.ndarray]:
     """The batch's mean cross-entropy and its gradient, a vector laid out
-    like ``store.flat``: the step's own pooled vector, which the next step
+    like ``store.flat``: the step's own shared vector, which the next step
     at this batch shape overwrites."""
-    ids, pooled_labels, logits, _, grads, keys = _views(store, tokens, cfg)
+    ids, step_labels, logits, _, grads, keys = _views(store, tokens, cfg)
     bsz, n = ids.shape
     labels = T._labels(labels, bsz, cfg.n_classes)
-    np.copyto(pooled_labels, labels)
+    np.copyto(step_labels, labels)
     parts = _halves(bsz, n * cfg.d, _PART_VALUES)
     T._run_parts(keys[1], parts)
     # two parts share out the sums whole: the worker takes sum 0

@@ -1,7 +1,7 @@
 """Prior oracles shared by the tests, written independently of
 ``mgpp.prior``: the mixture's negative log density from the closed form, and
-the plain-expression g(theta) and log-prior gradient that the pooled,
-in-place kernels must match bit for bit."""
+the plain-expression g(theta) and log-prior gradient that the in-place
+kernels must match bit for bit."""
 
 import math
 

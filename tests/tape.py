@@ -16,10 +16,10 @@ A backward function hands its results over: every array it returns is a
 writeable float64 array that shares memory with no other returned array and
 with no forward input or output. It may be ``gout`` itself or a view of it,
 since nothing else holds ``gout`` once its node runs; a broadcast is copied
-into a pooled array first. So backward_pass keeps a first gradient as it is
+into a new array first. So backward_pass keeps a first gradient as it is
 and adds later ones into it in place.
 
-The ops take their arrays from the program's buffer pool and its shared
+The ops allocate their arrays with numpy and call the program's shared
 helpers (``mgpp.tensor``); the arithmetic of each op is written out here,
 so the planned step's kernels are checked against an independent copy.
 """
@@ -30,12 +30,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mgpp.tensor import EPS_LN, _empty, _product, _row_max, _row_mean
+from mgpp.tensor import EPS_LN, _product, _row_max, _row_mean
 
 
 def _filled(shape: tuple, value: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """A pooled array of ``shape`` holding ``value``, broadcast."""
-    out = _empty(shape, dtype)
+    """A new array of ``shape`` holding ``value``, broadcast."""
+    out = np.empty(shape, dtype)
     np.copyto(out, value)
     return out
 
@@ -136,29 +136,29 @@ def bmm_nt(a: Tensor, b: Tensor) -> Tensor:
 def sum_axis0(a: Tensor) -> Tensor:
     """Sum over the leading axis: [H x ...] -> [...]."""
     shape = a.data.shape
-    return _record("sum_axis0", (a,), np.sum(a.data, axis=0, out=_empty(shape[1:])),
+    return _record("sum_axis0", (a,), np.sum(a.data, axis=0, out=np.empty(shape[1:])),
                    lambda gout: (_filled(shape, gout),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _record("add", (a, b), np.add(a.data, b.data, out=_empty(a.data.shape)),
+    return _record("add", (a, b), np.add(a.data, b.data, out=np.empty(a.data.shape)),
                    lambda gout: (gout, _filled(gout.shape, gout)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _record("scale", (a,), np.multiply(a.data, c, out=_empty(a.data.shape)),
+    return _record("scale", (a,), np.multiply(a.data, c, out=np.empty(a.data.shape)),
                    lambda gout: (np.multiply(gout, c, out=gout),))
 
 
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(0, x). Subgradient 0 at exactly 0. The backward
     takes its mask from the output, which is > 0 exactly where x is."""
-    out = np.maximum(a.data, 0.0, out=_empty(a.data.shape))
+    out = np.maximum(a.data, 0.0, out=np.empty(a.data.shape))
     return _record("relu", (a,), out, lambda gout: (np.multiply(
-        gout, np.greater(out, 0.0, out=_empty(out.shape, bool)), out=gout),))
+        gout, np.greater(out, 0.0, out=np.empty(out.shape, bool)), out=gout),))
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -167,15 +167,15 @@ def row_softmax(a: Tensor) -> Tensor:
     if x.ndim < 1:
         raise ValueError("row_softmax expects at least one axis")
     rows = x.shape[:-1] + (1,)
-    p = np.subtract(x, _row_max(x, rows), out=_empty(x.shape))
+    p = np.subtract(x, _row_max(x), out=np.empty(x.shape))
     np.exp(p, out=p)
-    np.divide(p, np.add.reduce(p, axis=-1, keepdims=True, out=_empty(rows)), out=p)
+    np.divide(p, np.add.reduce(p, axis=-1, keepdims=True, out=np.empty(rows)), out=p)
 
     def backward(gout):
         # p * (gout - (gout * p).sum(axis=-1, keepdims=True))
-        gp = np.multiply(gout, p, out=_empty(p.shape))
+        gp = np.multiply(gout, p, out=np.empty(p.shape))
         np.subtract(gout, np.add.reduce(gp, axis=-1, keepdims=True,
-                                        out=_empty(rows)), out=gout)
+                                        out=np.empty(rows)), out=gout)
         return (np.multiply(p, gout, out=gout),)
 
     return _record("row_softmax", (a,), p, backward)
@@ -195,9 +195,9 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"gamma {gamma.data.shape}, beta {beta.data.shape}")
     G = gamma.data
     rows = x.shape[:-1] + (1,)
-    s = _row_mean(x, _empty(rows))  # the mean, then sqrt(var + eps)
-    xhat = np.subtract(x, s, out=_empty(x.shape))  # centered, until divided
-    out = np.multiply(xhat, xhat, out=_empty(x.shape))
+    s = _row_mean(x, np.empty(rows))  # the mean, then sqrt(var + eps)
+    xhat = np.subtract(x, s, out=np.empty(x.shape))  # centered, until divided
+    out = np.multiply(xhat, xhat, out=np.empty(x.shape))
     _row_mean(out, s)
     np.add(s, EPS_LN, out=s)
     np.sqrt(s, out=s)
@@ -208,17 +208,17 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def backward(gout):
         # term = q - mean(q) - xhat * mean(q * xhat) with q = gout * G;
         # returns term / s, sum(gout * xhat) and sum(gout) over the rows
-        q = np.multiply(gout, G, out=_empty(gout.shape))
-        q_mean = _row_mean(q, _empty(rows))
-        t = np.multiply(q, xhat, out=_empty(gout.shape))
-        t_mean = _row_mean(t, _empty(rows))
+        q = np.multiply(gout, G, out=np.empty(gout.shape))
+        q_mean = _row_mean(q, np.empty(rows))
+        t = np.multiply(q, xhat, out=np.empty(gout.shape))
+        t_mean = _row_mean(t, np.empty(rows))
         np.subtract(q, q_mean, out=q)
         np.subtract(q, np.multiply(xhat, t_mean, out=t), out=q)
         np.divide(q, s, out=q)
         axes = tuple(range(gout.ndim - 1))
-        d_beta = np.add.reduce(gout, axis=axes, out=_empty(G.shape))
+        d_beta = np.add.reduce(gout, axis=axes, out=np.empty(G.shape))
         d_gamma = np.add.reduce(np.multiply(gout, xhat, out=gout), axis=axes,
-                                out=_empty(G.shape))
+                                out=np.empty(G.shape))
         return q, d_gamma, d_beta
 
     return _record("layer_norm", (a, gamma, beta), out, backward)
@@ -243,7 +243,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         # weights in index order from 0.0, as add.at does
         V, d = W.shape
         cells = np.multiply(ids[..., None], d, dtype=np.intp,
-                            out=_empty(ids.shape + (d,), np.intp))
+                            out=np.empty(ids.shape + (d,), np.intp))
         np.add(cells, np.arange(d), out=cells)
         grad = np.bincount(cells.reshape(-1), weights=gout.reshape(-1),
                            minlength=V * d)
@@ -252,7 +252,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
     # ids are checked above, so "clip" never clips; "raise" would buffer out
     return _record("embedding", (table,), np.take(
-        W, ids, axis=0, out=_empty(ids.shape + W.shape[1:]), mode="clip"), backward)
+        W, ids, axis=0, out=np.empty(ids.shape + W.shape[1:]), mode="clip"), backward)
 
 
 def mean_axis1(a: Tensor) -> Tensor:
@@ -262,7 +262,7 @@ def mean_axis1(a: Tensor) -> Tensor:
         raise ValueError(f"mean_axis1 expects a 3-D tensor, got shape {shape}")
     n = shape[1]
     return _record("mean_axis1", (a,),
-                   np.mean(a.data, axis=1, out=_empty((shape[0], shape[2]))),
+                   np.mean(a.data, axis=1, out=np.empty((shape[0], shape[2]))),
                    lambda gout: (_filled(
                        shape, np.divide(gout, n, out=gout)[:, None, :]),))
 

@@ -456,9 +456,9 @@ def test_runs_in_fresh_processes_do_not_depend_on_hash_seed(tmp_path):
 
 
 def test_run_bytes_survive_a_run_of_another_shape(tmp_path):
-    # the second run leaves stale data in the process's array pool, also in
-    # size classes the micro run uses ([B*n x 16] has the size of its
-    # [H x B*n x 8]); the third run must still repeat the first exactly
+    # a run of another shape between two identical runs ([B*n x 16] has
+    # the size of the micro run's [H x B*n x 8]) leaves its freed memory to
+    # the allocator; the third run must still repeat the first exactly
     outputs = []
     for name, extra in (("a", ""), ("wide", "model.d = 16\n"), ("b", "")):
         cfg = build_config(parse_config_text(MICRO + extra)

@@ -1,6 +1,7 @@
 """The planned training step against the tape oracle, bit for bit, in one
 part and in two, and the worker process that runs a share of it."""
 
+import gc
 import os
 import pickle
 import socket
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ def test_step_is_bitwise_the_tape(H, L, n):
     cfg = model(H, L)
     store = masked_store(cfg, H * 10 + L)
     assert (store.flat == 0.0).sum() >= store.num_prunable() // 2
-    # twice over: the second round reuses the pool's buffers with stale data
+    # twice over: the second round reuses the step's arrays with stale data
     for tokens, labels in 2 * batches(cfg, n, [H, L, n]):
         assert_step_matches_tape(store, cfg, tokens, labels)
         assert forward_logits(store, tokens, cfg).tobytes() == \
@@ -214,7 +216,7 @@ def test_the_step_returns_after_its_last_product(monkeypatch):
 
 def test_repeated_two_part_steps_stay_exact(monkeypatch):
     # twenty rounds of two batches, each step against the tape, with the
-    # pool as the first round left it
+    # shared arrays as the first round left them
     jobs = two_cpus(monkeypatch)
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **WIDE)
     store = masked_store(cfg, 9)
@@ -222,15 +224,15 @@ def test_repeated_two_part_steps_stay_exact(monkeypatch):
     data = [(rng.integers(0, 4, size=(bsz, 16)), rng.integers(0, 4, size=bsz))
             for bsz in (32, 24)]
     want = [tape_model.loss_and_grads(store, cfg, *batch) for batch in data]
-    pool = lambda: {key: len(bufs) for key, bufs in mgpp.tensor._POOL.items()}
+    shared = lambda: {key: buf.nbytes for key, buf in mgpp.tensor._SHARED.items()}
     for round_ in range(20):
         for (tokens, labels), (want_loss, want_grads) in zip(data, want):
             loss, grads = loss_and_grads(store, cfg, tokens, labels)
             assert loss == want_loss and grads.tobytes() == want_grads.tobytes()
             grads[...] = np.nan     # the next step at this shape writes it all
         if round_ == 0:
-            warm = pool()
-    assert pool() == warm
+            warm = shared()
+    assert shared() == warm
     assert jobs.count("_step_rows") == 40
 
 
@@ -244,8 +246,8 @@ def test_importing_the_package_starts_no_thread():
 
 
 def test_a_forked_child_runs_its_own_steps():
-    # the child drops the parent's pool and mirror, which it would share
-    # with the parent, and forks a worker of its own
+    # the child drops the parent's step arrays and mirror, which it would
+    # share with the parent, and forks a worker of its own
     code = FORK_SCRIPT.format(src=repr(mgpp.__path__[0] + "/.."))
     done = subprocess.run([sys.executable, "-c", code], timeout=120,
                           capture_output=True, text=True)
@@ -273,7 +275,7 @@ read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)         # a hung child dies instead of hanging the test
-    assert T._worker is None and not T._POOL
+    assert T._worker is None and not T._SHARED
     _, grads = M.loss_and_grads(store, cfg, tokens, labels)
     assert T._worker[0] != parent_worker
     os.write(write, hashlib.sha256(grads.tobytes()).hexdigest().encode())
@@ -420,18 +422,37 @@ def desk_batch(seed):
 
 def test_a_deleted_store_gives_its_arrays_back(monkeypatch):
     # each store's step registers its arguments; once the store is gone,
-    # so are they, and the next store's step takes the same buffers again
+    # so are they, with the mappings of its shared arrays
     two_cpus(monkeypatch)
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
+    gc.collect()    # a store an earlier test left in a cycle goes now
     before, buffers = set(mgpp.tensor._ARGS), []
+    mappings = len(mgpp.tensor._SHARED)
     for seed in range(5):
         store = masked_store(cfg, seed)
         loss_and_grads(store, cfg, *desk_batch(seed))
         assert len(mgpp.tensor._ARGS) == len(before) + 3
         del store
         assert set(mgpp.tensor._ARGS) == before
-        buffers.append(sum(map(len, mgpp.tensor._POOL.values())))
-    assert buffers == buffers[:1] * 5
+        buffers.append(len(mgpp.tensor._SHARED))
+    assert buffers == [mappings] * 5
+
+
+def test_a_released_store_unmaps_its_step_arrays(monkeypatch):
+    # after a two-part step, the gradient vector's buffer lives while the
+    # store does, and goes with it
+    jobs = two_cpus(monkeypatch)
+    cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
+    store = masked_store(cfg, 8)
+    _, grads = loss_and_grads(store, cfg, *desk_batch(8))
+    assert jobs == ["_step_rows", "_sums"]
+    buf = weakref.ref(grads.base)
+    del grads
+    gc.collect()
+    assert buf() is not None
+    del store
+    gc.collect()
+    assert buf() is None
 
 
 def test_one_batch_shape_registers_its_arguments_once(monkeypatch):
@@ -455,8 +476,8 @@ def test_one_batch_shape_registers_its_arguments_once(monkeypatch):
 
 def test_the_step_returns_its_own_pooled_gradient(monkeypatch):
     # one gradient vector per batch shape, handed back, not copied: two
-    # steps at one shape return the same array, a view of a pooled buffer,
-    # and the second writes over what the caller left in it
+    # steps at one shape return the same array, in a shared mapping, and
+    # the second writes over what the caller left in it
     two_cpus(monkeypatch)
     cfg = TransformerConfig(H=4, L=2, n_classes=4, **DESK)
     store = masked_store(cfg, 6)
@@ -465,7 +486,7 @@ def test_the_step_returns_its_own_pooled_gradient(monkeypatch):
     grads[...] = np.nan
     again, same = loss_and_grads(store, cfg, *desk_batch(6))
     assert same is grads and grads.shape == store.flat.shape
-    assert any(grads.base is buf for bufs in mgpp.tensor._POOL.values() for buf in bufs)
+    assert mgpp.tensor._SHARED.get(id(grads.base)) is grads.base
     assert again == loss and grads.tobytes() == want.tobytes()
 
 
@@ -491,8 +512,8 @@ def test_a_queued_job_carries_only_a_key_and_ints(monkeypatch):
 
 @pytest.mark.parametrize("dims", ["WIDE", "DESK"], ids=["gmp-wide", "desk"])
 def test_each_pool_is_set_by_the_first_step_alone(dims):
-    # two identical runs hold the same buffers, in both processes, after
-    # every step, and the same gradient bytes
+    # two identical runs hold the same shared arrays, in both processes,
+    # after every step, and the same gradient bytes
     runs = [subprocess.run(
         [sys.executable, "-c", CENSUS_SCRIPT.format(
             src=repr(mgpp.__path__[0] + "/.."), dims=globals()[dims])],
@@ -504,16 +525,14 @@ def test_each_pool_is_set_by_the_first_step_alone(dims):
     main, grads = eval(lines[-1])
     assert len(main) == len(worker) == 6
     assert all(after == main[0] for after in main[1:])
-    assert all(after == worker[0] for after in worker[1:])
-    # the worker's pool holds only temporaries of its part; the step's
-    # arrays are this process's
-    values = lambda pool: sum(size * count for (size, _), count in pool.items())
-    assert 0 < 4 * values(worker[0]) < values(main[0])
+    # the step's arrays are made here, by the first step, and the worker
+    # inherits them all and makes none of its own
+    assert worker == main and len(main[0]) > 1
     assert len(set(grads)) == 2
 
 
 CENSUS_SCRIPT = """
-import hashlib, sys
+import collections, hashlib, sys
 sys.path.insert(0, {src})
 import numpy as np
 import mgpp.tensor as T
@@ -530,13 +549,13 @@ data = [(rng.integers(0, cfg.vocab, size=(32, 16)), rng.integers(0, 4, size=32))
 
 
 def counts():
-    return {{(size, dtype.__name__): len(bufs)
-             for (size, dtype), bufs in T._POOL.items()}}
+    return dict(collections.Counter((buf.size, buf.dtype.name)
+                                    for buf in T._SHARED.values()))
 
 
 def census(first, end):
-    # a job whose worker part, (1, 2), prints the worker's pool, a line
-    # before this process's
+    # a job whose worker part, (1, 2), prints the worker's shared arrays, a
+    # line before this process's
     if first == 1:
         print(counts(), flush=True)
 

@@ -190,14 +190,16 @@ def test_a_run_splits_only_on_the_cpus_this_process_may_use(monkeypatch):
 
 def test_repeated_tails_stay_exact_and_keep_the_pool(monkeypatch):
     # three rounds of tails at gmp-wide's length: the same bytes each
-    # round, and the pool as the first round left it
+    # round, and the shared arrays (the pool a worker inherits) as they
+    # were: a tail makes none
     monkeypatch.setattr(mgpp.tensor, "_cpus", lambda: 2)
     want = run_reference(WIDE, WIDE - 1_024, "mgpp")
-    pools = []
+    shared = lambda: {key: buf.nbytes for key, buf in mgpp.tensor._SHARED.items()}
+    pools = [shared()]
     for _ in range(3):
         assert run_tail(WIDE, WIDE - 1_024, "mgpp") == want
-        pools.append({key: len(bufs) for key, bufs in mgpp.tensor._POOL.items()})
-    assert pools[0] == pools[1] == pools[2]
+        pools.append(shared())
+    assert pools[0] == pools[1] == pools[2] == pools[3]
 
 
 @pytest.mark.parametrize("method", sorted(PLANS))
@@ -251,9 +253,10 @@ def test_the_prior_runs_once_a_step_in_this_process(monkeypatch):
     assert jobs == []
 
 
-POOL_SCRIPT = """
-import sys
+CALLS_SCRIPT = """
+import collections, functools, sys
 sys.path.insert(0, {src})
+import mgpp.prior as prior
 import mgpp.prune as prune
 import mgpp.tensor as T
 import mgpp.transformer as M
@@ -262,7 +265,7 @@ from mgpp.metrics import load_records
 
 T._cpus = lambda: 2          # the step splits, whatever this host allows
 M._PART_VALUES = 1
-run_parts, jobs = T._run_parts, []
+run_parts, jobs, calls = T._run_parts, [], collections.Counter()
 
 
 def recorded(key, parts):
@@ -271,34 +274,55 @@ def recorded(key, parts):
     run_parts(key, parts)
 
 
+def counted(module, name):
+    # calls of module.name, counted in the process that makes them
+    fn = getattr(module, name)
+
+    @functools.wraps(fn)
+    def call(*args):
+        calls[name] += 1
+        return fn(*args)
+    setattr(module, name, call)
+
+
 def census(first, end):
-    # a job whose worker part, (1, 2), prints the sizes the worker's pool holds
+    # a job whose worker part, (1, 2), prints the calls the worker made
     if first == 1:
-        print({{size for size, _ in T._POOL}}, flush=True)
+        print(dict(calls), flush=True)
 
 
+for module, name in ((prune, "_tail"), (prune, "mgp_grad"), (prior, "g_fn"),
+                     (prune, "optim_step"), (M, "_step_rows"), (M, "_sums")):
+    counted(module, name)
 T._run_parts = recorded
 census_key = T._register(census)     # before the run's keys: its worker runs it
 metrics, store = prune.train(build_config({values!r}))
 run_parts(census_key, [(0, 1), (1, 2)])
-print((store.num_prunable(), store.flat.size, jobs.count("_step_rows"),
-       len(load_records(metrics)) - 1, {{size for size, _ in T._POOL}}))
+records = load_records(metrics)[:-1]     # all but the final record
+print((jobs.count("_step_rows"), len(records),
+       sum(r["eta"] != 0.0 for r in records), dict(calls)))
 """
 
 
 def test_a_split_mgpp_run_leaves_no_prior_buffer_on_the_worker():
-    # fresh processes, so each worker's pool holds what its run put there:
-    # an mgpp run's worker holds what a gmp run's does, since the step's
-    # parts split and the prior runs here
+    # fresh processes, each forking its own worker: the worker runs the
+    # step's parts and sums alone, and the prior and the rest of the tail
+    # run here
     outs = {method: subprocess.run(
-        [sys.executable, "-c", POOL_SCRIPT.format(
+        [sys.executable, "-c", CALLS_SCRIPT.format(
             src=repr(mgpp.__path__[0] + "/.."), values=MICRO | {"method": method})],
         timeout=120, capture_output=True, text=True, check=True).stdout
         for method in ("mgpp", "gmp")}
-    worker, (P, n, split_steps, steps, main) = map(eval, outs["mgpp"].splitlines())
-    assert split_steps == steps > 0
-    assert P in main
-    assert worker == eval(outs["gmp"].splitlines()[0])
+    for method, out in outs.items():
+        worker, (split_steps, steps, prior_steps, main) = map(eval, out.splitlines())
+        assert split_steps == steps > 0
+        assert (prior_steps > 0) == (method == "mgpp")
+        # each step: part 0 and a share of the sums here, part 1 and the
+        # other share there
+        assert worker == {"_step_rows": steps, "_sums": steps}
+        want = {"_step_rows": steps, "_sums": steps, "_tail": steps,
+                "optim_step": steps, "mgp_grad": prior_steps, "g_fn": prior_steps}
+        assert main == {name: count for name, count in want.items() if count}
 
 
 # ---------------------------------------------------------------------------

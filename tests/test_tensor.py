@@ -1,10 +1,12 @@
 """Oracles for the tape (``tape.py``), the gradient oracle of the planned
 training step: frozen forward values, finite-difference gradient checks for
 every differentiable primitive, and bitwise checks of its ops against plain
-numpy expressions. Also the buffer pool of ``mgpp.tensor``."""
+numpy expressions. Also the shared arrays of ``mgpp.tensor``."""
 
+import gc
 import inspect
 import math
+import mmap
 import weakref
 
 import numpy as np
@@ -564,7 +566,7 @@ def test_row_softmax_column_max_bitwise_equal_np_max(n):
     z[1, 3, 0], z[1, 3, -1] = 0.0, -0.0
     z[1, 4] = -0.0
     gout = rng.standard_normal(z.shape)
-    assert (mgpp.tensor._row_max(z, z.shape[:-1] + (1,)) == z.max(axis=-1, keepdims=True)).all()
+    assert (mgpp.tensor._row_max(z) == z.max(axis=-1, keepdims=True)).all()
     out, (grad,) = run_op(T.row_softmax, [z], gout)
     ref_out, ref_grad = softmax_reference(z, gout)
     assert_bitwise(out, ref_out)
@@ -621,41 +623,35 @@ def test_matmul_head_sum_bitwise_equal_stacked_sum(rows, d, k, H, ffn, B, n):
 
 
 # ---------------------------------------------------------------------------
-# the buffer pool
+# the shared arrays
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("derive", [
-    lambda a: a.reshape(7, 1039),
-    lambda a: a[1:][::2],
-    lambda a: np.broadcast_to(a, (3, a.size)),
-], ids=["view", "view-of-view", "broadcast"])
-def test_pool_never_hands_out_a_referenced_buffer(derive):
-    size = 7273      # an element count no other test allocates
-    a = mgpp.tensor._empty((size,))
+def test_shared_arrays_are_mappings_of_their_own():
+    a, b = mgpp.tensor._shared((1039, 7)), mgpp.tensor._shared((1039, 7))
+    assert a.shape == (1039, 7) and a.dtype == np.float64
+    assert not np.shares_memory(a, b)
+    assert a.ctypes.data % mmap.PAGESIZE == 0
+    assert mgpp.tensor._SHARED[id(a.base)] is a.base
     buf = weakref.ref(a.base)
-    held = derive(a)
+    held = a[1:][::2]
     del a
-    other = mgpp.tensor._empty((size,))
-    assert other.base is not buf()
-    assert not np.shares_memory(other, held)
+    assert buf() is not None        # a view of a view holds the mapping
     del held
-    again = mgpp.tensor._empty((size,))
-    assert again.base is buf()
-    assert again.shape == (size,)
-    assert mgpp.tensor._empty((1039, 7)).base is not buf()   # `again` still holds it
+    assert buf() is None            # and the last one to go unmaps it
 
 
 @pytest.mark.parametrize("shape, dtype", [((0,), np.float64), ((0, 4), np.intp)])
 def test_pool_hands_out_empty_arrays(shape, dtype):
-    # a buffer of no elements still has a mapping, of one byte
-    a = mgpp.tensor._empty(shape, dtype)
+    # a shared array of no elements still has a mapping, of one byte
+    a = mgpp.tensor._shared(shape, dtype)
     assert a.shape == shape and a.dtype == dtype and a.size == 0
-    assert mgpp.tensor._empty(shape, dtype).base is not a.base   # `a` holds it
+    assert mgpp.tensor._shared(shape, dtype).base is not a.base
 
 
 def test_pool_stops_growing_after_the_second_step():
+    # the shared arrays of a run: its step's, made by its first step
     def snapshot():
-        bufs = [b for group in mgpp.tensor._POOL.values() for b in group]
+        bufs = list(mgpp.tensor._SHARED.values())
         return len(bufs), sum(b.nbytes for b in bufs)
 
     class Snapshots(RunMetrics):
@@ -669,11 +665,14 @@ def test_pool_stops_growing_after_the_second_step():
                 self.pool[record["step"]] = snapshot()
 
     metrics = Snapshots()
+    gc.collect()    # a store an earlier test left in a cycle goes now
+    before = snapshot()
     # dev and test splits that are not a multiple of the batch: evaluation
-    # still runs at the training step's shapes, so the pool stays put
-    train(build_config(MICRO | {"epochs": 3, "task.dev": 72, "task.test": 40}),
-          metrics)
-    assert metrics.pool[2] == metrics.pool[20] == snapshot()
+    # still runs at the training step's shapes, so no array is added; the
+    # run's store, held here, keeps its arrays
+    _, store = train(build_config(MICRO | {"epochs": 3, "task.dev": 72,
+                                           "task.test": 40}), metrics)
+    assert metrics.pool[2] == metrics.pool[20] == snapshot() != before
 
 
 # ---------------------------------------------------------------------------

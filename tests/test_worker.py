@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mgpp.tensor
-from mgpp.tensor import _empty, _register, _run_parts
+from mgpp.tensor import _register, _run_parts, _shared
 
 # two parts, of which _run_parts sends the second, (1, 2), to the worker
 TWO = [(0, 1), (1, 2)]
@@ -47,7 +47,7 @@ def unpicklable_job():
 
 
 def test_a_job_writes_into_pooled_arrays_through_any_view():
-    a, out = _empty((6, 8)), _empty((6, 8))
+    a, out = _shared((6, 8)), _shared((6, 8))
     a[...] = np.arange(48.0).reshape(6, 8)
     out[...] = 0.0
     # whole, strided, transposed and broadcast views, which the worker
@@ -62,14 +62,15 @@ def test_a_job_writes_into_pooled_arrays_through_any_view():
 
 
 def test_a_job_naming_an_array_outside_the_pool_is_refused():
-    pooled = _empty((5,))
+    # the pool: the arrays of shared mappings, which the worker inherits
+    shared = _shared((5,))
     gc.collect()    # a store an earlier test left in a cycle releases its keys now
     registered = set(mgpp.tensor._ARGS)
-    for args in [(np.zeros(5), 1.0, pooled),            # a private array
-                 (pooled, 1.0, np.zeros(5)[1:]),        # a view of one
-                 (pooled, 1.0, np.zeros(5).view(np.ma.MaskedArray)),
-                 ((pooled, [np.zeros(5)]), 1.0)]:       # nested
-        with pytest.raises(ValueError, match="pooled buffers"):
+    for args in [(np.zeros(5), 1.0, shared),            # a private array
+                 (shared, 1.0, np.zeros(5)[1:]),        # a view of one
+                 (shared, 1.0, np.zeros(5).view(np.ma.MaskedArray)),
+                 ((shared, [np.zeros(5)]), 1.0)]:       # nested
+        with pytest.raises(ValueError, match="shared mappings"):
             _register(np.copyto, *args)
     assert set(mgpp.tensor._ARGS) == registered
 
@@ -82,8 +83,8 @@ def failing_here(a, first, end):
 
 
 def test_an_error_in_a_job_is_raised_here_with_its_type_and_message():
-    a = _empty((7,))
-    out = _empty((7,))
+    a = _shared((7,))
+    out = _shared((7,))
     # every key before the first job, so one worker serves them all
     seven = _register(in_part_1(failing_job), a)
     none = _register(in_part_1(unpicklable_job))
@@ -126,7 +127,7 @@ def killed():
 
 
 def test_a_killed_worker_is_named_instead_of_hanging():
-    a = _empty((7,))
+    a = _shared((7,))
     # every key before the first job: a later one would fork a new worker
     ones, kill = _register(in_part_1(np.copyto), a, 1.0), _register(in_part_1(killed))
     twos = _register(in_part_1(np.copyto), a, 2.0)
@@ -160,7 +161,7 @@ sys.path.insert(0, {src})
 import numpy as np
 import mgpp.tensor as T
 
-arrays = [T._empty((3,))]
+arrays = [T._shared((3,))]
 
 
 def ones(a, first, end):
@@ -170,8 +171,8 @@ def ones(a, first, end):
 T._run_parts(T._register(ones, arrays[0]), [(0, 1), (1, 3)])
 first = T._worker[0]
 print(len(T._worker[2]))
-arrays += [T._empty((3,)) for _ in range(249)]
-large = T._empty((20_000,))
+arrays += [T._shared((3,)) for _ in range(249)]
+large = T._shared((20_000,))
 
 
 def fill(arrays, large, first, end):
@@ -191,7 +192,7 @@ print(sum(int(a[0] == i) for i, a in enumerate(arrays)), bool((large == 7.0).all
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the step splits, and /proc/self/status exists, on Linux")
 def test_a_two_part_step_runs_under_a_tight_address_space_limit():
-    # each pooled buffer maps only its own pages: a desk step in two parts,
+    # each shared array maps only its own pages: a desk step in two parts,
     # the worker forked under the same limit, fits in 64 MiB of address
     # space over what the process maps once its BLAS has run
     code = ADDRESS_SPACE_SCRIPT.format(src=repr(mgpp.__path__[0] + "/.."))
