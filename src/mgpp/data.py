@@ -42,6 +42,8 @@ TASK_KINDS = ("sparse-motif", "majority-token", "token-parity")
 _MAX_ATTEMPT_FACTOR = 5000
 # Candidates drawn and labeled at once.
 _BLOCK = 1024
+# Dedupe keys recorded lately, merged into the sorted rest at once.
+_MERGE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,44 @@ def _read(words: _Words, spec: SyntheticTaskSpec, count: int):
     return tokens, at, rejected
 
 
+def _member(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key lies in the sorted array `known`."""
+    if not len(known):
+        return np.zeros(len(keys), dtype=bool)
+    return known.take(np.searchsorted(known, keys), mode="clip") == keys
+
+
+def _merge(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The sorted array of the keys of two sorted arrays: a stable sort of
+    their two runs merges them."""
+    merged = np.concatenate((known, keys))
+    merged.sort(kind="stable")
+    return merged
+
+
 def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
     """Build (train, dev, test), each class-balanced within +-1 example.
 
     Candidates are drawn and labeled a block at a time, then, in order,
     deduplicated globally and routed to the first split whose per-class
     quota is open. Each split is filled in place into one preallocated
-    [size, length] token array and one [size] label array, and the dedupe
-    set is dropped before the final shuffles copy them. A split holds its
-    tokens in the smallest integer type below ``vocab`` and its labels in
-    the smallest below ``n_classes``: at the desk shapes one byte each, so
-    17 bytes per example of length 16, and no array per row.
+    [size, length] token array and one [size] label array. A split holds
+    its tokens in the smallest integer type below ``vocab`` and its labels
+    in the smallest below ``n_classes``: at the desk shapes one byte each,
+    so 17 bytes per example of length 16, and no array per row.
+
+    A row's dedupe key is its tokens packed into one uint64 where they fit
+    (``length * bit_length(vocab - 1) <= 64``, as at every preset), else
+    its tokens' bytes. Only the first row of a block with a key not yet
+    recorded is routed, and its key is recorded whether it is taken or
+    not: a row is refused only for its label (none, or every quota for it
+    full), and so is every later row with its key, since a label is a
+    function of the tokens and quotas only close. The recorded keys lie in
+    two sorted arrays, the last blocks' and the rest, merged once the
+    first holds ``_MERGE``, so that a block is not merged into every key
+    recorded. A filter of bools over the hashes of the recorded rows
+    leaves most keys of a block unsearched. The arrays and the filter are
+    dropped before the final shuffles copy the splits.
     """
     words = _Words(np.random.default_rng([spec.seed, 0]).bit_generator)
     sizes = (spec.n_train, spec.n_dev, spec.n_test)
@@ -242,11 +271,31 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         base, rem = divmod(size, spec.n_classes)
         quotas.append([base + (1 if c < rem else 0) for c in range(spec.n_classes)])
 
-    seen: set[bytes] = set()
-    # the splits' types, and a row's dedupe key: its tokens in token_type
     token_type = np.min_scalar_type(spec.vocab - 1)
-    row_bytes = np.dtype((np.void, token_type.itemsize * spec.length))
     label_type = np.min_scalar_type(spec.n_classes - 1)
+    # a row's dedupe key: its tokens, `bits` apiece, in one uint64 (a block
+    # holds int64 tokens), or else its tokens' bytes
+    bits = int(spec.vocab - 1).bit_length()
+    if spec.length * bits <= 64:
+        weights = np.uint64(1) << np.arange(0, spec.length * bits, bits, dtype=np.uint64)
+
+        def key_of(block):
+            return block.view(np.uint64) @ weights
+    else:
+        row_bytes = np.dtype((np.void, token_type.itemsize * spec.length))
+
+        def key_of(block):
+            return block.astype(token_type).view(row_bytes).ravel()
+    seen = recent = key_of(np.empty((0, spec.length), dtype=np.int64))
+    # a filter of the recorded keys: each row's tokens hash to one of more
+    # than four bools per example, set once a key of that hash is recorded,
+    # so that at most a quarter are set, and only a key whose bool is set
+    # is looked up in the sorted arrays
+    filter_bits = int(4 * sum(sizes)).bit_length()
+    recorded = np.zeros(1 << filter_bits, dtype=bool)
+    # odd multipliers: the powers of 2**64 over the golden ratio, mod 2**64
+    mix = np.cumprod(np.full(spec.length, 0x9E3779B97F4A7C15, dtype=np.uint64))
+    shift = np.uint64(64 - filter_bits)
     tokens = [np.empty((size, spec.length), dtype=token_type) for size in sizes]
     labels = [np.empty(size, dtype=label_type) for size in sizes]
     filled = [0] * len(sizes)
@@ -261,16 +310,20 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         attempts_left -= count
         block = _block(words, spec, count)
         block_labels = label_of(block, spec)
-        keys = block.astype(token_type).view(row_bytes).ravel().tolist()
+        keys = key_of(block)
+        unique, first = np.unique(keys, return_index=True)
+        slot = (block.view(np.uint64) @ mix >> shift)[first]
+        fresh = ~recorded[slot]
+        maybe = np.flatnonzero(~fresh)
+        fresh[maybe] = ~(_member(seen, unique[maybe]) | _member(recent, unique[maybe]))
+        recorded[slot[fresh]] = True
+        routed = np.sort(first[fresh])
         taken = [[] for _ in sizes]
-        for k, label in enumerate(block_labels.tolist()):
+        for k, label in zip(routed.tolist(), block_labels[routed].tolist()):
             if label < 0:
                 continue
             for split_idx, quota in enumerate(quotas):
                 if quota[label] > 0:
-                    if keys[k] in seen:
-                        break
-                    seen.add(keys[k])
                     quota[label] -= 1
                     taken[split_idx].append(k)
                     remaining -= 1
@@ -282,7 +335,10 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
             filled[split_idx] = row + len(rows)
             tokens[split_idx][row:row + len(rows)] = block[rows]
             labels[split_idx][row:row + len(rows)] = block_labels[rows]
-    del seen
+        recent = _merge(recent, unique[fresh])
+        if len(recent) >= _MERGE:
+            seen, recent = _merge(seen, recent), recent[:0]
+    del seen, recent, recorded
 
     splits = []
     for split_tokens, split_labels, size in zip(tokens, labels, sizes):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -85,6 +84,8 @@ def compare_runs(metrics_paths) -> list[dict]:
     seed) pair may appear twice; any of these would make the numbers
     meaningless.
     """
+    import statistics    # here alone: a run process never loads it
+
     if not metrics_paths:
         raise ValueError("compare needs at least one metrics file")
     finals = []

@@ -21,13 +21,14 @@ of the spike component; it crosses 1/2 exactly where c2*theta^2 + c1 = 0,
 which is also the one-shot pruning threshold returned by pa_threshold.
 
 mgp_grad runs once per prior step, in the main process, over every
-prunable coordinate, so it computes in place in the few arrays it
-allocates. g_fn and mgp_grad do the operations of the plain expressions in
-the same order, so their results are bitwise the same. Where
-c2*theta^2 + c1 is above the cutoff, or NaN, g is 0: the exponent is
-clamped to the cutoff, which changes no exponent at or below it and keeps
-exp finite, and those lanes are then ANDed with zero bits, which writes
-+0.0 without a branch. Each call returns a new array.
+prunable coordinate, so it computes in place, a slice of _SLICE coordinates
+at a time, into the one array it returns: its temporaries stay slice-sized
+and in cache, whatever the model size. g_fn and mgp_grad do the operations
+of the plain expressions in the same order, so their results are bitwise
+the same. Where c2*theta^2 + c1 is above the cutoff, or NaN, g is 0: the
+exponent is clamped to the cutoff, which changes no exponent at or below it
+and keeps exp finite, and those lanes are then ANDed with zero bits, which
+writes +0.0 without a branch. Each call returns a new array.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ import numpy as np
 # exp overflows float64 just above 709; beyond this the limit value of g is 0.
 _EXP_OVERFLOW = 700.0
 MAX_GRID_ROWS = 10**6  # largest coarse ladder penalty_curve will build
+# Coordinates per slice of mgp_grad: at 98,304 coordinates, slices of this
+# size or twice it took under half the time of one whole-vector pass.
+_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,24 @@ def mgp_grad(theta, cfg: MgpConfig) -> np.ndarray:
     configs (c2 ~ 5e9), because g underflows to exactly 0 there.
     """
     arr = np.asarray(theta, dtype=np.float64)
+    result = np.empty(arr.shape)                 # an array, 0-d too
+    coords, grads = arr.reshape(-1), result.reshape(-1)
+    for first in range(0, coords.size, _SLICE):
+        part = slice(first, first + _SLICE)
+        _grad_into(coords[part], cfg, grads[part])
+    return result
+
+
+def _grad_into(arr: np.ndarray, cfg: MgpConfig, out: np.ndarray) -> None:
+    """mgp_grad of a 1-d slice, written into `out`; its g and slab term are
+    freed on return."""
     g = g_fn(arr, cfg)
-    out = np.divide(arr, cfg.sigma0_sq, out=np.empty(arr.shape))
+    np.divide(arr, cfg.sigma0_sq, out=out)
     np.multiply(out, g, out=out)
-    slab = np.divide(arr, cfg.sigma1_sq, out=np.empty(arr.shape))
+    slab = np.divide(arr, cfg.sigma1_sq)
     np.multiply(slab, np.subtract(1.0, g, out=g), out=slab)
     np.add(out, slab, out=out)
-    return np.negative(out, out=out)
+    np.negative(out, out=out)
 
 
 def _log_density(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:

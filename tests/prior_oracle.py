@@ -1,11 +1,15 @@
 """Prior oracles shared by the tests, written independently of
 ``mgpp.prior``: the mixture's negative log density from the closed form, and
 the plain-expression g(theta) and log-prior gradient that the in-place
-kernels must match bit for bit."""
+kernels must match bit for bit. ``mgp_grad_whole`` is the exception: the
+in-place gradient in one pass over the whole vector, as ``mgp_grad`` ran
+before it went a slice at a time, on ``g_fn``."""
 
 import math
 
 import numpy as np
+
+from mgpp.prior import g_fn
 
 EXP_OVERFLOW = 700.0  # the cutoff above which g is taken as exactly 0
 
@@ -39,3 +43,16 @@ def mgp_grad_reference(theta, cfg) -> np.ndarray:
     arr = np.asarray(theta, dtype=np.float64)
     g = g_reference(arr, cfg)
     return np.asarray(-(arr / cfg.sigma0_sq * g + arr / cfg.sigma1_sq * (1.0 - g)))
+
+
+def mgp_grad_whole(theta, cfg) -> np.ndarray:
+    """The in-place gradient over the whole vector at once: g and two
+    quotients, each the input's size."""
+    arr = np.asarray(theta, dtype=np.float64)
+    g = g_fn(arr, cfg)
+    out = np.divide(arr, cfg.sigma0_sq, out=np.empty(arr.shape))
+    np.multiply(out, g, out=out)
+    slab = np.divide(arr, cfg.sigma1_sq, out=np.empty(arr.shape))
+    np.multiply(slab, np.subtract(1.0, g, out=g), out=slab)
+    np.add(out, slab, out=out)
+    return np.negative(out, out=out)

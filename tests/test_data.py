@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import data_oracle
+import mgpp.data
 from mgpp.data import (Split, SyntheticTaskSpec, _block, _bounded, _Words,
                        generate_dataset, label_of)
 
@@ -100,6 +101,20 @@ def test_generation_peak_memory_is_bounded_per_example():
     assert peak < 2 * n * (s.length + 1) * 8
 
 
+def test_dedupe_keys_take_a_few_bytes_per_example():
+    # a row's key is one uint64 in a sorted array, where a set of bytes
+    # keys took about 96 B per example: the peak, the final shuffle's copy
+    # and order included, stays under two thirds of that
+    s = SyntheticTaskSpec("token-parity", 4, 16, 4, 58_000, 1000, 1000, seed=1234)
+    tracemalloc.start()
+    try:
+        generate_dataset(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * (s.n_train + s.n_dev + s.n_test)
+
+
 @pytest.mark.parametrize("kind, vocab, n_classes, token_type, label_type", [
     ("sparse-motif", 300, 4, np.uint16, np.uint8),
     ("majority-token", 300, 4, np.uint16, np.uint8),
@@ -175,6 +190,98 @@ def test_splits_are_the_oracle_splits(kind, vocab, length, n_classes, sizes):
         for got, want in zip(generate_dataset(s), data_oracle.generate_dataset(s)):
             np.testing.assert_array_equal(got.tokens, want.tokens)
             np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def oracle_routing(s):
+    """Walk the oracle's candidates under its routing rules until the splits
+    fill: (candidates drawn, rows dropped as repeats where a quota was open,
+    valid rows skipped because no quota for their label was open)."""
+    rng = np.random.default_rng([s.seed, 0])
+    quotas = [[size // s.n_classes + (c < size % s.n_classes)
+               for c in range(s.n_classes)] for size in (s.n_train, s.n_dev, s.n_test)]
+    seen, drawn, repeats, full = set(), 0, 0, 0
+    remaining = s.n_train + s.n_dev + s.n_test
+    while remaining:
+        seq = data_oracle.candidate(rng, s)
+        drawn += 1
+        label = data_oracle.label_of_sequence(seq, s)
+        if label is None:
+            continue
+        open_quota = next((q for q in quotas if q[label] > 0), None)
+        if open_quota is None:
+            full += 1
+        elif seq.tobytes() in seen:
+            repeats += 1
+        else:
+            seen.add(seq.tobytes())
+            open_quota[label] -= 1
+            remaining -= 1
+    return drawn, repeats, full
+
+
+def assert_oracle_splits(s):
+    for got, want in zip(generate_dataset(s), data_oracle.generate_dataset(s)):
+        np.testing.assert_array_equal(got.tokens, want.tokens)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+
+# task spaces a few times the splits: each kind repeats rows and fills a
+# label's quotas before the others
+CROWDED = [
+    SyntheticTaskSpec("sparse-motif", 3, 4, 2, 6, 2, 2, seed=0),    # 28 sequences
+    SyntheticTaskSpec("majority-token", 3, 4, 2, 12, 4, 4, seed=0),  # 81
+    SyntheticTaskSpec("majority-token", 2, 5, 2, 6, 2, 2, seed=0),   # 32
+    SyntheticTaskSpec("token-parity", 2, 5, 2, 8, 2, 2, seed=0),     # 32
+    SyntheticTaskSpec("token-parity", 3, 3, 2, 6, 2, 2, seed=0),     # 27
+]
+
+
+@pytest.mark.parametrize("s", CROWDED, ids=lambda s: f"{s.kind}-{s.vocab}^{s.length}")
+@pytest.mark.parametrize("block, merge", [(1024, 1 << 15), (7, 5)])
+def test_repeated_rows_and_full_quotas_route_as_the_oracle_does(monkeypatch, s,
+                                                                  block, merge):
+    # small blocks and merges: repeats within a block, among the keys not
+    # yet merged and among the merged ones
+    monkeypatch.setattr(mgpp.data, "_BLOCK", block)
+    monkeypatch.setattr(mgpp.data, "_MERGE", merge)
+    tallies = []
+    for seed in range(5):
+        spec_at_seed = SyntheticTaskSpec(**{**s.fingerprint(), "seed": seed})
+        tallies.append(oracle_routing(spec_at_seed))
+        assert_oracle_splits(spec_at_seed)
+    _, repeats, full = np.sum(tallies, axis=0)
+    assert repeats > 0 and full > 0
+
+
+def test_rows_past_64_bits_are_keyed_by_their_bytes():
+    # 8 tokens of 9 bits: 299 motifs on a background of token 299, 27,508
+    # sequences, so rows repeat
+    s = SyntheticTaskSpec("sparse-motif", 300, 8, 299, 3000, 600, 600, seed=2)
+    _, repeats, full = oracle_routing(s)
+    assert repeats > 0 and full > 0
+    assert_oracle_splits(s)
+
+
+def test_the_splits_fill_midway_through_a_block():
+    # 2,000 examples of a space of 16^16: no row repeats, and the last of
+    # them is drawn before the end of the second block
+    s = SyntheticTaskSpec("token-parity", 16, 16, 4, 1500, 300, 200, seed=5)
+    drawn, repeats, _ = oracle_routing(s)
+    assert repeats == 0 and drawn % mgpp.data._BLOCK != 0
+    assert_oracle_splits(s)
+
+
+def test_a_task_space_emptied_by_its_repeats_is_refused_by_generation():
+    # four sequences, two of class 0, where the splits ask for three: the
+    # repeats of 00 and 11 are dropped until the attempts run out
+    s = SyntheticTaskSpec("token-parity", 2, 2, 2, 2, 1, 1, seed=0)
+    with pytest.raises(RuntimeError) as want:
+        data_oracle.generate_dataset(s)
+    with pytest.raises(RuntimeError) as got:
+        generate_dataset(s)
+    assert str(got.value) == str(want.value) == (
+        "could not fill 1 examples for token-parity; "
+        "task space too small for the requested split sizes")
 
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645

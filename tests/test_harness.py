@@ -455,6 +455,22 @@ def test_runs_in_fresh_processes_do_not_depend_on_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_run_process_never_loads_statistics(tmp_path):
+    # compare alone imports it: statistics brings fractions and decimal,
+    # about half a megabyte that a run process would hold to its end
+    code = ("import sys\n"
+            "from mgpp.config import build_config, parse_config_text\n"
+            "from mgpp.harness import run_experiment\n"
+            f"run_experiment(build_config(parse_config_text({MICRO!r})"
+            f" | {{'out': {str(tmp_path)!r}}}))\n"
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mgpp.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split("\n")[-2] == "[]"
+    assert (tmp_path / "checkpoint.bin").exists()
+
+
 def test_run_bytes_survive_a_run_of_another_shape(tmp_path):
     # a run of another shape between two identical runs ([B*n x 16] has
     # the size of the micro run's [H x B*n x 8]) leaves its freed memory to

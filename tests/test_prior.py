@@ -17,11 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mgpp.prior import (_EXP_OVERFLOW, MgpConfig, g_fn, mgp_grad, pa_threshold,
-                        penalty_curve)
+from mgpp.prior import (_EXP_OVERFLOW, _SLICE, MgpConfig, g_fn, mgp_grad,
+                        pa_threshold, penalty_curve)
 
 from prior_oracle import (EXP_OVERFLOW, g_reference, mgp_grad_reference,
-                          neg_log_prior)
+                          mgp_grad_whole, neg_log_prior)
 
 RNG = np.random.default_rng(77)
 
@@ -188,6 +188,45 @@ def test_pooled_kernels_bitwise_equal_plain_expressions(cfg):
         for arr in (special, special[::-1], special.reshape(2, 5)[:, ::2]):
             assert_bitwise(g_fn(arr, cfg), g_reference(arr, cfg))
             assert_bitwise(mgp_grad(arr, cfg), mgp_grad_reference(arr, cfg))
+
+
+@pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=["desk", "annealed", "c2=0"])
+def test_sliced_grad_bitwise_equals_the_whole_vector_form(cfg):
+    # three slices and a part, with every special lane at each slice's
+    # first and last coordinates and in the middle of one
+    P = 3 * _SLICE + 1001
+    theta = RNG.normal(size=P) * 0.05
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf,
+               -np.inf, np.nan, -np.nan]
+    if cfg.c2 > 0.0:
+        # the last theta whose exponent is at the cutoff, and the next one
+        edge = math.sqrt((EXP_OVERFLOW - cfg.c1) / cfg.c2)
+        while cfg.c2 * edge * edge + cfg.c1 > EXP_OVERFLOW:
+            edge = np.nextafter(edge, 0.0)
+        special += [edge, -edge, np.nextafter(edge, np.inf)]
+    for start in (0, _SLICE - len(special), _SLICE, 2 * _SLICE + 5000, P - len(special)):
+        theta[start:start + len(special)] = special
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = mgp_grad_whole(theta, cfg)
+        assert_bitwise(mgp_grad(theta, cfg), whole)
+        assert_bitwise(whole, mgp_grad_reference(theta, cfg))
+        # a strided view and a 2-d array take the same lanes
+        assert_bitwise(mgp_grad(theta[::-1], cfg), whole[::-1])
+        rows = theta[:P - P % 9].reshape(9, -1)
+        assert_bitwise(mgp_grad(rows, cfg), mgp_grad_whole(rows, cfg))
+
+
+def test_grad_holds_slices_beside_its_result():
+    # a call holds its result and a few slice-sized temporaries, not three
+    # whole vectors
+    theta = RNG.normal(size=6 * _SLICE) * 0.05
+    tracemalloc.start()
+    try:
+        mgp_grad(theta, DESK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * theta.size + 3 * 8 * _SLICE
 
 
 def test_pooled_kernel_results_are_not_overwritten_by_later_calls():

@@ -17,7 +17,7 @@ from mgpp.data import Split, generate_dataset
 from mgpp.metrics import RunMetrics, load_records
 from mgpp.optim import OptimState
 from mgpp.params import ParamStore
-from mgpp.prior import MgpConfig, pa_threshold
+from mgpp.prior import _SLICE, MgpConfig, pa_threshold
 from mgpp.prune import (_step_stream, _tail, apply_global_prune,
                         magnitude_scores, train)
 from mgpp.transformer import init_params, loss_and_grads
@@ -407,10 +407,11 @@ def test_steps_after_warm_up_retain_nothing_and_peak_at_the_prior():
     assert all(r["eta"] == 1.0 and "epoch" not in r for r in window)
     assert 0 < window[1]["zeroed"] < P            # a partition, not v = 0 or 1
     assert probe.held < 64 << 10                  # three steps keep nothing
-    # the most a step holds at once is mgp_grad's three float64 vectors of
-    # P: g, theta / sigma0_sq and theta / sigma1_sq; the step's own arrays
-    # are shared mappings, which tracemalloc does not see
-    assert probe.peak < 3 * 8 * P + (64 << 10)
+    # the most a step holds at once is mgp_grad's float64 result of P and
+    # two vectors of one slice (g and the slab term, or g's exponents and
+    # keep bits); the step's own arrays are shared mappings, which
+    # tracemalloc does not see
+    assert probe.peak < 8 * P + 2 * 8 * _SLICE + (64 << 10)
 
 
 def test_runs_are_deterministic():
