@@ -260,8 +260,7 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
     function of the tokens and quotas only close. The recorded keys lie in
     two sorted arrays, the last blocks' and the rest, merged once the
     first holds ``_MERGE``, so that a block is not merged into every key
-    recorded. A filter of bools over the hashes of the recorded rows
-    leaves most keys of a block unsearched. The arrays and the filter are
+    recorded; each key of a block is searched for in both. The arrays are
     dropped before the final shuffles copy the splits.
     """
     words = _Words(np.random.default_rng([spec.seed, 0]).bit_generator)
@@ -287,15 +286,6 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         def key_of(block):
             return block.astype(token_type).view(row_bytes).ravel()
     seen = recent = key_of(np.empty((0, spec.length), dtype=np.int64))
-    # a filter of the recorded keys: each row's tokens hash to one of more
-    # than four bools per example, set once a key of that hash is recorded,
-    # so that at most a quarter are set, and only a key whose bool is set
-    # is looked up in the sorted arrays
-    filter_bits = int(4 * sum(sizes)).bit_length()
-    recorded = np.zeros(1 << filter_bits, dtype=bool)
-    # odd multipliers: the powers of 2**64 over the golden ratio, mod 2**64
-    mix = np.cumprod(np.full(spec.length, 0x9E3779B97F4A7C15, dtype=np.uint64))
-    shift = np.uint64(64 - filter_bits)
     tokens = [np.empty((size, spec.length), dtype=token_type) for size in sizes]
     labels = [np.empty(size, dtype=label_type) for size in sizes]
     filled = [0] * len(sizes)
@@ -312,11 +302,7 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         block_labels = label_of(block, spec)
         keys = key_of(block)
         unique, first = np.unique(keys, return_index=True)
-        slot = (block.view(np.uint64) @ mix >> shift)[first]
-        fresh = ~recorded[slot]
-        maybe = np.flatnonzero(~fresh)
-        fresh[maybe] = ~(_member(seen, unique[maybe]) | _member(recent, unique[maybe]))
-        recorded[slot[fresh]] = True
+        fresh = ~(_member(seen, unique) | _member(recent, unique))
         routed = np.sort(first[fresh])
         taken = [[] for _ in sizes]
         for k, label in zip(routed.tolist(), block_labels[routed].tolist()):
@@ -338,7 +324,7 @@ def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Split, Split, Split]:
         recent = _merge(recent, unique[fresh])
         if len(recent) >= _MERGE:
             seen, recent = _merge(seen, recent), recent[:0]
-    del seen, recent, recorded
+    del seen, recent
 
     splits = []
     for split_tokens, split_labels, size in zip(tokens, labels, sizes):

@@ -140,22 +140,21 @@ def _log_density(arr: np.ndarray, cfg: MgpConfig) -> np.ndarray:
 def pa_threshold(cfg: MgpConfig) -> float:
     """The one-shot pruning threshold
 
-        sqrt(2)*sigma0*sigma1/sqrt(sigma1_sq - sigma0_sq)
-            * sqrt(log( (1-lam)/lam * sigma1/sigma0 )),
+        sqrt(2)*sigma0*sigma1/sqrt(sigma1_sq - sigma0_sq) * sqrt(-c1),
 
     i.e. the |theta| at which g crosses 1/2 (equivalently theta^2 = -c1/c2).
-    Requires sigma0_sq < sigma1_sq strictly and a positive log argument.
+    -c1 is log( (1-lam)/lam * sigma1/sigma0 ), taken from MgpConfig's sum of
+    logs, so it stays finite for a lam too small for that quotient.
+    Requires sigma0_sq < sigma1_sq strictly and c1 < 0.
     """
     if cfg.sigma0_sq >= cfg.sigma1_sq:
         raise ValueError("pa_threshold requires sigma0_sq < sigma1_sq strictly")
+    if cfg.c1 >= 0.0:
+        raise ValueError(f"pa_threshold requires c1 < 0, got {cfg.c1}")
     sigma0 = math.sqrt(cfg.sigma0_sq)
     sigma1 = math.sqrt(cfg.sigma1_sq)
-    arg = (1.0 - cfg.lam) / cfg.lam * (sigma1 / sigma0)
-    if arg <= 1.0:
-        raise ValueError(
-            f"pa_threshold log argument must exceed 1, got {arg}")
     return (math.sqrt(2.0) * sigma0 * sigma1 / math.sqrt(cfg.sigma1_sq - cfg.sigma0_sq)
-            * math.sqrt(math.log(arg)))
+            * math.sqrt(-cfg.c1))
 
 
 def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
@@ -177,12 +176,12 @@ def penalty_curve(cfg: MgpConfig, grid) -> list[tuple[float, float, float]]:
         raise ValueError(f"grid range {grid} gives {count} rows, "
                          f"over the limit of {MAX_GRID_ROWS}")
     thetas = [lo + i * step for i in range(count)]
-    if lo < 0.0 < hi and cfg.sigma0_sq < cfg.sigma1_sq:
+    if lo < 0.0 < hi:
         try:
             thr = pa_threshold(cfg)
         except ValueError:
-            thr = 0.0
-        if thr > 0.0:
+            pass
+        else:
             band = np.linspace(-4.0 * thr, 4.0 * thr, 161)
             thetas = sorted(set(thetas) | set(float(v) for v in band))
     arr = np.array(thetas, dtype=np.float64)

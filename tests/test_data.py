@@ -253,13 +253,18 @@ def test_repeated_rows_and_full_quotas_route_as_the_oracle_does(monkeypatch, s,
     assert repeats > 0 and full > 0
 
 
-def test_rows_past_64_bits_are_keyed_by_their_bytes():
+def test_rows_past_64_bits_are_keyed_by_their_bytes(monkeypatch):
     # 8 tokens of 9 bits: 299 motifs on a background of token 299, 27,508
     # sequences, so rows repeat
     s = SyntheticTaskSpec("sparse-motif", 300, 8, 299, 3000, 600, 600, seed=2)
     _, repeats, full = oracle_routing(s)
     assert repeats > 0 and full > 0
-    assert_oracle_splits(s)
+    # at the default sizes the keys are never merged; small blocks and
+    # merges search them among the merged ones too
+    for block, merge in [(1024, 1 << 15), (7, 5)]:
+        monkeypatch.setattr(mgpp.data, "_BLOCK", block)
+        monkeypatch.setattr(mgpp.data, "_MERGE", merge)
+        assert_oracle_splits(s)
 
 
 def test_the_splits_fill_midway_through_a_block():

@@ -266,6 +266,16 @@ def test_threshold_requires_real_crossing():
         pa_threshold(MgpConfig(1.0 - 1e-12, 0.0999, 0.1))
 
 
+def test_threshold_of_a_lam_whose_odds_overflow():
+    # (1-lam)/lam * sigma1/sigma0 is inf in float64; its log, -c1, is not
+    cfg = MgpConfig(1e-308, 3e-5, 0.05)
+    thr = pa_threshold(cfg)
+    assert math.isfinite(thr)
+    assert rel(g_fn(np.array([thr]), cfg)[0], 0.5) < 1e-9
+    rows = np.array(penalty_curve(cfg, (-1.0, 1.0, 0.5)))
+    assert len(rows) > 5 and not np.isnan(rows).any()
+
+
 def test_penalty_curve_rows_match_pointwise_functions():
     rows = penalty_curve(CRIT, (-0.01, 0.01, 0.001))
     thetas = np.array([r[0] for r in rows])
